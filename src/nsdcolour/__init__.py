@@ -74,7 +74,6 @@ from .construct import (
     ClassWidthError,
     HSelection,
     reference_span_bound,
-    lift,
     properize,
     compute_risky,
     select_H,

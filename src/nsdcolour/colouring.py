@@ -223,7 +223,10 @@ def parse_colouring(text: str, g: Graph) -> TotalColouring:
                 vc[v] = col
             elif parts[0] == "e" and len(parts) == 4:
                 u, v, col = int(parts[1]) - 1, int(parts[2]) - 1, int(parts[3])
-                eid = g.edge_id(u, v)  # raises GraphError for unknown edges
+                if not g.has_edge(u, v):
+                    raise ColouringParseError(
+                        f"line {lineno}: no edge ({u + 1}, {v + 1}) in graph")
+                eid = g.edge_id(u, v)
                 if e_seen[eid]:
                     raise ColouringParseError(f"line {lineno}: edge coloured twice")
                 e_seen[eid] = True

@@ -100,11 +100,12 @@ def _colour_class_edges(g: Graph, edge_ids, width_hint):
     alternating-path swap is attempted to reuse a slot below it. Returns
     {edge_id: slot}.
     """
+    ends = g.edges
     slot_of: dict[int, int] = {}
     used: dict[int, int] = {}
     inc: dict[int, list[int]] = {}
     for eid in edge_ids:
-        u, v = int(g.edge_u[eid]), int(g.edge_v[eid])
+        u, v = ends[eid]
         uu, uv = used.get(u, 0), used.get(v, 0)
         s = _lowest_free(uu | uv)
         if width_hint is not None and s >= width_hint:
@@ -123,7 +124,7 @@ def _colour_class_edges(g: Graph, edge_ids, width_hint):
                         break
                 if nxt is None:
                     break
-                y = int(g.edge_u[nxt]) if int(g.edge_v[nxt]) == x else int(g.edge_v[nxt])
+                y = ends[nxt][0] if ends[nxt][1] == x else ends[nxt][1]
                 path.append(nxt)
                 if y in seen:
                     break
@@ -135,7 +136,7 @@ def _colour_class_edges(g: Graph, edge_ids, width_hint):
                         old = slot_of[fid]
                         new = b if old == a else a
                         slot_of[fid] = new
-                        for w in (int(g.edge_u[fid]), int(g.edge_v[fid])):
+                        for w in ends[fid]:
                             used[w] = (used.get(w, 0) & ~(1 << old)) | (1 << new)
                     s = a
                 # path ended at u with nonempty path: keep the overflow slot
@@ -144,6 +145,14 @@ def _colour_class_edges(g: Graph, edge_ids, width_hint):
             used[w] = used.get(w, 0) | (1 << slot_of[eid])
             inc.setdefault(w, []).append(eid)
     return slot_of
+
+
+def _members(cls: np.ndarray) -> dict[int, list[int]]:
+    """Ascending ids of each class's members, from one stable argsort."""
+    order = np.argsort(cls, kind="stable")
+    cuts = np.flatnonzero(np.diff(cls[order])) + 1
+    return {int(cls[grp[0]]): grp.tolist()
+            for grp in np.split(order, cuts) if grp.size}
 
 
 def properize(g: Graph, st: LemmaState, width: int | None) -> ConstructionState:
@@ -156,48 +165,39 @@ def properize(g: Graph, st: LemmaState, width: int | None) -> ConstructionState:
     """
     if g.m and int(st.c3e.min(initial=1)) < 1:
         raise ValueError("edge classes must be fully assigned before lifting")
-    n, m = g.n, g.m
-    v_slot = np.zeros(n, dtype=np.int64)
-    e_slot = np.zeros(m, dtype=np.int64)
-    classes = sorted(set(int(b) for b in st.c3v) | set(int(b) for b in st.c3e))
+    c3v, c3e = st.c3v.tolist(), st.c3e.tolist()
+    v_slot = [0] * g.n
+    e_slot = [0] * g.m
+    v_members, e_members = _members(st.c3v), _members(st.c3e)
     needed = 1
-    for beta in classes:
-        eids = [i for i in range(m) if int(st.c3e[i]) == beta]
-        slots = _colour_class_edges(g, eids, width)
+    for beta in sorted(v_members.keys() | e_members.keys()):
+        slots = _colour_class_edges(g, e_members.get(beta, ()), width)
         for eid, s in slots.items():
             e_slot[eid] = s
             needed = max(needed, s + 1)
-        for v in range(n):
-            if int(st.c3v[v]) != beta:
-                continue
+        # vertex order inside a class is ascending, so the neighbours below v
+        # are exactly its already-assigned same-class neighbours
+        for v in v_members.get(beta, ()):
             forbid = 0
             for eid in g.incident_edges(v):
-                if int(st.c3e[eid]) == beta:
-                    forbid |= 1 << int(e_slot[eid])
+                if c3e[eid] == beta:
+                    forbid |= 1 << e_slot[eid]
             for w in g.adjacency[v]:
-                if int(st.c3v[w]) == beta and w < v:
-                    forbid |= 1 << int(v_slot[w])
+                if w >= v:
+                    break
+                if c3v[w] == beta:
+                    forbid |= 1 << v_slot[w]
             s = _lowest_free(forbid)
             v_slot[v] = s
             needed = max(needed, s + 1)
-        # vertex order inside a class is ascending, so w < v covers the
-        # already-assigned same-class neighbours exactly
     if width is None:
         width = needed
     elif needed > width:
         raise ClassWidthError(needed)
-    vc = width * (st.c3v - 1) + 1 + v_slot
-    ec = width * (st.c3e - 1) + 1 + e_slot
+    vc = width * (st.c3v - 1) + 1 + np.array(v_slot, dtype=np.int64)
+    ec = width * (st.c3e - 1) + 1 + np.array(e_slot, dtype=np.int64)
     return ConstructionState(vc.astype(np.int64), ec.astype(np.int64),
                              width, st.c3v.copy(), st.c3e.copy())
-
-
-def lift(g: Graph, st: LemmaState, width: int) -> ConstructionState:
-    """Raw band lift without properization: every slot is width-1."""
-    vc = width * st.c3v
-    ec = width * st.c3e
-    return ConstructionState(vc.astype(np.int64), ec.astype(np.int64), width,
-                             st.c3v.copy(), st.c3e.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +378,32 @@ def recolour_H(g: Graph, state: ConstructionState, h_edge_ids,
     return st, ReserveInfo(base, planned, top_used, grew)
 
 
+def _clear_sum_ties(g: Graph, vc: list[int], ec: list[int], sums: list[int],
+                    vertices) -> int:
+    """Recolour each listed vertex whose sum equals a neighbour's, in order.
+
+    The new colour is the smallest one avoiding neighbour vertex colours,
+    incident edge colours, and every neighbour's current sum. vc and sums are
+    updated in place; returns how many vertices were recoloured.
+    """
+    moved = 0
+    for v in vertices:
+        nbrs = g.adjacency[v]
+        nb_sums = {sums[w] for w in nbrs}
+        if sums[v] not in nb_sums:
+            continue
+        forbid = {vc[w] for w in nbrs}
+        forbid.update(ec[e] for e in g.incident_edges(v))
+        body = sums[v] - vc[v]
+        c = 1
+        while c in forbid or body + c in nb_sums:
+            c += 1
+        vc[v] = c
+        sums[v] = body + c
+        moved += 1
+    return moved
+
+
 def repair_small_degree(g: Graph, state: ConstructionState) -> tuple[ConstructionState, int]:
     """Give clashing small-degree vertices a fresh vertex colour.
 
@@ -388,25 +414,11 @@ def repair_small_degree(g: Graph, state: ConstructionState) -> tuple[Constructio
     sum, so a repair never creates a new clash elsewhere.
     """
     st = state.copy()
-    delta = g.max_degree
-    sums = _vertex_sums(g, st.vertex_colours, st.edge_colours)
-    repaired = 0
-    for v in range(g.n):
-        if 3 * g.degree(v) >= delta:
-            continue
-        nbrs = g.adjacency[v]
-        nb_sums = {int(sums[w]) for w in nbrs}
-        if int(sums[v]) not in nb_sums:
-            continue
-        forbid_col = {int(st.vertex_colours[w]) for w in nbrs}
-        forbid_col |= {int(st.edge_colours[e]) for e in g.incident_edges(v)}
-        body = int(sums[v]) - int(st.vertex_colours[v])
-        c = 1
-        while c in forbid_col or body + c in nb_sums:
-            c += 1
-        st.vertex_colours[v] = c
-        sums[v] = body + c
-        repaired += 1
+    vc = st.vertex_colours.tolist()
+    sums = _vertex_sums(g, st.vertex_colours, st.edge_colours).tolist()
+    small = [v for v, d in enumerate(g.degrees.tolist()) if 3 * d < g.max_degree]
+    repaired = _clear_sum_ties(g, vc, st.edge_colours.tolist(), sums, small)
+    st.vertex_colours[:] = vc
     return st, repaired
 
 
@@ -416,49 +428,32 @@ def repair_small_degree(g: Graph, state: ConstructionState) -> tuple[Constructio
 def greedy_nsd(g: Graph) -> TotalColouring:
     """Seedless fallback: greedy proper total colouring, then one vertex
     sweep separating equal neighbour sums. Span is at most 3*max_degree + 1
-    (and exactly 3 on a single edge)."""
-    n, m = g.n, g.m
-    vc = np.zeros(n, dtype=np.int64)
-    for v in range(n):
-        taken = {int(vc[w]) for w in g.adjacency[v] if w < v}
-        c = 1
-        while c in taken:
-            c += 1
-        vc[v] = c
-    ec = np.zeros(m, dtype=np.int64)
-    for eid in range(m):
-        u, v = int(g.edge_u[eid]), int(g.edge_v[eid])
-        taken = {int(vc[u]), int(vc[v])}
-        for w in (u, v):
-            for f in g.incident_edges(w):
-                if f < eid:
-                    taken.add(int(ec[f]))
-        c = 1
-        while c in taken:
-            c += 1
-        ec[eid] = c
-    sums = None
-    if m:
-        sums = _vertex_sums(g, vc, ec)
-        for v in range(n):
-            nbrs = g.adjacency[v]
-            nb_sums = {int(sums[w]) for w in nbrs}
-            if int(sums[v]) not in nb_sums:
-                continue
-            forbid = {int(vc[w]) for w in nbrs}
-            forbid |= {int(ec[e]) for e in g.incident_edges(v)}
-            body = int(sums[v]) - int(vc[v])
-            c = 1
-            while c in forbid or body + c in nb_sums:
-                c += 1
-            vc[v] = c
-            sums[v] = body + c
-    k = 1
-    if n:
-        k = max(k, int(vc.max()))
-    if m:
-        k = max(k, int(ec.max()))
-    return TotalColouring(vc, ec, k)
+    (and exactly 3 on a single edge).
+
+    Vertices, then edges in id order, take the lowest free colour. Each
+    vertex keeps a bitmask of the colours at it (its own, its coloured edges,
+    and bit 0), so an edge's pick is one OR of its endpoints' masks: O(m)
+    bitmask operations instead of rescanning incident edges.
+    """
+    vc = [0] * g.n
+    for v in range(g.n):
+        used = 1
+        for w in g.adjacency[v]:
+            if w >= v:
+                break
+            used |= 1 << vc[w]
+        vc[v] = _lowest_free(used)
+    used = [1 | (1 << c) for c in vc]
+    ec = []
+    for u, v in g.edges:
+        c = _lowest_free(used[u] | used[v])
+        ec.append(c)
+        used[u] |= 1 << c
+        used[v] |= 1 << c
+    sums = _vertex_sums(g, np.array(vc, dtype=np.int64),
+                        np.array(ec, dtype=np.int64)).tolist()
+    _clear_sum_ties(g, vc, ec, sums, range(g.n))
+    return TotalColouring(vc, ec, max([1, *vc, *ec]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,208 @@
+"""Reference copies of the construction hot paths as they were before the
+bitmask and class-sorted rewrites.
+
+The functions below are kept verbatim (only the imports differ) so that
+tests/test_equivalence.py can check that the optimised versions in
+nsdcolour.construct return byte-identical colourings. They are test oracles,
+not part of the package.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from nsdcolour.colouring import TotalColouring
+from nsdcolour.construct import ClassWidthError, ConstructionState
+from nsdcolour.graph import Graph
+from nsdcolour.lemma import LemmaState
+
+
+def _vertex_sums(g: Graph, vc: np.ndarray, ec: np.ndarray) -> np.ndarray:
+    s = vc.astype(np.int64).copy()
+    np.add.at(s, g.edge_u, ec)
+    np.add.at(s, g.edge_v, ec)
+    return s
+
+
+def _lowest_free(used: int) -> int:
+    # lowest clear bit of the slot bitmask
+    return ((used + 1) & ~used).bit_length() - 1
+
+
+def _colour_class_edges(g: Graph, edge_ids, width_hint):
+    """Proper slot assignment for one class's edges.
+
+    Greedy lowest-free; when the pick would land at or above width_hint, one
+    alternating-path swap is attempted to reuse a slot below it. Returns
+    {edge_id: slot}.
+    """
+    slot_of: dict[int, int] = {}
+    used: dict[int, int] = {}
+    inc: dict[int, list[int]] = {}
+    for eid in edge_ids:
+        u, v = int(g.edge_u[eid]), int(g.edge_v[eid])
+        uu, uv = used.get(u, 0), used.get(v, 0)
+        s = _lowest_free(uu | uv)
+        if width_hint is not None and s >= width_hint:
+            a = _lowest_free(uu)
+            b = _lowest_free(uv)
+            # walk the a/b alternating path from v; flipping it frees a at v
+            # unless the path ends at u
+            path = []
+            x, want = v, a
+            seen = {v}
+            while True:
+                nxt = None
+                for fid in inc.get(x, ()):
+                    if slot_of[fid] == want:
+                        nxt = fid
+                        break
+                if nxt is None:
+                    break
+                y = int(g.edge_u[nxt]) if int(g.edge_v[nxt]) == x else int(g.edge_v[nxt])
+                path.append(nxt)
+                if y in seen:
+                    break
+                seen.add(y)
+                x, want = y, (b if want == a else a)
+            if x != u or not path:
+                if x != u:
+                    for fid in path:
+                        old = slot_of[fid]
+                        new = b if old == a else a
+                        slot_of[fid] = new
+                        for w in (int(g.edge_u[fid]), int(g.edge_v[fid])):
+                            used[w] = (used.get(w, 0) & ~(1 << old)) | (1 << new)
+                    s = a
+                # path ended at u with nonempty path: keep the overflow slot
+        slot_of[eid] = s
+        for w in (u, v):
+            used[w] = used.get(w, 0) | (1 << slot_of[eid])
+            inc.setdefault(w, []).append(eid)
+    return slot_of
+
+
+def properize(g: Graph, st: LemmaState, width: int | None) -> ConstructionState:
+    """Lift engine classes to colour bands and make the result proper.
+
+    Band for class beta covers colours {B*(beta-1)+1 .. B*beta}. Classes are
+    processed in increasing beta; earlier bands are never revisited. With
+    width=None the needed band width is learned and used. Raises
+    ClassWidthError when a fixed width is exceeded.
+    """
+    if g.m and int(st.c3e.min(initial=1)) < 1:
+        raise ValueError("edge classes must be fully assigned before lifting")
+    n, m = g.n, g.m
+    v_slot = np.zeros(n, dtype=np.int64)
+    e_slot = np.zeros(m, dtype=np.int64)
+    classes = sorted(set(int(b) for b in st.c3v) | set(int(b) for b in st.c3e))
+    needed = 1
+    for beta in classes:
+        eids = [i for i in range(m) if int(st.c3e[i]) == beta]
+        slots = _colour_class_edges(g, eids, width)
+        for eid, s in slots.items():
+            e_slot[eid] = s
+            needed = max(needed, s + 1)
+        for v in range(n):
+            if int(st.c3v[v]) != beta:
+                continue
+            forbid = 0
+            for eid in g.incident_edges(v):
+                if int(st.c3e[eid]) == beta:
+                    forbid |= 1 << int(e_slot[eid])
+            for w in g.adjacency[v]:
+                if int(st.c3v[w]) == beta and w < v:
+                    forbid |= 1 << int(v_slot[w])
+            s = _lowest_free(forbid)
+            v_slot[v] = s
+            needed = max(needed, s + 1)
+        # vertex order inside a class is ascending, so w < v covers the
+        # already-assigned same-class neighbours exactly
+    if width is None:
+        width = needed
+    elif needed > width:
+        raise ClassWidthError(needed)
+    vc = width * (st.c3v - 1) + 1 + v_slot
+    ec = width * (st.c3e - 1) + 1 + e_slot
+    return ConstructionState(vc.astype(np.int64), ec.astype(np.int64),
+                             width, st.c3v.copy(), st.c3e.copy())
+
+
+def repair_small_degree(g: Graph, state: ConstructionState) -> tuple[ConstructionState, int]:
+    """Give clashing small-degree vertices a fresh vertex colour.
+
+    Small means 3*degree < max_degree. Scanned in ascending order; a vertex
+    is touched only when its sum equals a neighbour's. The replacement colour
+    avoids neighbour vertex colours, incident edge colours, and every
+    neighbour's current sum. A vertex colour appears in no other vertex's
+    sum, so a repair never creates a new clash elsewhere.
+    """
+    st = state.copy()
+    delta = g.max_degree
+    sums = _vertex_sums(g, st.vertex_colours, st.edge_colours)
+    repaired = 0
+    for v in range(g.n):
+        if 3 * g.degree(v) >= delta:
+            continue
+        nbrs = g.adjacency[v]
+        nb_sums = {int(sums[w]) for w in nbrs}
+        if int(sums[v]) not in nb_sums:
+            continue
+        forbid_col = {int(st.vertex_colours[w]) for w in nbrs}
+        forbid_col |= {int(st.edge_colours[e]) for e in g.incident_edges(v)}
+        body = int(sums[v]) - int(st.vertex_colours[v])
+        c = 1
+        while c in forbid_col or body + c in nb_sums:
+            c += 1
+        st.vertex_colours[v] = c
+        sums[v] = body + c
+        repaired += 1
+    return st, repaired
+
+
+def greedy_nsd(g: Graph) -> TotalColouring:
+    """Seedless fallback: greedy proper total colouring, then one vertex
+    sweep separating equal neighbour sums. Span is at most 3*max_degree + 1
+    (and exactly 3 on a single edge)."""
+    n, m = g.n, g.m
+    vc = np.zeros(n, dtype=np.int64)
+    for v in range(n):
+        taken = {int(vc[w]) for w in g.adjacency[v] if w < v}
+        c = 1
+        while c in taken:
+            c += 1
+        vc[v] = c
+    ec = np.zeros(m, dtype=np.int64)
+    for eid in range(m):
+        u, v = int(g.edge_u[eid]), int(g.edge_v[eid])
+        taken = {int(vc[u]), int(vc[v])}
+        for w in (u, v):
+            for f in g.incident_edges(w):
+                if f < eid:
+                    taken.add(int(ec[f]))
+        c = 1
+        while c in taken:
+            c += 1
+        ec[eid] = c
+    sums = None
+    if m:
+        sums = _vertex_sums(g, vc, ec)
+        for v in range(n):
+            nbrs = g.adjacency[v]
+            nb_sums = {int(sums[w]) for w in nbrs}
+            if int(sums[v]) not in nb_sums:
+                continue
+            forbid = {int(vc[w]) for w in nbrs}
+            forbid |= {int(ec[e]) for e in g.incident_edges(v)}
+            body = int(sums[v]) - int(vc[v])
+            c = 1
+            while c in forbid or body + c in nb_sums:
+                c += 1
+            vc[v] = c
+            sums[v] = body + c
+    k = 1
+    if n:
+        k = max(k, int(vc.max()))
+    if m:
+        k = max(k, int(ec.max()))
+    return TotalColouring(vc, ec, k)

@@ -138,7 +138,7 @@ def test_criterion_4_engine_trials():
             continue
         report = check_properties(g, s2.state, sp, p,
                                   h3_edge_ids=s2.h3_edge_ids)
-        if not report.all_pass:
+        if not report.all_pass():
             continue
         # independent pure-python recount of all ten properties
         independent = recount(g, s2.state, p, sp, h3_edge_ids=s2.h3_edge_ids)
@@ -196,9 +196,14 @@ def test_criterion_6_span_tracking(pipeline_records):
 # 7: byte-identical reruns for every command
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
 def run_cli(args, cwd):
+    env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-m", "nsdcolour.cli"] + args,
-                          capture_output=True, cwd=cwd)
+                          capture_output=True, cwd=cwd, env=env)
     return proc.returncode, proc.stdout
 
 

@@ -97,6 +97,14 @@ def test_parse_strictness():
         parse_colouring("k 2\nv 1 1\nv 2 2\ne 1 2 3\n", g)  # over k
 
 
+def test_parse_names_unknown_edge():
+    g = Graph(3, [(0, 1), (1, 2)])
+    text = "k 3\nv 1 1\nv 2 2\nv 3 1\ne 1 2 3\ne 1 3 3\n"
+    with pytest.raises(ColouringParseError,
+                       match=r"^line 6: no edge \(1, 3\) in graph$"):
+        parse_colouring(text, g)
+
+
 def test_violation_serialization():
     g = Graph(2, [(0, 1)])
     c = colouring([2, 2], [3], 3)
