@@ -30,7 +30,6 @@ from .colouring import (
     Violation,
     ColouringError,
     ColouringParseError,
-    weighted_degree,
     weighted_degrees,
     check_proper,
     check_nsd,
@@ -49,7 +48,6 @@ from .exact import (
 )
 from .lemma import (
     LemmaParams,
-    SParams,
     LemmaState,
     PropertyReport,
     ResampleResult,

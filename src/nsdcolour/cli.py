@@ -18,8 +18,8 @@ from .colouring import (ColouringParseError, check_nsd, check_proper,
 from .construct import ConstructConfig, construct, greedy_nsd
 from .exact import EnumerationGuardError, solve_exact
 from .graph import GenerationError, GraphParseError, generate, parse_graph, write_graph
-from .lemma import (InfeasibleStrictError, LemmaParams, SParams,
-                    resample_until_valid, stage_two)
+from .lemma import (InfeasibleStrictError, LemmaParams, resample_until_valid,
+                    stage_two)
 
 
 def _read(path: str) -> str:
@@ -99,14 +99,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_lemma(args) -> int:
     p = LemmaParams(args.delta, strict=args.strict, slack=args.slack)
-    sp = SParams.from_params(p)
     info = {
         "delta": p.delta,
         "ln_floor": round(p.ln_floor, 9),
         "r1": p.r1, "r2": p.r2, "r3": p.r3,
         "b_unit": p.b_unit,
         "caps": {k: p.caps[k] for k in sorted(p.caps)},
-        "interval_len": float(sp.interval_len),
+        "interval_len": float(p.interval_len),
         "strict": p.strict,
         "slack": p.slack,
         "feasible_strict": p.feasible_strict,
@@ -118,8 +117,7 @@ def cmd_lemma(args) -> int:
     g = _load_graph(args.graph)
     if g.max_degree != p.delta:
         p = LemmaParams(g.max_degree, strict=args.strict, slack=args.slack)
-        sp = SParams.from_params(p)
-    r1 = resample_until_valid(g, p, sp, args.seed, args.rounds)
+    r1 = resample_until_valid(g, p, args.seed, args.rounds)
     r2 = stage_two(g, r1.state, p, args.seed + 1, args.rounds)
     out = {
         "params": {"delta": p.delta, "r1": p.r1, "r2": p.r2, "r3": p.r3,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphError
+from .graph import Graph
 
 
 class ColouringError(ValueError):
@@ -79,12 +79,6 @@ class TotalColouring:
             top = max(top, int(self.edge_colours.max()))
         return top
 
-    def vertex_colour(self, v: int) -> int:
-        return int(self.vertex_colours[v])
-
-    def edge_colour(self, g: Graph, u: int, v: int) -> int:
-        return int(self.edge_colours[g.edge_id(u, v)])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TotalColouring)
@@ -109,22 +103,18 @@ def _check_shapes(g: Graph, c: TotalColouring) -> None:
         )
 
 
-def weighted_degrees(g: Graph, c: TotalColouring) -> np.ndarray:
-    """Array of weighted degrees: own colour plus incident edge colours."""
-    _check_shapes(g, c)
-    s = c.vertex_colours.astype(np.int64).copy()
-    np.add.at(s, g.edge_u, c.edge_colours)
-    np.add.at(s, g.edge_v, c.edge_colours)
+def vertex_sums(g: Graph, vc: np.ndarray, ec: np.ndarray) -> np.ndarray:
+    """Each vertex's colour plus its incident edge colours, from raw arrays."""
+    s = vc.astype(np.int64)
+    np.add.at(s, g.edge_u, ec)
+    np.add.at(s, g.edge_v, ec)
     return s
 
 
-def weighted_degree(g: Graph, c: TotalColouring, v: int) -> int:
-    if not (0 <= v < g.n):
-        raise GraphError(f"vertex {v} out of range")
-    total = c.vertex_colour(v)
-    for eid in g.incident_edges(v):
-        total += int(c.edge_colours[eid])
-    return total
+def weighted_degrees(g: Graph, c: TotalColouring) -> np.ndarray:
+    """Array of weighted degrees: own colour plus incident edge colours."""
+    _check_shapes(g, c)
+    return vertex_sums(g, c.vertex_colours, c.edge_colours)
 
 
 def check_proper(g: Graph, c: TotalColouring) -> list[Violation]:
@@ -237,6 +227,10 @@ def parse_colouring(text: str, g: Graph) -> TotalColouring:
             if isinstance(exc, ColouringParseError):
                 raise
             raise ColouringParseError(f"line {lineno}: bad integer in {line!r}") from None
+        except OverflowError:
+            # only storing a colour into the int64 arrays can overflow
+            raise ColouringParseError(
+                f"line {lineno}: colour out of range in {line!r}") from None
     if k is None:
         raise ColouringParseError("missing k line")
     if not v_seen.all() or not e_seen.all():

@@ -31,14 +31,13 @@ directly as greedy_nsd().
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .colouring import TotalColouring, check_nsd, check_proper
+from .colouring import TotalColouring, check_nsd, check_proper, vertex_sums
 from .graph import Graph
-from .lemma import (LemmaParams, LemmaState, SParams, resample_until_valid,
-                    stage_two)
+from .lemma import LemmaParams, LemmaState, resample_until_valid, stage_two
 
 
 def reference_span_bound(delta: int) -> float:
@@ -47,13 +46,6 @@ def reference_span_bound(delta: int) -> float:
         return float(delta)
     L = max(math.log(delta), 1.0)
     return delta + 139.0 * delta ** (5 / 6) * L ** (1 / 6)
-
-
-def _vertex_sums(g: Graph, vc: np.ndarray, ec: np.ndarray) -> np.ndarray:
-    s = vc.astype(np.int64).copy()
-    np.add.at(s, g.edge_u, ec)
-    np.add.at(s, g.edge_v, ec)
-    return s
 
 
 class ClassWidthError(ValueError):
@@ -214,30 +206,28 @@ class RiskParams:
     occupancy cap bounds the risky set size.
     """
 
-    def __init__(self, p: LemmaParams, sp: SParams, scale: float = 1.0,
-                 fault_cap: float | None = None):
+    def __init__(self, p: LemmaParams, scale: float = 1.0):
         x = float(max(p.delta, 0))
         L = p.ln_floor
-        self.fault_cap = (5.5 * x ** (5 / 3) * L ** (1 / 3)
-                          if fault_cap is None else float(fault_cap))
+        self.fault_cap = 5.5 * x ** (5 / 3) * L ** (1 / 3)
         self.repair_slack = 16.0 * x * L
         self.scale = float(scale)
         self.window = 2.0 * self.scale * (self.fault_cap + self.repair_slack)
         self.threshold = int(math.floor(2.0 * self.window))
-        if sp.interval_len > 0:
-            ratio = 2.0 * self.window / float(sp.interval_len)
+        if p.interval_len > 0:
+            ratio = 2.0 * self.window / float(p.interval_len)
             self.covered_intervals = int(math.ceil(ratio)) + 1
         else:
             self.covered_intervals = 0
         self.allowed_max = self.covered_intervals * p.caps["VI"]
 
 
-def compute_risky(g: Graph, st: LemmaState, p: LemmaParams, sp: SParams,
+def compute_risky(g: Graph, st: LemmaState, p: LemmaParams,
                   risk: RiskParams) -> list[list[int]]:
     """risky[v]: sorted large neighbours of large v within the score window."""
     deg = g.degrees
     large = 3 * deg >= p.delta
-    s2 = sp.score2_array(deg, st.c1)
+    s2 = p.score2_array(deg, st.c1)
     risky: list[list[int]] = [[] for _ in range(g.n)]
     both = large[g.edge_u] & large[g.edge_v]
     close = np.abs(s2[g.edge_u] - s2[g.edge_v]) <= risk.threshold
@@ -261,21 +251,15 @@ class HSelection:
     cap: int
 
 
-def select_H(g: Graph, p: LemmaParams, seed: int, max_rounds: int = 100,
-             min_degree: int | None = None) -> HSelection:
-    """Each qualifying vertex picks two distinct incident edges (one if its
-    degree is one); the union is resampled until every vertex touches at most
-    cap picked edges.
-
-    Qualifying means 3*degree >= max_degree, or degree >= min_degree when
-    that override is given.
+def select_H(g: Graph, p: LemmaParams, seed: int,
+             max_rounds: int = 100) -> HSelection:
+    """Each large vertex (3*degree >= max_degree) picks two distinct incident
+    edges (one if its degree is one); the union is resampled until every
+    vertex touches at most cap picked edges.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     deg = g.degrees
-    if min_degree is None:
-        pickers = np.nonzero((3 * deg >= p.delta) & (deg > 0))[0]
-    else:
-        pickers = np.nonzero(deg >= max(min_degree, 1))[0]
+    pickers = np.nonzero((3 * deg >= p.delta) & (deg > 0))[0]
     cap = p.caps["dH"]
 
     picks: dict[int, np.ndarray] = {}
@@ -322,7 +306,7 @@ class ReserveInfo:
 
 
 def recolour_H(g: Graph, state: ConstructionState, h_edge_ids,
-               risky: list[list[int]], seed: int = 0) -> tuple[ConstructionState, ReserveInfo]:
+               risky: list[list[int]]) -> tuple[ConstructionState, ReserveInfo]:
     """Move the picked edges onto fresh reserve colours above the span.
 
     Edges are processed in ascending id. Each pick avoids reserve colours
@@ -330,13 +314,11 @@ def recolour_H(g: Graph, state: ConstructionState, h_edge_ids,
     endpoint's new sum on the current sum of a risky neighbour. Both endpoint
     sums shift by the same amount, so previously separated pairs stay
     separated; the reserve grows (and records that it grew) if the planned
-    size ever runs out. The seed is accepted for interface symmetry; the
-    scan itself is deterministic.
+    size ever runs out. The scan is deterministic.
     """
-    del seed
     st = state.copy()
     h_ids = sorted(int(e) for e in np.asarray(h_edge_ids, dtype=np.int64))
-    sums = _vertex_sums(g, st.vertex_colours, st.edge_colours)
+    sums = vertex_sums(g, st.vertex_colours, st.edge_colours)
     base = st.span
     if h_ids:
         dh = np.bincount(np.concatenate(
@@ -415,7 +397,7 @@ def repair_small_degree(g: Graph, state: ConstructionState) -> tuple[Constructio
     """
     st = state.copy()
     vc = st.vertex_colours.tolist()
-    sums = _vertex_sums(g, st.vertex_colours, st.edge_colours).tolist()
+    sums = vertex_sums(g, st.vertex_colours, st.edge_colours).tolist()
     small = [v for v, d in enumerate(g.degrees.tolist()) if 3 * d < g.max_degree]
     repaired = _clear_sum_ties(g, vc, st.edge_colours.tolist(), sums, small)
     st.vertex_colours[:] = vc
@@ -450,8 +432,8 @@ def greedy_nsd(g: Graph) -> TotalColouring:
         ec.append(c)
         used[u] |= 1 << c
         used[v] |= 1 << c
-    sums = _vertex_sums(g, np.array(vc, dtype=np.int64),
-                        np.array(ec, dtype=np.int64)).tolist()
+    sums = vertex_sums(g, np.array(vc, dtype=np.int64),
+                       np.array(ec, dtype=np.int64)).tolist()
     _clear_sum_ties(g, vc, ec, sums, range(g.n))
     return TotalColouring(vc, ec, max([1, *vc, *ec]))
 
@@ -468,7 +450,6 @@ class ConstructConfig:
     retries: int = 3
     slack_growth: float = 2.0
     span_cap: int | None = None
-    fault_cap: float | None = None
 
 
 @dataclass
@@ -490,28 +471,19 @@ class RunReport:
     valid: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode, "n": self.n, "m": self.m,
-            "max_degree": self.max_degree, "seed": self.seed,
-            "attempts": self.attempts, "chosen_attempt": self.chosen_attempt,
-            "fallback_used": self.fallback_used,
-            "span_capped": self.span_capped,
-            "pipeline_span": self.pipeline_span, "span": self.span,
-            "delta_plus_3": self.delta_plus_3,
-            "reference_bound": self.reference_bound, "valid": self.valid,
-        }
+        return asdict(self)
 
 
 def _phase_seeds(seed: int, attempt: int) -> list[int]:
     ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, attempt])
-    return [int(x) for x in ss.generate_state(4, dtype=np.uint64)]
+    return [int(x) for x in ss.generate_state(3, dtype=np.uint64)]
 
 
-def _attempt_pipeline(g: Graph, p: LemmaParams, sp: SParams, slack: float,
+def _attempt_pipeline(g: Graph, p: LemmaParams, slack: float,
                       cfg: ConstructConfig, attempt: int):
-    s_res, s_st2, s_hsel, s_rec = _phase_seeds(cfg.seed, attempt)
+    s_res, s_st2, s_hsel = _phase_seeds(cfg.seed, attempt)
     info: dict = {"slack": slack}
-    r1 = resample_until_valid(g, p, sp, s_res, cfg.rounds)
+    r1 = resample_until_valid(g, p, s_res, cfg.rounds)
     info["stage1_rounds"] = r1.rounds
     info["stage1_valid"] = r1.valid
     r2 = stage_two(g, r1.state, p, s_st2, cfg.rounds)
@@ -531,8 +503,8 @@ def _attempt_pipeline(g: Graph, p: LemmaParams, sp: SParams, slack: float,
     info["b_width"] = cs.width
     info["relifts"] = relifts
 
-    risk = RiskParams(p, sp, scale=slack, fault_cap=cfg.fault_cap)
-    risky = compute_risky(g, r2.state, p, sp, risk)
+    risk = RiskParams(p, scale=slack)
+    risky = compute_risky(g, r2.state, p, risk)
     info["risky_max"] = max((len(r) for r in risky), default=0)
     info["risky_allowed"] = risk.allowed_max
 
@@ -541,7 +513,7 @@ def _attempt_pipeline(g: Graph, p: LemmaParams, sp: SParams, slack: float,
     info["h_rounds"] = hsel.rounds
     info["h_valid"] = hsel.valid
 
-    cs, reserve = recolour_H(g, cs, hsel.edge_ids, risky, s_rec)
+    cs, reserve = recolour_H(g, cs, hsel.edge_ids, risky)
     info.update(reserve_base=reserve.base, reserve_planned=reserve.planned,
                 reserve_used=reserve.used, reserve_grew=reserve.grew)
 
@@ -598,8 +570,7 @@ def construct(g: Graph, config: ConstructConfig | None = None) -> tuple[TotalCol
             p = LemmaParams(delta, strict=True)
         else:
             p = LemmaParams(delta, slack=slack)
-        sp = SParams.from_params(p)
-        colouring, info = _attempt_pipeline(g, p, sp, slack, cfg, attempt)
+        colouring, info = _attempt_pipeline(g, p, slack, cfg, attempt)
         report.attempts.append(info)
         if info["valid"]:
             best = colouring

@@ -2,7 +2,7 @@
 
 Vertices are dense 0-based integers in memory; files use 1-based ids.
 Graphs are immutable once built and cache the numpy views the rest of the
-package leans on (edge endpoint arrays, degrees, CSR adjacency).
+package leans on (edge endpoint arrays, degrees).
 """
 
 from __future__ import annotations
@@ -74,24 +74,9 @@ class Graph:
         np.add.at(self.degrees, self.edge_u, 1)
         np.add.at(self.degrees, self.edge_v, 1)
         self.max_degree = int(self.degrees.max()) if n else 0
-
-        # CSR adjacency: for vertex v, neighbours are nbr_vertex[indptr[v]:indptr[v+1]]
-        # and the joining edges sit at the same offsets in nbr_edge
-        self.nbr_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self.degrees, out=self.nbr_indptr[1:])
-        self.nbr_vertex = np.fromiter(
-            (u for a in self.adjacency for u in a), dtype=np.int64, count=2 * self.m
-        )
-        self.nbr_edge = np.fromiter(
-            (e for a in self._incident for e in a), dtype=np.int64, count=2 * self.m
-        )
-        for arr in (self.edge_u, self.edge_v, self.degrees,
-                    self.nbr_indptr, self.nbr_vertex, self.nbr_edge):
+        for arr in (self.edge_u, self.edge_v, self.degrees):
             arr.flags.writeable = False
         self._edge_index: dict[tuple[int, int], int] | None = None
-
-    def neighbours(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
 
     def incident_edges(self, v: int) -> tuple[int, ...]:
         """Edge ids incident to v, ordered by the neighbour at the far end."""

@@ -68,12 +68,18 @@ def _ln_floor(delta: int) -> float:
 
 
 class LemmaParams:
-    """Palette sizes and integer caps for a given max degree.
+    """Palette sizes, integer caps and exact score machinery for a max degree.
 
     r1 = ceil(D^{1/6} / ln^{1/6} D) sizes the attractor palette, r2 the
     auxiliary and target palettes, r3 = 2 r1 + r2 the full edge target range.
     ``caps`` maps check ids to the enforced integer caps; "I" and "II" are on
     the r-scaled axis (see module docstring), "1°" splits into "1°a"/"1°b".
+
+    score(d, c1) = b_unit * (d*c1 + (d/r1)*T(r1) + (d/r2)*T(r2)) with
+    T(r) = r(r+1)/2, kept as an exact Fraction (twice the score is always an
+    integer). interval_len is the float evaluation of D^{5/3} ln^{1/3} D / 3
+    converted to an exact Fraction once, so boundary membership of the
+    right-closed intervals ((a-1)*len, a*len] is deterministic.
     """
 
     def __init__(self, delta: int, strict: bool = False, slack: float = 1.0):
@@ -97,6 +103,7 @@ class LemmaParams:
         a = x ** (2 / 3) * L ** (1 / 3)
         b = x ** (1 / 3) * L ** (2 / 3)
         self.b_unit = math.ceil(a) + 6 * math.ceil(b)
+        self.interval_len = Fraction(x ** (5 / 3) * L ** (1 / 3)) / 3
         base = {
             "I": self.r1 * math.sqrt(x),
             "II": self.r2 * 3.0 * b,
@@ -132,36 +139,6 @@ class LemmaParams:
                 + "; ".join(reasons)
             )
 
-    def __repr__(self) -> str:
-        mode = "strict" if self.strict else f"permissive(slack={self.slack})"
-        return f"LemmaParams(delta={self.delta}, r1={self.r1}, r2={self.r2}, {mode})"
-
-
-class SParams:
-    """Exact-arithmetic score machinery.
-
-    score(d, c1) = b_unit * (d*c1 + (d/r1)*T(r1) + (d/r2)*T(r2)) with
-    T(r) = r(r+1)/2, kept as an exact Fraction (twice the score is always an
-    integer). interval_len is the float evaluation of D^{5/3} ln^{1/3} D / 3
-    converted to an exact Fraction once, so boundary membership of the
-    right-closed intervals ((a-1)*len, a*len] is deterministic.
-    """
-
-    def __init__(self, delta: int, ln_floor: float | None = None):
-        self.delta = int(delta)
-        L = _ln_floor(delta) if ln_floor is None else ln_floor
-        self.ln_floor = L
-        x = float(max(delta, 0))
-        self.r1 = max(1, math.ceil(x ** (1 / 6) / L ** (1 / 6)))
-        self.r2 = max(1, math.ceil(x ** (1 / 3) / L ** (1 / 3)))
-        self.b_unit = math.ceil(x ** (2 / 3) * L ** (1 / 3)) + 6 * math.ceil(
-            x ** (1 / 3) * L ** (2 / 3))
-        self.interval_len = Fraction(x ** (5 / 3) * L ** (1 / 3)) / 3
-
-    @classmethod
-    def from_params(cls, p: LemmaParams) -> "SParams":
-        return cls(p.delta, p.ln_floor)
-
     def score2(self, d: int, c1v: int) -> int:
         """Twice the score; integer by the closed form b_unit*d*(2c1+r1+r2+2)."""
         return self.b_unit * d * (2 * c1v + self.r1 + self.r2 + 2)
@@ -169,22 +146,26 @@ class SParams:
     def score2_array(self, degrees: np.ndarray, c1: np.ndarray) -> np.ndarray:
         return self.b_unit * degrees * (2 * c1 + self.r1 + self.r2 + 2)
 
+    def __repr__(self) -> str:
+        mode = "strict" if self.strict else f"permissive(slack={self.slack})"
+        return f"LemmaParams(delta={self.delta}, r1={self.r1}, r2={self.r2}, {mode})"
 
-def s_of(d: int, c1v: int, sp: SParams) -> Fraction:
+
+def s_of(d: int, c1v: int, p: LemmaParams) -> Fraction:
     """Exact score of a vertex with degree d and attractor colour c1v."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    return Fraction(sp.score2(d, c1v), 2)
+    return Fraction(p.score2(d, c1v), 2)
 
 
-def interval_index(s, sp: SParams) -> int:
+def interval_index(s, p: LemmaParams) -> int:
     """1-based index a of the right-closed interval ((a-1)*len, a*len] holding s."""
     s = Fraction(s)
     if s <= 0:
         raise ValueError(f"score {s} not positive")
-    if sp.interval_len <= 0:
+    if p.interval_len <= 0:
         raise ValueError("interval length is zero for this max degree")
-    return math.ceil(s / sp.interval_len)
+    return math.ceil(s / p.interval_len)
 
 
 @dataclass
@@ -200,22 +181,21 @@ class LemmaState:
     c2: np.ndarray
     c3v: np.ndarray
     c3e: np.ndarray
-    seed: int
 
     def copy(self) -> "LemmaState":
         return LemmaState(self.c1.copy(), self.c2.copy(),
-                          self.c3v.copy(), self.c3e.copy(), self.seed)
+                          self.c3v.copy(), self.c3e.copy())
 
 
 def _sum_colours(g: Graph, st: LemmaState) -> np.ndarray:
     return st.c1[g.edge_u] + st.c1[g.edge_v] + st.c2
 
 
-def _sample_with_rng(g: Graph, p: LemmaParams, rng, seed: int) -> LemmaState:
+def _sample_with_rng(g: Graph, p: LemmaParams, rng) -> LemmaState:
     c1 = rng.integers(1, p.r1 + 1, size=g.n, dtype=np.int64)
     c2 = rng.integers(1, p.r2 + 1, size=g.m, dtype=np.int64)
     c3v = rng.integers(1, p.r2 + 1, size=g.n, dtype=np.int64)
-    st = LemmaState(c1, c2, c3v, np.zeros(g.m, dtype=np.int64), seed)
+    st = LemmaState(c1, c2, c3v, np.zeros(g.m, dtype=np.int64))
     st.c3e = _sum_colours(g, st)
     return st
 
@@ -223,7 +203,7 @@ def _sample_with_rng(g: Graph, p: LemmaParams, rng, seed: int) -> LemmaState:
 def sample_stage_one(g: Graph, p: LemmaParams, seed: int) -> LemmaState:
     """Draw the three independent colourings and the derived edge targets."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return _sample_with_rng(g, p, rng, seed)
+    return _sample_with_rng(g, p, rng)
 
 
 @dataclass
@@ -261,21 +241,21 @@ def _pair_counts(n: int, centers: np.ndarray, values: np.ndarray, width: int) ->
     return np.bincount(key, minlength=n * width).reshape(n, width)
 
 
-def _alphas(g: Graph, st: LemmaState, sp: SParams, large: np.ndarray) -> np.ndarray:
+def _alphas(g: Graph, st: LemmaState, p: LemmaParams, large: np.ndarray) -> np.ndarray:
     """Interval index per large vertex (0 elsewhere); exact integer arithmetic."""
     out = np.zeros(g.n, dtype=np.int64)
-    if sp.interval_len <= 0:
+    if p.interval_len <= 0:
         return out
-    num, den = sp.interval_len.numerator, sp.interval_len.denominator
+    num, den = p.interval_len.numerator, p.interval_len.denominator
     twice_num = 2 * num
-    s2 = sp.score2_array(g.degrees, st.c1)
+    s2 = p.score2_array(g.degrees, st.c1)
     for v in np.nonzero(large & (g.degrees > 0))[0]:
         scaled = int(s2[v]) * den
         out[v] = (scaled + twice_num - 1) // twice_num
     return out
 
 
-def check_properties(g: Graph, st: LemmaState, sp: SParams, p: LemmaParams,
+def check_properties(g: Graph, st: LemmaState, p: LemmaParams,
                      properties=None, h3_edge_ids=None) -> PropertyReport:
     """Evaluate the requested properties (default: all that are meaningful).
 
@@ -329,7 +309,7 @@ def check_properties(g: Graph, st: LemmaState, sp: SParams, p: LemmaParams,
             rep.caps_used["VI"] = caps["VI"]
             bad_pairs: list[tuple[int, int]] = []
             if g.m:
-                alpha = _alphas(g, st, sp, large)
+                alpha = _alphas(g, st, p, large)
                 mask = large[centers] & large[others]
                 if mask.any():
                     ctr = centers[mask]
@@ -444,7 +424,7 @@ def _first_violation(report: PropertyReport):
     return best[0], best[2]
 
 
-def resample_until_valid(g: Graph, p: LemmaParams, sp: SParams, seed: int,
+def resample_until_valid(g: Graph, p: LemmaParams, seed: int,
                          max_rounds: int) -> ResampleResult:
     """Sample stage one, then resample first-violated events until the five
     stage-one properties hold or the round budget runs out.
@@ -453,11 +433,11 @@ def resample_until_valid(g: Graph, p: LemmaParams, sp: SParams, seed: int,
     total violations) comes back with valid=False.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    st = _sample_with_rng(g, p, rng, seed)
+    st = _sample_with_rng(g, p, rng)
     rounds = 0
     best: tuple[int, LemmaState, PropertyReport] | None = None
     while True:
-        report = check_properties(g, st, sp, p, properties=STAGE_ONE_PROPERTIES)
+        report = check_properties(g, st, p, properties=STAGE_ONE_PROPERTIES)
         total = report.violation_total(STAGE_ONE_PROPERTIES)
         if best is None or total < best[0]:
             best = (total, st.copy(), report)
@@ -493,7 +473,6 @@ def stage_two(g: Graph, st: LemmaState, p: LemmaParams, seed: int,
     properties; valid means 4° held within the round budget.
     """
     st2 = st.copy()
-    sp = SParams.from_params(p)
     svals = _sum_colours(g, st2)
     e1 = (svals == st2.c3v[g.edge_u]) | (svals == st2.c3v[g.edge_v])
     e2 = st2.c3v[g.edge_u] == st2.c3v[g.edge_v]
@@ -531,7 +510,7 @@ def stage_two(g: Graph, st: LemmaState, p: LemmaParams, seed: int,
         np.concatenate([g.edge_u[e1], g.edge_v[e1]]), minlength=g.n)
     per_v_e2 = np.bincount(
         np.concatenate([g.edge_u[e2], g.edge_v[e2]]), minlength=g.n)
-    report = check_properties(g, st2, sp, p, h3_edge_ids=h3_ids)
+    report = check_properties(g, st2, p, h3_edge_ids=h3_ids)
     return Stage2Result(
         state=st2,
         report=report,

@@ -10,7 +10,7 @@ from collections import Counter
 from fractions import Fraction
 
 
-def recount(g, st, p, sp, h3_edge_ids=None):
+def recount(g, st, p, h3_edge_ids=None):
     """Return {property id: holds} for every evaluable property."""
     n = g.n
     c1 = [int(x) for x in st.c1]
@@ -47,7 +47,7 @@ def recount(g, st, p, sp, h3_edge_ids=None):
     out["II"] = ok
 
     ok = True
-    if sp.interval_len > 0:
+    if p.interval_len > 0:
         cache = {}
 
         def alpha(w):
@@ -55,7 +55,7 @@ def recount(g, st, p, sp, h3_edge_ids=None):
                 s = Fraction(p.b_unit * deg[w], 1) * (
                     Fraction(c1[w], 1) + Fraction(p.r1 + 1, 2)
                     + Fraction(p.r2 + 1, 2))
-                cache[w] = math.ceil(s / sp.interval_len)
+                cache[w] = math.ceil(s / p.interval_len)
             return cache[w]
 
         for v in range(n):

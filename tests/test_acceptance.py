@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from nsdcolour import (LemmaParams, SParams, brute_force_chi, check_nsd,
+from nsdcolour import (LemmaParams, brute_force_chi, check_nsd,
                        check_proper, check_properties, complete_graph,
                        enumerate_labelled_graphs, is_valid, parse_colouring,
                        parse_graph, random_graph, resample_until_valid,
@@ -129,19 +129,18 @@ def test_criterion_4_engine_trials():
     for t in range(trials):
         g = random_graph(2000, 0.02, seed=t)
         p = LemmaParams(g.max_degree, slack=2.0)
-        sp = SParams.from_params(p)
-        res = resample_until_valid(g, p, sp, seed=1000 + t, max_rounds=200)
+        res = resample_until_valid(g, p, seed=1000 + t, max_rounds=200)
         if not res.valid:
             continue
         s2 = stage_two(g, res.state, p, seed=5000 + t, max_rounds=200)
         if not s2.valid:
             continue
-        report = check_properties(g, s2.state, sp, p,
+        report = check_properties(g, s2.state, p,
                                   h3_edge_ids=s2.h3_edge_ids)
         if not report.all_pass():
             continue
         # independent pure-python recount of all ten properties
-        independent = recount(g, s2.state, p, sp, h3_edge_ids=s2.h3_edge_ids)
+        independent = recount(g, s2.state, p, h3_edge_ids=s2.h3_edge_ids)
         if all(independent.values()):
             passes += 1
         else:

@@ -70,6 +70,18 @@ def test_verify_names_unknown_edge(tmp_path, capsys):
     assert err == "error: line 6: no edge (1, 3) in graph\n"
 
 
+def test_verify_colour_beyond_int64_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "k2.graph"
+    p.write_text("p edge 2 1\ne 1 2\n")
+    cpath = tmp_path / "huge.col"
+    cpath.write_text("k 3\nv 1 99999999999999999999\nv 2 2\ne 1 2 3\n")
+    rc = main(["verify", str(p), str(cpath)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == ("error: line 2: colour out of range in "
+                   "'v 1 99999999999999999999'\n")
+
+
 def test_exact_text_json_and_witness(tmp_path, capsys):
     gpath = write_k3(tmp_path)
     wpath = tmp_path / "k3.col"

@@ -3,7 +3,7 @@ import pytest
 
 from nsdcolour import (ColouringParseError, Graph, TotalColouring,
                        check_nsd, check_proper, complete_graph, cycle_graph,
-                       is_valid, parse_colouring, path_graph, weighted_degree,
+                       is_valid, parse_colouring, path_graph,
                        weighted_degrees, write_colouring)
 
 
@@ -16,7 +16,7 @@ def test_weighted_degrees_k2():
     g = Graph(2, [(0, 1)])
     c = colouring([1, 2], [3], 3)
     assert list(weighted_degrees(g, c)) == [4, 5]
-    assert weighted_degree(g, c, 0) == 4
+    assert weighted_degrees(g, c)[0] == 4
 
 
 def test_k2_valid_nsd():

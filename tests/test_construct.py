@@ -3,7 +3,7 @@ import pytest
 
 from nsdcolour import (ClassWidthError, ConstructConfig, Graph,
                        InfeasibleStrictError, LemmaParams, LemmaState,
-                       RiskParams, SParams, TotalColouring, check_nsd,
+                       RiskParams, TotalColouring, check_nsd,
                        check_proper, complete_graph, compute_risky, construct,
                        greedy_nsd, is_valid, path_graph, properize,
                        random_graph, recolour_H, repair_small_degree,
@@ -15,12 +15,12 @@ from recount import recount_proper_and_distinct
 def triangle_state():
     g = complete_graph(3)
     st = LemmaState(np.array([1, 1, 1]), np.array([1, 1, 1]),
-                    np.array([1, 1, 1]), np.array([3, 3, 3]), 0)
+                    np.array([1, 1, 1]), np.array([3, 3, 3]))
     return g, st
 
 
-def pipeline_state(g, p, sp, seed=0):
-    st = resample_until_valid(g, p, sp, seed, 200).state
+def pipeline_state(g, p, seed=0):
+    st = resample_until_valid(g, p, seed, 200).state
     return stage_two(g, st, p, seed + 1, 200)
 
 
@@ -53,8 +53,7 @@ def test_properize_width_errors():
 def test_properize_class_confinement():
     g = random_graph(120, 0.1, seed=6)
     p = LemmaParams(g.max_degree, slack=2.0)
-    sp = SParams.from_params(p)
-    res = pipeline_state(g, p, sp, seed=40)
+    res = pipeline_state(g, p, seed=40)
     cs = properize(g, res.state, p.b_unit)
     B = cs.width
     for v in range(g.n):
@@ -69,8 +68,7 @@ def test_properize_output_is_proper():
     for seed in range(4):
         g = random_graph(150, 0.08, seed=seed)
         p = LemmaParams(g.max_degree, slack=2.0)
-        sp = SParams.from_params(p)
-        res = pipeline_state(g, p, sp, seed=50 + seed)
+        res = pipeline_state(g, p, seed=50 + seed)
         cs = properize(g, res.state, p.b_unit)
         c = TotalColouring(cs.vertex_colours, cs.edge_colours, cs.span)
         assert check_proper(g, c) == []
@@ -79,7 +77,7 @@ def test_properize_output_is_proper():
 def test_properize_rejects_uncoloured_edges():
     g = Graph(2, [(0, 1)])
     st = LemmaState(np.array([1, 1]), np.array([1]), np.array([1, 1]),
-                    np.array([0]), 0)
+                    np.array([0]))
     with pytest.raises(ValueError):
         properize(g, st, 5)
 
@@ -91,10 +89,9 @@ def test_properize_rejects_uncoloured_edges():
 def test_risky_symmetric_and_large_only():
     g = random_graph(300, 0.07, seed=9)
     p = LemmaParams(g.max_degree, slack=2.0)
-    sp = SParams.from_params(p)
-    st = resample_until_valid(g, p, sp, 60, 200).state
-    risk = RiskParams(p, sp, scale=2.0)
-    risky = compute_risky(g, st, p, sp, risk)
+    st = resample_until_valid(g, p, 60, 200).state
+    risk = RiskParams(p, scale=2.0)
+    risky = compute_risky(g, st, p, risk)
     deg = g.degrees
     for v in range(g.n):
         for u in risky[v]:
@@ -106,15 +103,14 @@ def test_risky_symmetric_and_large_only():
 def test_risky_respects_window():
     g = complete_graph(6)
     p = LemmaParams(5, slack=1.0)
-    sp = SParams.from_params(p)
     st = LemmaState(np.array([1, 2, 1, 2, 1, 2]), np.ones(15, dtype=np.int64),
-                    np.ones(6, dtype=np.int64), np.zeros(15, dtype=np.int64), 0)
+                    np.ones(6, dtype=np.int64), np.zeros(15, dtype=np.int64))
     st.c3e = st.c1[g.edge_u] + st.c1[g.edge_v] + st.c2
     # shrink the window to zero: only identical doubled scores stay risky
-    risk = RiskParams(p, sp, scale=1.0, fault_cap=0.0)
+    risk = RiskParams(p, scale=1.0)
     risk.threshold = 0
-    risky = compute_risky(g, st, p, sp, risk)
-    s2 = sp.score2_array(g.degrees, st.c1)
+    risky = compute_risky(g, st, p, risk)
+    s2 = p.score2_array(g.degrees, st.c1)
     for v in range(6):
         assert risky[v] == [u for u in g.adjacency[v] if s2[u] == s2[v]]
 
@@ -147,14 +143,6 @@ def test_select_h_every_picker_covered_twice():
         assert deg_h[v] <= sel.cap
 
 
-def test_select_h_min_degree_override_empty():
-    g = path_graph(6)
-    p = LemmaParams(g.max_degree, slack=1.0)
-    sel = select_H(g, p, seed=0, min_degree=99)
-    assert sel.edge_ids.size == 0
-    assert sel.valid
-
-
 def test_select_h_deterministic():
     g = random_graph(100, 0.2, seed=1)
     p = LemmaParams(g.max_degree, slack=2.0)
@@ -170,14 +158,13 @@ def test_select_h_deterministic():
 def test_recolour_moves_only_picked_edges_above_span():
     g = random_graph(150, 0.1, seed=12)
     p = LemmaParams(g.max_degree, slack=2.0)
-    sp = SParams.from_params(p)
-    res = pipeline_state(g, p, sp, seed=70)
+    res = pipeline_state(g, p, seed=70)
     cs = properize(g, res.state, p.b_unit)
     base = cs.span
-    risk = RiskParams(p, sp, scale=2.0)
-    risky = compute_risky(g, res.state, p, sp, risk)
+    risk = RiskParams(p, scale=2.0)
+    risky = compute_risky(g, res.state, p, risk)
     sel = select_H(g, p, seed=71)
-    out, reserve = recolour_H(g, cs, sel.edge_ids, risky, seed=72)
+    out, reserve = recolour_H(g, cs, sel.edge_ids, risky)
     h = set(int(e) for e in sel.edge_ids)
     assert reserve.base == base
     for e in range(g.m):
@@ -196,15 +183,14 @@ def test_recolour_separates_all_risky_pairs():
     # inside the window, so afterwards all sums must be pairwise distinct
     g = complete_graph(5)
     p = LemmaParams(4, slack=2.0)
-    sp = SParams.from_params(p)
-    res = pipeline_state(g, p, sp, seed=80)
+    res = pipeline_state(g, p, seed=80)
     cs = properize(g, res.state, p.b_unit)
-    risk = RiskParams(p, sp, scale=2.0)
-    risky = compute_risky(g, res.state, p, sp, risk)
+    risk = RiskParams(p, scale=2.0)
+    risky = compute_risky(g, res.state, p, risk)
     for v in range(5):
         assert risky[v] == [u for u in range(5) if u != v]
     sel = select_H(g, p, seed=81)
-    out, _ = recolour_H(g, cs, sel.edge_ids, risky, seed=82)
+    out, _ = recolour_H(g, cs, sel.edge_ids, risky)
     c = TotalColouring(out.vertex_colours, out.edge_colours, out.span)
     sums = weighted_degrees(g, c)
     assert len(set(int(s) for s in sums)) == 5

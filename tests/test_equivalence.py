@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import reference_construct as ref
 from nsdcolour import (ClassWidthError, ConstructionState, Graph, LemmaParams,
-                       LemmaState, SParams, complete_graph, greedy_nsd,
+                       LemmaState, complete_graph, greedy_nsd,
                        properize, random_graph, repair_small_degree,
                        resample_until_valid, stage_two)
 
@@ -67,7 +67,7 @@ def lemma_state(g, rng, classes):
     c3v = rng.integers(1, classes + 1, size=g.n, dtype=np.int64)
     c3e = rng.integers(1, classes + 1, size=g.m, dtype=np.int64)
     return LemmaState(np.ones(g.n, dtype=np.int64), np.ones(g.m, dtype=np.int64),
-                      c3v, c3e, 0)
+                      c3v, c3e)
 
 
 def construction_state(g, rng, top):
@@ -125,8 +125,7 @@ def test_grid_points_match_reference(n, mean):
     g = random_graph(n, mean / (n - 1), seed=0)
     assert_same_greedy(g)
     p = LemmaParams(g.max_degree, slack=2.0)
-    sp = SParams.from_params(p)
-    r1 = resample_until_valid(g, p, sp, seed=1, max_rounds=200)
+    r1 = resample_until_valid(g, p, seed=1, max_rounds=200)
     r2 = stage_two(g, r1.state, p, seed=2, max_rounds=200)
     assert_same_properize(g, r2.state, p.b_unit)
     cs = properize(g, r2.state, None)

@@ -11,12 +11,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsdcolour import (Graph, LemmaParams, RiskParams, SParams,
-                       TotalColouring, check_nsd, check_proper, compute_risky,
+from nsdcolour import (Graph, LemmaParams, RiskParams, TotalColouring,
+                       check_nsd, check_proper, compute_risky,
                        event_scope, properize, recolour_H,
                        repair_small_degree, resample_event, sample_stage_one,
                        select_H, stage_two, weighted_degrees)
-from nsdcolour.construct import _vertex_sums, greedy_nsd
+from nsdcolour.colouring import vertex_sums
+from nsdcolour.construct import greedy_nsd
 from nsdcolour.lemma import STAGE_ONE_PROPERTIES
 
 CASES = 1000
@@ -33,7 +34,7 @@ def graphs(draw, min_n=2, max_n=10, min_m=0):
 
 def params_for(g, slack=1.0):
     p = LemmaParams(max(g.max_degree, 1), slack=slack)
-    return p, SParams.from_params(p)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +44,7 @@ def params_for(g, slack=1.0):
 @settings(max_examples=CASES)
 @given(g=graphs(min_m=1), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_edge_target_identity(g, seed, data):
-    p, _ = params_for(g)
+    p = params_for(g)
     st1 = sample_stage_one(g, p, seed)
     expect = st1.c1[g.edge_u] + st1.c1[g.edge_v] + st1.c2
     assert np.array_equal(st1.c3e, expect)
@@ -131,7 +132,7 @@ def test_verifier_detects_forced_sum_tie(g, data):
 @settings(max_examples=CASES)
 @given(g=graphs(min_m=1), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_resample_scope_discipline(g, seed, data):
-    p, _ = params_for(g)
+    p = params_for(g)
     st1 = sample_stage_one(g, p, seed)
     before = st1.copy()
     v = data.draw(st.integers(0, g.n - 1))
@@ -159,7 +160,7 @@ def test_resample_scope_discipline(g, seed, data):
 @settings(max_examples=CASES)
 @given(g=graphs(min_m=1), seed=st.integers(0, 2**32 - 1))
 def test_properize_band_confinement(g, seed):
-    p, sp = params_for(g, slack=2.0)
+    p = params_for(g, slack=2.0)
     st1 = sample_stage_one(g, p, seed)
     res = stage_two(g, st1, p, seed + 1, 50)
     cs = properize(g, res.state, None)
@@ -183,18 +184,18 @@ def test_properize_band_confinement(g, seed):
 @settings(max_examples=CASES)
 @given(g=graphs(min_m=1, max_n=8), seed=st.integers(0, 2**32 - 1))
 def test_sum_shift_locality(g, seed):
-    p, sp = params_for(g, slack=2.0)
+    p = params_for(g, slack=2.0)
     st1 = sample_stage_one(g, p, seed)
     res = stage_two(g, st1, p, seed + 1, 50)
     cs = properize(g, res.state, None)
-    risky = compute_risky(g, res.state, p, sp, RiskParams(p, sp))
+    risky = compute_risky(g, res.state, p, RiskParams(p))
     sel = select_H(g, p, seed + 2)
-    before = _vertex_sums(g, cs.vertex_colours, cs.edge_colours)
+    before = vertex_sums(g, cs.vertex_colours, cs.edge_colours)
     cs2, _ = recolour_H(g, cs, sel.edge_ids, risky)
     assert np.array_equal(cs2.vertex_colours, cs.vertex_colours)
     moved_edges = np.nonzero(cs2.edge_colours != cs.edge_colours)[0]
     assert set(moved_edges.tolist()) <= set(sel.edge_ids)
-    after = _vertex_sums(g, cs2.vertex_colours, cs2.edge_colours)
+    after = vertex_sums(g, cs2.vertex_colours, cs2.edge_colours)
     touched = set()
     for i in moved_edges:
         u, v = g.edges[int(i)]
@@ -205,7 +206,7 @@ def test_sum_shift_locality(g, seed):
     # repair moves a vertex's own sum and nothing else
     cs3, _ = repair_small_degree(g, cs2)
     assert np.array_equal(cs3.edge_colours, cs2.edge_colours)
-    final = _vertex_sums(g, cs3.vertex_colours, cs3.edge_colours)
+    final = vertex_sums(g, cs3.vertex_colours, cs3.edge_colours)
     delta_c = cs3.vertex_colours - cs2.vertex_colours
     assert np.array_equal(final - after, delta_c)
 
@@ -217,9 +218,9 @@ def test_sum_shift_locality(g, seed):
 @settings(max_examples=CASES)
 @given(g=graphs(min_m=1), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_score_ignores_auxiliary_colours(g, seed, data):
-    p, sp = params_for(g)
+    p = params_for(g)
     st1 = sample_stage_one(g, p, seed)
-    before = sp.score2_array(g.degrees, st1.c1)
+    before = p.score2_array(g.degrees, st1.c1)
     rng = np.random.default_rng(seed + 1)
     v = data.draw(st.integers(0, g.n - 1))
     # these two event kinds redraw only c2 / c3v respectively
@@ -227,4 +228,4 @@ def test_score_ignores_auxiliary_colours(g, seed, data):
     resample_event(g, st1, v, "2°", rng, p)
     st1.c2[:] = rng.integers(1, p.r2 + 1, size=g.m)
     st1.c3v[:] = rng.integers(1, p.r2 + 1, size=g.n)
-    assert np.array_equal(sp.score2_array(g.degrees, st1.c1), before)
+    assert np.array_equal(p.score2_array(g.degrees, st1.c1), before)
