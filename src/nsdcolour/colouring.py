@@ -112,8 +112,19 @@ def vertex_sums(g: Graph, vc: np.ndarray, ec: np.ndarray) -> np.ndarray:
 
 
 def weighted_degrees(g: Graph, c: TotalColouring) -> np.ndarray:
-    """Array of weighted degrees: own colour plus incident edge colours."""
+    """Array of weighted degrees: own colour plus incident edge colours.
+
+    A weighted degree is at most k * (max_degree + 1). When that bound
+    reaches 2^63, int64 would wrap, so the sums are exact Python ints in an
+    object array; every other colouring takes the int64 path.
+    """
     _check_shapes(g, c)
+    if c.k * (g.max_degree + 1) >= 2 ** 63:
+        s = c.vertex_colours.tolist()
+        for (u, v), col in zip(g.edges, c.edge_colours.tolist()):
+            s[u] += col
+            s[v] += col
+        return np.array(s, dtype=object)
     return vertex_sums(g, c.vertex_colours, c.edge_colours)
 
 

@@ -24,8 +24,10 @@ Phases, in order:
 construct() wraps the phases in a retry ladder that scales the caps and the
 risk window, verifies every candidate, and falls back to a deterministic
 greedy colouring with span at most 3*max_degree + 1 when the pipeline fails
-or overshoots a configured span cap. The greedy fallback is also exposed
-directly as greedy_nsd().
+or overshoots a configured span cap. Under a cap, an attempt stops right
+after stage two when its band floor b_unit*(max_class-1)+1, a lower bound on
+the span it would reach, already exceeds the cap; the phases above then do
+not run. The greedy fallback is also exposed directly as greedy_nsd().
 """
 
 from __future__ import annotations
@@ -463,6 +465,7 @@ class RunReport:
     attempts: list = field(default_factory=list)
     chosen_attempt: int | None = None
     fallback_used: bool = False
+    fallback_reason: str | None = None  # "no-valid-attempt" or "span-cap"
     span_capped: bool = False
     pipeline_span: int | None = None
     span: int = 0
@@ -490,6 +493,20 @@ def _attempt_pipeline(g: Graph, p: LemmaParams, slack: float,
     info.update(stage2_rounds=r2.rounds, stage2_valid=r2.valid,
                 e1_count=r2.e1_count, e2_count=r2.e2_count,
                 h1_max_degree=r2.h1_max_degree, h2_max_degree=r2.h2_max_degree)
+
+    # The band floor bounds this attempt's final span from below. properize
+    # puts an edge of class beta at width*(beta-1)+1 or above, and the width
+    # is never below b_unit: a relift follows a ClassWidthError at b_unit and
+    # either takes the larger width it asked for or learns one, and the
+    # learned run agrees with the b_unit run up to its first slot >= b_unit,
+    # which it keeps. recolour_H only moves edges above the current span and
+    # repair_small_degree only changes vertex colours, so no edge colour ever
+    # drops. A floor above the span cap means the pipeline's colouring would
+    # be replaced anyway, so the attempt stops here with no colouring.
+    floor = p.b_unit * (int(r2.state.c3e.max()) - 1) + 1
+    info["band_floor"] = floor
+    if cfg.span_cap is not None and floor > cfg.span_cap:
+        return None, info
 
     relifts = 0
     width = p.b_unit
@@ -536,9 +553,14 @@ def construct(g: Graph, config: ConstructConfig | None = None) -> tuple[TotalCol
     Permissive mode widens caps and the risk window by slack_growth each
     retry; a candidate only counts when the independent verifier passes it.
     If every attempt fails, or a valid candidate exceeds span_cap, the
-    greedy fallback is substituted and flagged. Strict mode builds strict
-    engine parameters and so refuses degrees below the feasibility predicate.
-    The result is deterministic in (graph, config).
+    greedy fallback is substituted and flagged, with fallback_reason
+    "no-valid-attempt" or "span-cap". With span_cap set, an attempt whose
+    band floor (recorded as band_floor) exceeds the cap ends the ladder
+    before properize: its colouring could only be over the cap, so the
+    fallback is served at once and chosen_attempt and pipeline_span stay
+    None. Strict mode builds strict engine parameters and so refuses degrees
+    below the feasibility predicate. The result is deterministic in
+    (graph, config).
     """
     cfg = config or ConstructConfig()
     delta = g.max_degree
@@ -564,6 +586,7 @@ def construct(g: Graph, config: ConstructConfig | None = None) -> tuple[TotalCol
     else:
         raise ValueError(f"unknown mode {cfg.mode!r}")
 
+    cap = cfg.span_cap
     best: TotalColouring | None = None
     for attempt, slack in enumerate(ladder):
         if cfg.mode == "strict":
@@ -572,21 +595,24 @@ def construct(g: Graph, config: ConstructConfig | None = None) -> tuple[TotalCol
             p = LemmaParams(delta, slack=slack)
         colouring, info = _attempt_pipeline(g, p, slack, cfg, attempt)
         report.attempts.append(info)
+        if colouring is None:  # band floor above the cap
+            report.span_capped = True
+            break
         if info["valid"]:
-            best = colouring
             report.chosen_attempt = attempt
+            report.pipeline_span = colouring.span
+            report.span_capped = cap is not None and colouring.span > cap
+            if not report.span_capped:
+                best = colouring
             break
 
     if best is None:
         best = greedy_nsd(g)
         report.fallback_used = True
-    report.pipeline_span = None if report.fallback_used else best.span
-
-    if cfg.span_cap is not None and best.span > cfg.span_cap:
-        fb = greedy_nsd(g)
-        report.span_capped = True
-        report.fallback_used = True
-        best = fb
+        report.fallback_reason = ("span-cap" if report.span_capped
+                                  else "no-valid-attempt")
+        if cap is not None and best.span > cap:
+            report.span_capped = True
 
     report.span = best.span
     report.valid = (not check_proper(g, best)) and (not check_nsd(g, best))

@@ -94,30 +94,37 @@ class LemmaParams:
         self.slack = float(slack)
         self.ln_floor = _ln_floor(delta)
 
-        x = float(max(delta, 0))
-        L = self.ln_floor
-        self.r1 = max(1, math.ceil(x ** (1 / 6) / L ** (1 / 6)))
-        self.r2 = max(1, math.ceil(x ** (1 / 3) / L ** (1 / 3)))
-        self.r3 = 2 * self.r1 + self.r2
+        try:
+            x = float(max(delta, 0))
+            L = self.ln_floor
+            self.r1 = max(1, math.ceil(x ** (1 / 6) / L ** (1 / 6)))
+            self.r2 = max(1, math.ceil(x ** (1 / 3) / L ** (1 / 3)))
+            self.r3 = 2 * self.r1 + self.r2
 
-        a = x ** (2 / 3) * L ** (1 / 3)
-        b = x ** (1 / 3) * L ** (2 / 3)
-        self.b_unit = math.ceil(a) + 6 * math.ceil(b)
-        self.interval_len = Fraction(x ** (5 / 3) * L ** (1 / 3)) / 3
-        base = {
-            "I": self.r1 * math.sqrt(x),
-            "II": self.r2 * 3.0 * b,
-            "VI": x ** (5 / 6) * L ** (1 / 6) + math.sqrt(x),
-            "1°a": a + 3 * b,
-            "1°b": 2 * a + 5 * b,
-            "2°": a + 3 * b,
-            "3°": a + 3 * b,
-            "4°": 2 * b,
-            "dH": 15.0 * L,
-        }
-        caps = {k: int(math.floor(self.slack * v)) for k, v in base.items()}
-        caps["III"] = caps["1°b"] + caps["2°"]
-        caps["IV"] = caps["3°"] + caps["4°"]
+            a = x ** (2 / 3) * L ** (1 / 3)
+            b = x ** (1 / 3) * L ** (2 / 3)
+            self.b_unit = math.ceil(a) + 6 * math.ceil(b)
+            self.interval_len = Fraction(x ** (5 / 3) * L ** (1 / 3)) / 3
+            base = {
+                "I": self.r1 * math.sqrt(x),
+                "II": self.r2 * 3.0 * b,
+                "VI": x ** (5 / 6) * L ** (1 / 6) + math.sqrt(x),
+                "1°a": a + 3 * b,
+                "1°b": 2 * a + 5 * b,
+                "2°": a + 3 * b,
+                "3°": a + 3 * b,
+                "4°": 2 * b,
+                "dH": 15.0 * L,
+            }
+            caps = {k: int(math.floor(self.slack * v)) for k, v in base.items()}
+            caps["III"] = caps["1°b"] + caps["2°"]
+            caps["IV"] = caps["3°"] + caps["4°"]
+        except OverflowError:
+            # a degree past about 1e184 (or an infinite slack) overflows the
+            # float arithmetic above; refuse it as bad input
+            raise ValueError(
+                f"max degree {delta} at slack {self.slack:g} is out of range: "
+                "its palette sizes and caps overflow a float") from None
         self.caps: dict[str, int] = caps
 
         reasons = []

@@ -82,6 +82,25 @@ def test_verify_colour_beyond_int64_is_usage_error(tmp_path, capsys):
                    "'v 1 99999999999999999999'\n")
 
 
+def test_verify_sums_past_int64_are_exact(tmp_path, capsys):
+    # the centre's true sum is 2^64 + 3; int64 would wrap it onto the leaf
+    # sum 3 and report a sum conflict that is not there
+    gpath = tmp_path / "star.graph"
+    gpath.write_text("p edge 4 3\ne 1 2\ne 1 3\ne 1 4\n")
+    top = 2 ** 63 - 1
+    cpath = tmp_path / "star.col"
+    cpath.write_text(f"k {top}\nv 1 4\nv 2 1\nv 3 1\nv 4 1\n"
+                     f"e 1 2 2\ne 1 3 {top}\ne 1 4 {top - 1}\n")
+    rc = main(["verify", str(gpath), str(cpath)])
+    assert rc == 0
+    assert capsys.readouterr().out == ""
+    rc = main(["verify", str(gpath), str(cpath), "--json"])
+    assert rc == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["valid"] is True and blob["violations"] == []
+    assert blob["sum_range"] == [3, 2 ** 64 + 3]
+
+
 def test_exact_text_json_and_witness(tmp_path, capsys):
     gpath = write_k3(tmp_path)
     wpath = tmp_path / "k3.col"
@@ -128,6 +147,16 @@ def test_lemma_strict_refusal(capsys):
     rc = main(["lemma", "--delta", "4096", "--strict"])
     assert rc == 1
     assert "refused" in capsys.readouterr().err
+
+
+def test_lemma_huge_degree_is_usage_error(capsys):
+    delta = "1" + "0" * 200
+    rc = main(["lemma", "--delta", delta])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: max degree {delta} ")
+    assert "Traceback" not in captured.err
 
 
 def test_lemma_stage_run(tmp_path, capsys):

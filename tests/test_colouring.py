@@ -19,6 +19,17 @@ def test_weighted_degrees_k2():
     assert weighted_degrees(g, c)[0] == 4
 
 
+def test_weighted_degrees_exact_path_matches_int64():
+    # a bound k past 2^63 / (max_degree + 1) selects Python-int sums; on
+    # small colours they equal the int64 sums
+    g = complete_graph(5)
+    vc, ec = list(range(1, 6)), list(range(6, 16))
+    small = weighted_degrees(g, colouring(vc, ec, 15))
+    exact = weighted_degrees(g, colouring(vc, ec, 2 ** 62))
+    assert small.dtype == np.int64 and exact.dtype == object
+    assert exact.tolist() == small.tolist()
+
+
 def test_k2_valid_nsd():
     g = Graph(2, [(0, 1)])
     c = colouring([1, 2], [3], 3)

@@ -1,5 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from nsdcolour import (ClassWidthError, ConstructConfig, Graph,
                        InfeasibleStrictError, LemmaParams, LemmaState,
@@ -10,6 +14,9 @@ from nsdcolour import (ClassWidthError, ConstructConfig, Graph,
                        resample_until_valid, select_H, stage_two,
                        reference_span_bound, weighted_degrees)
 from recount import recount_proper_and_distinct
+
+# the package re-exports the function construct(), which shadows the module
+construct_mod = importlib.import_module("nsdcolour.construct")
 
 
 def triangle_state():
@@ -320,6 +327,134 @@ def test_construct_span_cap_substitutes_fallback():
         assert rep.fallback_used
         assert rep.pipeline_span is None or rep.pipeline_span > cap
     assert is_valid(g, col)
+
+
+def count_greedy(monkeypatch):
+    calls = []
+    real = construct_mod.greedy_nsd
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(construct_mod, "greedy_nsd", counted)
+    return calls
+
+
+def fail_every_attempt(monkeypatch):
+    real = construct_mod._attempt_pipeline
+
+    def failing(*args):
+        colouring, info = real(*args)
+        if colouring is not None:
+            info["valid"] = False
+        return colouring, info
+
+    monkeypatch.setattr(construct_mod, "_attempt_pipeline", failing)
+
+
+def assert_floor_below_span(g, seed):
+    _, rep = construct(g, ConstructConfig(seed=seed))
+    for a in rep.attempts:
+        if "band_floor" in a:
+            assert a["band_floor"] <= a["span"]
+
+
+@pytest.mark.parametrize("n,p,gseed", [(60, 0.3, 1), (200, 0.06, 2),
+                                       (500, 0.05, 41), (300, 0.2, 7)])
+def test_band_floor_bounds_every_attempt_span(monkeypatch, n, p, gseed):
+    # every rung runs, so each slack's floor is checked against its span
+    fail_every_attempt(monkeypatch)
+    assert_floor_below_span(random_graph(n, p, seed=gseed), seed=gseed)
+
+
+@settings(max_examples=40)
+@given(n=hst.integers(2, 40), p=hst.sampled_from([0.1, 0.3, 0.6, 1.0]),
+       gseed=hst.integers(0, 2**32 - 1), seed=hst.integers(0, 2**16))
+def test_band_floor_bounds_span_drawn(n, p, gseed, seed):
+    assert_floor_below_span(random_graph(n, p, seed=gseed), seed)
+
+
+def test_capped_early_exit_serves_greedy_once(monkeypatch):
+    g = random_graph(500, 0.05, seed=41)
+    cap = 3 * g.max_degree + 10
+    calls = count_greedy(monkeypatch)
+    col, rep = construct(g, ConstructConfig(seed=2, span_cap=cap))
+    assert len(calls) == 1
+    assert col == greedy_nsd(g)
+    assert rep.valid and rep.span == col.span
+    assert rep.fallback_used and rep.span_capped
+    assert rep.fallback_reason == "span-cap"
+    assert rep.chosen_attempt is None and rep.pipeline_span is None
+    assert len(rep.attempts) == 1
+    last = rep.attempts[0]
+    assert last["band_floor"] > cap
+    assert "span" not in last and "b_width" not in last
+
+
+def test_cap_above_floor_runs_full_pipeline():
+    g = random_graph(200, 0.06, seed=2)
+    _, free = construct(g, ConstructConfig(seed=3))
+    cap = free.attempts[free.chosen_attempt]["band_floor"]
+    col, rep = construct(g, ConstructConfig(seed=3, span_cap=cap))
+    assert rep.attempts[0]["band_floor"] == cap
+    assert "span" in rep.attempts[0]
+    # the floor is met, but the pipeline's span lies above it
+    assert rep.pipeline_span == free.pipeline_span > cap
+    assert rep.span_capped and rep.fallback_reason == "span-cap"
+    assert rep.chosen_attempt == free.chosen_attempt
+    assert col == greedy_nsd(g)
+
+
+def test_no_valid_attempt_reason(monkeypatch):
+    g = random_graph(120, 0.1, seed=5)
+    fail_every_attempt(monkeypatch)
+    calls = count_greedy(monkeypatch)
+    col, rep = construct(g, ConstructConfig(seed=1, retries=3))
+    assert len(calls) == 1 and len(rep.attempts) == 3
+    assert rep.fallback_used and not rep.span_capped
+    assert rep.fallback_reason == "no-valid-attempt"
+    assert rep.chosen_attempt is None and rep.pipeline_span is None
+    assert col == greedy_nsd(g) and rep.valid
+
+
+def test_no_valid_attempt_over_cap_calls_greedy_once(monkeypatch):
+    # K2: every band floor is 1, greedy's span is 3
+    g = Graph(2, [(0, 1)])
+    fail_every_attempt(monkeypatch)
+    calls = count_greedy(monkeypatch)
+    col, rep = construct(g, ConstructConfig(seed=1, span_cap=2))
+    assert all(a["band_floor"] <= 2 for a in rep.attempts)
+    assert len(rep.attempts) == 3 and len(calls) == 1
+    assert col == greedy_nsd(g) and col.span == 3
+    assert rep.fallback_reason == "no-valid-attempt"
+    assert rep.fallback_used and rep.span_capped and rep.valid
+
+
+@settings(max_examples=100)
+@given(n=hst.integers(1, 30), p=hst.sampled_from([0.2, 0.5, 1.0]),
+       gseed=hst.integers(0, 2**32 - 1), classes=hst.integers(1, 3),
+       width=hst.integers(1, 5))
+def test_relift_width_exceeds_failed_width(n, p, gseed, classes, width):
+    # the band floor relies on this: once properize fails at b_unit, both
+    # relifts (the width it asked for, or a learned one) are wider
+    g = random_graph(n, p, seed=gseed)
+    rng = np.random.default_rng(gseed)
+    st = LemmaState(np.ones(g.n, dtype=np.int64), np.ones(g.m, dtype=np.int64),
+                    rng.integers(1, classes + 1, size=g.n, dtype=np.int64),
+                    rng.integers(1, classes + 1, size=g.m, dtype=np.int64))
+    try:
+        properize(g, st, width)
+    except ClassWidthError as exc:
+        assert exc.needed > width
+        assert properize(g, st, None).width > width
+
+
+def test_uncapped_report_has_no_fallback_reason():
+    g = random_graph(150, 0.08, seed=4)
+    _, rep = construct(g, ConstructConfig(seed=0))
+    assert not rep.fallback_used and rep.fallback_reason is None
+    assert all("band_floor" in a for a in rep.attempts)
 
 
 def test_construct_strict_refuses_desk_scale():
