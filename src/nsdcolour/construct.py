@@ -450,7 +450,6 @@ class ConstructConfig:
     slack: float = 2.0
     rounds: int = 200
     retries: int = 3
-    slack_growth: float = 2.0
     span_cap: int | None = None
 
 
@@ -550,8 +549,8 @@ def _attempt_pipeline(g: Graph, p: LemmaParams, slack: float,
 def construct(g: Graph, config: ConstructConfig | None = None) -> tuple[TotalColouring, RunReport]:
     """Run the pipeline with a verifying retry ladder.
 
-    Permissive mode widens caps and the risk window by slack_growth each
-    retry; a candidate only counts when the independent verifier passes it.
+    Permissive mode doubles the caps and the risk window on each retry; a
+    candidate only counts when the independent verifier passes it.
     If every attempt fails, or a valid candidate exceeds span_cap, the
     greedy fallback is substituted and flagged, with fallback_reason
     "no-valid-attempt" or "span-cap". With span_cap set, an attempt whose
@@ -582,7 +581,7 @@ def construct(g: Graph, config: ConstructConfig | None = None) -> tuple[TotalCol
         LemmaParams(delta, strict=True)  # refuses infeasible degrees up front
         ladder = [1.0]
     elif cfg.mode == "permissive":
-        ladder = [cfg.slack * cfg.slack_growth ** i for i in range(max(cfg.retries, 1))]
+        ladder = [cfg.slack * 2.0 ** i for i in range(max(cfg.retries, 1))]
     else:
         raise ValueError(f"unknown mode {cfg.mode!r}")
 
@@ -604,6 +603,7 @@ def construct(g: Graph, config: ConstructConfig | None = None) -> tuple[TotalCol
             report.span_capped = cap is not None and colouring.span > cap
             if not report.span_capped:
                 best = colouring
+                report.valid = True
             break
 
     if best is None:
@@ -613,7 +613,7 @@ def construct(g: Graph, config: ConstructConfig | None = None) -> tuple[TotalCol
                                   else "no-valid-attempt")
         if cap is not None and best.span > cap:
             report.span_capped = True
+        report.valid = not check_proper(g, best) and not check_nsd(g, best)
 
     report.span = best.span
-    report.valid = (not check_proper(g, best)) and (not check_nsd(g, best))
     return best, report

@@ -9,8 +9,12 @@ Two independent routes on purpose:
 * ``solve_exact`` runs a backtracking search per connected component with a
   BFS object ordering (each vertex immediately before its edges back to
   already-visited vertices), properness pruning, a sum prune once both
-  endpoint sums are final, and the colour-symmetry break of fixing each
-  component root's colour to 1.
+  endpoint sums are final, and a pin of each component root's colour to 1.
+  The pin is a restriction, not a symmetry (permuting colours changes
+  weighted degrees), and is not proved: tests/test_exact.py checks with a
+  search without it that no connected graph with n <= 5, nor any of a
+  seeded sample with n = 6, has a colouring one colour below the reported
+  minimum.
 
 Both iterate the palette bound k upwards from max degree + 1, which is a
 valid lower bound: a maximum-degree vertex and its incident edges are
@@ -132,111 +136,77 @@ def brute_force_chi(g: Graph, k_max: int | None = None) -> SolveResult:
 # ---------------------------------------------------------------------------
 # backtracking solver
 
-def _component_objects(g: Graph, comp: list[int]):
-    """BFS object list for one component: each vertex, then its edges back to
-    already-placed vertices (sorted by the far endpoint)."""
+def _component_objects(g: Graph, comp: list[int]) -> list[tuple[int, int, int]]:
+    """BFS object list for one component: each vertex v as (-1, v, v), then
+    its edges back to already-placed vertices u as (edge id, u, v), sorted by
+    u."""
     placed: set[int] = set()
-    objects: list[tuple] = []
+    objects: list[tuple[int, int, int]] = []
     for v in comp:
-        objects.append(("v", v))
-        for u in g.adjacency[v]:
+        objects.append((-1, v, v))
+        for u, eid in zip(g.adjacency[v], g.incident_edges(v)):
             if u in placed:
-                objects.append(("e", g.edge_id(u, v), u, v))
+                objects.append((eid, u, v))
         placed.add(v)
     return objects
 
 
-def _solve_component(g: Graph, comp: list[int], k: int, counter: list[int]):
-    """Find one valid assignment of the component with palette {1..k}.
+def _solve_component(g: Graph, comp: list[int], k: int, counter: list[int],
+                     vc: list[int], ec: list[int], sums: list[int],
+                     used: list[int], remaining: list[int]) -> bool:
+    """Colour one component with palette {1..k} in place; True on success.
 
-    Returns (vertex colour dict, edge colour dict) or None. counter[0]
-    accumulates the number of candidate colour placements tried.
+    The lists are the search state of the whole graph, shared by all its
+    components and indexed by vertex, or by edge id for ec: vc and ec hold
+    colours (0 = unplaced), used[v] has bit c set when v or an incident edge
+    has colour c, and remaining[v] counts v's uncoloured edges, so v's sum
+    is final at 0. A failed search restores every entry it touched.
+    counter[0] accumulates the number of candidate colour placements tried.
     """
     objects = _component_objects(g, comp)
-    vc: dict[int, int] = {}
-    ec: dict[int, int] = {}
-    remaining = {v: g.degree(v) for v in comp}
-    sums = {v: 0 for v in comp}
-    final = {v: False for v in comp}
-    edge_mask = {v: 0 for v in comp}  # bit c set: an incident edge uses colour c
     adjacency = g.adjacency
-    root = comp[0]
+
+    def final_clash(x: int) -> bool:
+        return remaining[x] == 0 and any(
+            remaining[w] == 0 and sums[w] == sums[x] for w in adjacency[x])
 
     def place(idx: int) -> bool:
         if idx == len(objects):
             return True
-        obj = objects[idx]
-        if obj[0] == "v":
-            v = obj[1]
-            top = 1 if v == root else k
-            for c in range(1, top + 1):
-                counter[0] += 1
-                clash = False
-                for u in adjacency[v]:
-                    if vc.get(u) == c:
-                        clash = True
-                        break
-                if clash:
-                    continue
-                vc[v] = c
-                sums[v] += c
-                was_final = False
-                if remaining[v] == 0:
-                    # isolated within its component only if the component is a
-                    # single vertex; sums are final immediately, no neighbours
-                    final[v] = True
-                    was_final = True
+        eid, u, v = objects[idx]
+        if eid < 0:
+            banned = 0
+            for w in adjacency[v]:
+                banned |= 1 << vc[w]
+        else:
+            banned = used[u] | used[v]
+        top = 1 if idx == 0 else k  # the component root is pinned to colour 1
+        for c in range(1, top + 1):
+            counter[0] += 1
+            if banned >> c & 1:
+                continue
+            if eid < 0:
+                vc[v] = sums[v] = c
+                used[v] = 1 << c
                 if place(idx + 1):
                     return True
-                if was_final:
-                    final[v] = False
-                sums[v] -= c
-                del vc[v]
-            return False
-        _, eid, u, v = obj
-        bit_banned = edge_mask[u] | edge_mask[v]
-        cu, cv = vc[u], vc[v]
-        for c in range(1, k + 1):
-            if c == cu or c == cv or (bit_banned >> c) & 1:
-                counter[0] += 1
+                vc[v] = sums[v] = used[v] = 0
                 continue
-            counter[0] += 1
             ec[eid] = c
-            edge_mask[u] |= 1 << c
-            edge_mask[v] |= 1 << c
-            sums[u] += c
-            sums[v] += c
-            remaining[u] -= 1
-            remaining[v] -= 1
-            newly = []
-            pruned = False
             for x in (u, v):
-                if remaining[x] == 0:
-                    final[x] = True
-                    newly.append(x)
-            for x in newly:
-                for w in adjacency[x]:
-                    if final.get(w) and sums[w] == sums[x] and w != x:
-                        pruned = True
-                        break
-                if pruned:
-                    break
-            if not pruned and place(idx + 1):
+                used[x] |= 1 << c
+                sums[x] += c
+                remaining[x] -= 1
+            if not (final_clash(u) or final_clash(v)) and place(idx + 1):
                 return True
-            for x in newly:
-                final[x] = False
-            remaining[u] += 1
-            remaining[v] += 1
-            sums[u] -= c
-            sums[v] -= c
-            edge_mask[u] &= ~(1 << c)
-            edge_mask[v] &= ~(1 << c)
-            del ec[eid]
+            for x in (u, v):
+                used[x] &= ~(1 << c)
+                sums[x] -= c
+                remaining[x] += 1
+            ec[eid] = 0
         return False
 
-    if place(0):
-        return dict(vc), dict(ec)
-    return None
+    return place(0)
 
 
 def solve_exact(g: Graph, k_max: int | None = None) -> SolveResult:
@@ -252,25 +222,19 @@ def solve_exact(g: Graph, k_max: int | None = None) -> SolveResult:
     counter = [0]
     if g.n == 0:
         return SolveResult(1, TotalColouring([], [], 1), 0)
-    vc_all = np.zeros(g.n, dtype=np.int64)
-    ec_all = np.zeros(g.m, dtype=np.int64)
+    vc, ec, sums, used = [0] * g.n, [0] * g.m, [0] * g.n, [0] * g.n
+    remaining = g.degrees.tolist()
     chi = 1
     for comp in connected_components(g):
         comp_delta = max(g.degree(v) for v in comp)
-        found = None
         for k in range(comp_delta + 1, k_max + 1):
-            found = _solve_component(g, comp, k, counter)
-            if found is not None:
+            if _solve_component(g, comp, k, counter, vc, ec, sums, used,
+                                remaining):
                 chi = max(chi, k)
                 break
-        if found is None:
+        else:
             return SolveResult(None, None, counter[0], exceeded_k_max=True, k_max=k_max)
-        vcs, ecs = found
-        for v, c in vcs.items():
-            vc_all[v] = c
-        for eid, c in ecs.items():
-            ec_all[eid] = c
-    witness = TotalColouring(vc_all, ec_all, chi)
+    witness = TotalColouring(vc, ec, chi)
     return SolveResult(chi, witness, counter[0])
 
 

@@ -47,6 +47,8 @@ class Graph:
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
         self.m = len(self.edges)
 
+        # every edge (w, x) with w < x precedes every edge (x, y) in
+        # lexicographic order, so appending yields sorted neighbour lists
         adj: list[list[int]] = [[] for _ in range(n)]
         inc: list[list[int]] = [[] for _ in range(n)]
         for eid, (u, v) in enumerate(self.edges):
@@ -54,15 +56,8 @@ class Graph:
             adj[v].append(u)
             inc[u].append(eid)
             inc[v].append(eid)
-        # neighbour lists come out sorted because edges are sorted, except the
-        # split across the u/v columns; sort explicitly and keep edge ids aligned
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(a)) for a in adj
-        )
-        order = [sorted(range(len(a)), key=a.__getitem__) for a in adj]
-        self._incident: tuple[tuple[int, ...], ...] = tuple(
-            tuple(inc[v][i] for i in order[v]) for v in range(n)
-        )
+        self.adjacency: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+        self._incident: tuple[tuple[int, ...], ...] = tuple(map(tuple, inc))
 
         if self.m:
             earr = np.array(self.edges, dtype=np.int64)
@@ -214,7 +209,7 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     return Graph(n, edges)
 
 
-def regular_graph(n: int, d: int, seed: int, max_retries: int = 200) -> Graph:
+def regular_graph(n: int, d: int, seed: int) -> Graph:
     """Random d-regular graph via the pairing model, retried until simple."""
     if d < 0 or n < 0:
         raise GenerationError("n and d must be non-negative")
@@ -226,7 +221,7 @@ def regular_graph(n: int, d: int, seed: int, max_retries: int = 200) -> Graph:
         return Graph(n, [])
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    for _ in range(max_retries):
+    for _ in range(200):
         perm = rng.permutation(stubs)
         us, vs = perm[0::2], perm[1::2]
         if np.any(us == vs):
@@ -237,7 +232,7 @@ def regular_graph(n: int, d: int, seed: int, max_retries: int = 200) -> Graph:
             continue
         return Graph(n, list(zip(lo.tolist(), hi.tolist())))
     raise GenerationError(
-        f"pairing model failed to produce a simple {d}-regular graph in {max_retries} tries"
+        f"pairing model failed to produce a simple {d}-regular graph in 200 tries"
     )
 
 

@@ -85,8 +85,8 @@ class LemmaParams:
     def __init__(self, delta: int, strict: bool = False, slack: float = 1.0):
         if delta < 0:
             raise ValueError("max degree must be non-negative")
-        if slack < 1.0:
-            raise ValueError("slack multiplier must be at least 1")
+        if not slack >= 1.0:  # also refuses NaN
+            raise ValueError(f"slack multiplier must be at least 1, got {slack:g}")
         if strict and slack != 1.0:
             raise ValueError("strict mode does not take slack")
         self.delta = int(delta)
@@ -221,11 +221,9 @@ class PropertyReport:
     violators: finer-grained lists of (vertex, value) pairs; "1°" splits into
     "1°a"/"1°b", III reports (vertex, exception count), V reports
     (smaller endpoint, shared target colour).
-    caps_used: the integer cap each check enforced (None for structural V).
     """
     verdicts: dict[str, bool] = field(default_factory=dict)
     violators: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
-    caps_used: dict[str, int | None] = field(default_factory=dict)
 
     def all_pass(self, properties=None) -> bool:
         ids = self.verdicts if properties is None else properties
@@ -287,8 +285,7 @@ def check_properties(g: Graph, st: LemmaState, p: LemmaParams,
     svals = _sum_colours(g, st)
     rep = PropertyReport()
 
-    def record(q, cap_key, bad_pairs):
-        rep.caps_used[cap_key] = caps.get(cap_key)
+    def record(cap_key, bad_pairs):
         rep.violators[cap_key] = bad_pairs
         base = "1°" if cap_key in ("1°a", "1°b") else cap_key
         ok = not bad_pairs
@@ -305,15 +302,14 @@ def check_properties(g: Graph, st: LemmaState, p: LemmaParams,
             cnt = _pair_counts(n, centers, st.c1[others], p.r1 + 1)
             dev = np.abs(p.r1 * cnt[:, 1:] - deg[:, None]) > caps["I"]
             dev &= large[:, None]
-            record("I", "I", [(int(v), int(c) + 1) for v, c in np.argwhere(dev)])
+            record("I", [(int(v), int(c) + 1) for v, c in np.argwhere(dev)])
         elif q == "II":
             vals = np.concatenate([st.c2, st.c2])
             cnt = _pair_counts(n, centers, vals, p.r2 + 1)
             dev = np.abs(p.r2 * cnt[:, 1:] - deg[:, None]) > caps["II"]
             dev &= large[:, None]
-            record("II", "II", [(int(v), int(c) + 1) for v, c in np.argwhere(dev)])
+            record("II", [(int(v), int(c) + 1) for v, c in np.argwhere(dev)])
         elif q == "VI":
-            rep.caps_used["VI"] = caps["VI"]
             bad_pairs: list[tuple[int, int]] = []
             if g.m:
                 alpha = _alphas(g, st, p, large)
@@ -326,37 +322,33 @@ def check_properties(g: Graph, st: LemmaState, p: LemmaParams,
                     over = cnt > caps["VI"]
                     over &= large[:, None]
                     bad_pairs = [(int(v), int(c)) for v, c in np.argwhere(over)]
-            rep.violators["VI"] = bad_pairs
-            rep.verdicts["VI"] = not bad_pairs
+            record("VI", bad_pairs)
         elif q == "1°":
             vals = np.concatenate([svals, svals])
             cnt = _pair_counts(n, centers, vals, p.r3 + 1)
-            record("1°", "1°a", over_cap_pairs(cnt, caps["1°a"]))
+            record("1°a", over_cap_pairs(cnt, caps["1°a"]))
             hit = (svals == st.c3v[eu]) | (svals == st.c3v[ev])
             per_v = np.bincount(np.concatenate([eu[hit], ev[hit]]), minlength=n)
             bad = np.nonzero(per_v > caps["1°b"])[0]
-            record("1°", "1°b", [(int(v), int(per_v[v])) for v in bad])
+            record("1°b", [(int(v), int(per_v[v])) for v in bad])
         elif q == "2°":
             vals = np.concatenate([st.c3v[ev], st.c3v[eu]])
             cnt = _pair_counts(n, centers, vals, p.r3 + 1)
-            record("2°", "2°", over_cap_pairs(cnt, caps["2°"]))
+            record("2°", over_cap_pairs(cnt, caps["2°"]))
         elif q == "III":
             ex = st.c3e != svals
             per_v = np.bincount(np.concatenate([eu[ex], ev[ex]]), minlength=n)
             bad = np.nonzero(per_v > caps["III"])[0]
-            record("III", "III", [(int(v), int(per_v[v])) for v in bad])
+            record("III", [(int(v), int(per_v[v])) for v in bad])
         elif q == "IV":
             width = max(int(st.c3e.max(initial=0)), p.r3) + 1
             vals = np.concatenate([st.c3e, st.c3e])
             cnt = _pair_counts(n, centers, vals, width)
-            record("IV", "IV", over_cap_pairs(cnt, caps["IV"]))
+            record("IV", over_cap_pairs(cnt, caps["IV"]))
         elif q == "V":
-            rep.caps_used["V"] = None
             mask = (st.c3v[eu] == st.c3v[ev]) & (st.c3e != st.c3v[eu])
-            rep.violators["V"] = [
-                (int(eu[i]), int(st.c3v[eu[i]])) for i in np.nonzero(mask)[0]
-            ]
-            rep.verdicts["V"] = not rep.violators["V"]
+            record("V", [(int(eu[i]), int(st.c3v[eu[i]]))
+                         for i in np.nonzero(mask)[0]])
         elif q in ("3°", "4°"):
             in_h3 = np.zeros(g.m, dtype=bool)
             in_h3[np.asarray(h3_edge_ids, dtype=np.int64)] = True
@@ -365,7 +357,7 @@ def check_properties(g: Graph, st: LemmaState, p: LemmaParams,
             ctr = np.concatenate([eu[sel], ev[sel]])
             vals = np.concatenate([st.c3e[sel], st.c3e[sel]])
             cnt = _pair_counts(n, ctr, vals, width)
-            record(q, q, over_cap_pairs(cnt, caps[q]))
+            record(q, over_cap_pairs(cnt, caps[q]))
         else:
             raise ValueError(f"unknown property id {q!r}")
     return rep

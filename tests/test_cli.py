@@ -159,6 +159,19 @@ def test_lemma_huge_degree_is_usage_error(capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("slack", ["nan", "0.5"])
+def test_bad_slack_is_usage_error_naming_value(tmp_path, capsys, slack):
+    want = f"error: slack multiplier must be at least 1, got {slack}\n"
+    rc = main(["lemma", "--delta", "100", "--slack", slack])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == want
+    rc = main(["construct", write_k3(tmp_path), "--slack", slack])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == want
+
+
 def test_lemma_stage_run(tmp_path, capsys):
     gpath = tmp_path / "g.graph"
     rc = main(["gen", "--kind", "random", "--n", "120", "--p", "0.1",

@@ -1,8 +1,15 @@
+import itertools
+import random
+
+import numpy as np
 import pytest
 
+import reference_exact as ref
 from nsdcolour import (EnumerationGuardError, Graph, brute_force_chi,
-                       complete_graph, conjecture_sweep, cycle_graph,
-                       is_valid, path_graph, solve_exact)
+                       complete_graph, conjecture_sweep, connected_components,
+                       cycle_graph, enumerate_connected_graphs,
+                       enumerate_labelled_graphs, is_connected, is_valid,
+                       path_graph, solve_exact)
 
 
 # minimum spans pinned by independent exhaustive enumeration
@@ -77,3 +84,119 @@ def test_sweep_unsolved_marker():
     # an absurdly low budget (k_max = max_degree - 2 = 0) forces a give-up
     rows = conjecture_sweep([("K3", complete_graph(3))], k_max_extra=-2)
     assert rows[0]["verdict"].startswith("unsolved")
+
+
+def seeded_graphs(n, count, seed, p=0.4, connected=False):
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(n), 2))
+    out = []
+    while len(out) < count:
+        g = Graph(n, [e for e in pairs if rng.random() < p])
+        if not connected or is_connected(g):
+            out.append(g)
+    return out
+
+
+def test_solver_matches_reference_search():
+    # every labelled graph with n <= 5 plus seeded 6-vertex graphs, with room
+    # to spare (max degree + 8) and with a budget that often runs out (+1)
+    graphs = [g for n in range(6) for g in enumerate_labelled_graphs(n)]
+    graphs += seeded_graphs(6, 30, seed=5)
+    for g in graphs:
+        for k_max in (g.max_degree + 8, g.max_degree + 1):
+            new, old = solve_exact(g, k_max), ref.solve_exact(g, k_max)
+            assert (new.chi_sum_total, new.nodes_explored, new.exceeded_k_max,
+                    new.k_max) == (old.chi_sum_total, old.nodes_explored,
+                                   old.exceeded_k_max, old.k_max), g.edges
+            if old.witness is None:
+                assert new.witness is None
+                continue
+            for name in ("vertex_colours", "edge_colours"):
+                a, b = getattr(new.witness, name), getattr(old.witness, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), g.edges
+            assert new.witness.k == old.witness.k
+
+
+def unpinned_colourable(g, k):
+    """Whether the connected graph g has a valid total colouring in {1..k}.
+
+    Plain backtracking over the BFS object order of the solver, with only
+    the two prunes that are sound by definition: a colour already on a
+    neighbour or an incident object, and equal sums on adjacent vertices
+    whose edges are all coloured. No colour is pinned anywhere.
+    """
+    adj = g.adjacency
+    vc, sums, used = [0] * g.n, [0] * g.n, [0] * g.n
+    left = g.degrees.tolist()
+    objects, seen = [], set()
+    for v in connected_components(g)[0]:
+        objects.append((v,))
+        objects.extend((u, v) for u in adj[v] if u in seen)
+        seen.add(v)
+
+    def settled_clash(x):
+        return left[x] == 0 and any(left[w] == 0 and sums[w] == sums[x]
+                                    for w in adj[x])
+
+    def search(i):
+        if i == len(objects):
+            return True
+        obj = objects[i]
+        if len(obj) == 1:
+            v, = obj
+            for c in range(1, k + 1):
+                if any(vc[w] == c for w in adj[v]):
+                    continue
+                vc[v] = sums[v] = c
+                used[v] = 1 << c
+                if search(i + 1):
+                    return True
+                vc[v] = sums[v] = used[v] = 0
+            return False
+        u, v = obj
+        for c in range(1, k + 1):
+            if (used[u] | used[v]) >> c & 1:
+                continue
+            for x in obj:
+                used[x] |= 1 << c
+                sums[x] += c
+                left[x] -= 1
+            if not (settled_clash(u) or settled_clash(v)) and search(i + 1):
+                return True
+            for x in obj:
+                used[x] &= ~(1 << c)
+                sums[x] -= c
+                left[x] += 1
+        return False
+
+    return search(0)
+
+
+def canonical_form(g):
+    return min(tuple(sorted(tuple(sorted((perm[u], perm[v])))
+                            for u, v in g.edges))
+               for perm in itertools.permutations(range(g.n)))
+
+
+def test_root_pin_loses_no_colouring():
+    # solve_exact pins each component root to colour 1. That is a
+    # restriction, not a symmetry (permuting colours changes sums), so check
+    # it: wherever its chi exceeds the lower bound max degree + 1, a search
+    # without the pin must find no colouring at chi - 1 either (and, as a
+    # check on that search, one at chi). Its answer depends only on the
+    # isomorphism class, so it runs once per class and palette.
+    graphs = [g for _, g in enumerate_connected_graphs(5)]
+    graphs += seeded_graphs(6, 24, seed=6, connected=True)
+    verdicts = {}
+    checked = 0
+    for g in graphs:
+        chi = solve_exact(g).chi_sum_total
+        if chi - 1 < g.max_degree + 1:
+            continue
+        checked += 1
+        key = canonical_form(g), chi
+        if key not in verdicts:
+            verdicts[key] = (unpinned_colourable(g, chi),
+                             unpinned_colourable(g, chi - 1))
+        assert verdicts[key] == (True, False), (g.n, g.edges, chi)
+    assert checked > 350

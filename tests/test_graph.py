@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nsdcolour import (Graph, GraphError, GraphParseError, GenerationError,
                        complete_graph, connected_components, cycle_graph,
@@ -31,6 +33,32 @@ def test_incident_edges_ordered_by_far_endpoint():
     far = [g.edges[e][0] if g.edges[e][1] == 2 else g.edges[e][1]
            for e in g.incident_edges(2)]
     assert far == sorted(far)
+
+
+@st.composite
+def edge_lists(draw):
+    # loop-free pairs in either orientation, some repeated reversed or as is
+    n = draw(st.integers(2, 12))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]),
+                          max_size=40))
+    again = draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(again),
+                          max_size=len(again)))
+    again = [(v, u) if f else (u, v) for (u, v), f in zip(again, flips)]
+    return n, pairs + again
+
+
+@given(edge_lists())
+def test_adjacency_sorted_and_aligned_with_incident_edges(drawn):
+    n, edges = drawn
+    g = Graph(n, edges)
+    assert set(g.edges) == {(min(e), max(e)) for e in edges}
+    for v in range(n):
+        adj, inc = g.adjacency[v], g.incident_edges(v)
+        assert all(a < b for a, b in zip(adj, adj[1:]))
+        assert len(inc) == len(adj) == g.degrees[v]
+        assert list(inc) == [g.edge_id(v, w) for w in adj]
 
 
 def test_rejects_bad_edges():
