@@ -12,8 +12,6 @@ from .graph import (
     GenerationError,
     parse_graph,
     write_graph,
-    load_graph,
-    save_graph,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -36,8 +34,6 @@ from .colouring import (
     is_valid,
     write_colouring,
     parse_colouring,
-    load_colouring,
-    save_colouring,
 )
 from .exact import (
     SolveResult,

@@ -12,11 +12,12 @@ as the internal "uncoloured" sentinel of intermediate pipeline states.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, int_rows, sorted_unique
 
 
 class ColouringError(ValueError):
@@ -121,62 +122,74 @@ def weighted_degrees(g: Graph, c: TotalColouring) -> np.ndarray:
     _check_shapes(g, c)
     if c.k * (g.max_degree + 1) >= 2 ** 63:
         s = c.vertex_colours.tolist()
-        for (u, v), col in zip(g.edges, c.edge_colours.tolist()):
+        for u, v, col in zip(g.edge_u.tolist(), g.edge_v.tolist(),
+                             c.edge_colours.tolist()):
             s[u] += col
             s[v] += col
         return np.array(s, dtype=object)
     return vertex_sums(g, c.vertex_colours, c.edge_colours)
 
 
+def _edge_pairs(g: Graph, ids: np.ndarray) -> list[tuple[int, int]]:
+    return list(zip(g.edge_u[ids].tolist(), g.edge_v[ids].tolist()))
+
+
+def _edge_clash_groups(g: Graph, ec: np.ndarray) -> list[list[int]]:
+    """Edge ids that share a colour at a vertex, one ascending group per
+    (vertex, colour); by vertex, then by smallest edge id."""
+    if g.m < 2:
+        return []
+    # one int64 key per (vertex, colour) incidence, colours as dense ranks
+    palette = sorted_unique(ec)
+    key = (np.concatenate([g.edge_v, g.edge_u]) * len(palette)
+           + np.searchsorted(palette, np.concatenate([ec, ec])))
+    if not np.any(np.diff(np.sort(key)) == 0):
+        return []
+    # in the doubled list [edge_v, edge_u] each vertex meets its edges in
+    # edge-id order (see Graph._vertex_order), and a stable sort keeps that
+    # order, so every group comes out ascending
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    repeat = np.nonzero(key[1:] == key[:-1])[0].tolist()
+    ids = (order % g.m).tolist()
+    keyed: list[tuple[int, list[int]]] = []
+    last = -2
+    for i in repeat:
+        if i == last + 1:
+            keyed[-1][1].append(ids[i + 1])
+        else:
+            keyed.append((int(key[i]) // len(palette), [ids[i], ids[i + 1]]))
+        last = i
+    keyed.sort(key=lambda vg: (vg[0], vg[1][0]))
+    return [group for _, group in keyed]
+
+
 def check_proper(g: Graph, c: TotalColouring) -> list[Violation]:
     """All properness violations; each offending pair reported exactly once."""
     _check_shapes(g, c)
-    out: list[Violation] = []
     vc, ec = c.vertex_colours, c.edge_colours
-
-    same_vv = np.nonzero(vc[g.edge_u] == vc[g.edge_v])[0] if g.m else []
-    for eid in same_vv:
-        u, v = g.edges[int(eid)]
-        out.append(Violation("vertex-vertex", (u, v)))
-
-    if g.m:
-        for eid in np.nonzero(ec == vc[g.edge_u])[0]:
-            u, v = g.edges[int(eid)]
-            out.append(Violation("vertex-edge", (u, (u, v))))
-        for eid in np.nonzero(ec == vc[g.edge_v])[0]:
-            u, v = g.edges[int(eid)]
-            out.append(Violation("vertex-edge", (v, (u, v))))
-
+    eu, ev = g.edge_u, g.edge_v
+    out = [Violation("vertex-vertex", e)
+           for e in _edge_pairs(g, np.nonzero(vc[eu] == vc[ev])[0])]
+    out.extend(Violation("vertex-edge", (e[0], e))
+               for e in _edge_pairs(g, np.nonzero(ec == vc[eu])[0]))
+    out.extend(Violation("vertex-edge", (e[1], e))
+               for e in _edge_pairs(g, np.nonzero(ec == vc[ev])[0]))
     # incident edge pairs share exactly one vertex, so grouping by vertex
     # lists each clashing pair once
-    for v in range(g.n):
-        inc = g.incident_edges(v)
-        if len(inc) < 2:
-            continue
-        by_colour: dict[int, list[int]] = {}
-        for eid in inc:
-            by_colour.setdefault(int(ec[eid]), []).append(eid)
-        for group in by_colour.values():
-            if len(group) < 2:
-                continue
-            group.sort()
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    out.append(Violation(
-                        "edge-edge", (g.edges[group[i]], g.edges[group[j]])
-                    ))
+    for group in _edge_clash_groups(g, ec):
+        ends = _edge_pairs(g, np.array(group))
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                out.append(Violation("edge-edge", (ends[i], ends[j])))
     return out
 
 
 def check_nsd(g: Graph, c: TotalColouring) -> list[Violation]:
     """Sum conflicts: edges whose endpoints have equal weighted degrees."""
     s = weighted_degrees(g, c)
-    out: list[Violation] = []
-    if g.m:
-        for eid in np.nonzero(s[g.edge_u] == s[g.edge_v])[0]:
-            u, v = g.edges[int(eid)]
-            out.append(Violation("sum-conflict", (u, v)))
-    return out
+    return [Violation("sum-conflict", e)
+            for e in _edge_pairs(g, np.nonzero(s[g.edge_u] == s[g.edge_v])[0])]
 
 
 def is_valid(g: Graph, c: TotalColouring) -> bool:
@@ -190,15 +203,74 @@ def is_valid(g: Graph, c: TotalColouring) -> bool:
 def write_colouring(g: Graph, c: TotalColouring) -> str:
     _check_shapes(g, c)
     lines = [f"k {c.k}"]
-    lines.extend(f"v {v + 1} {int(c.vertex_colours[v])}" for v in range(g.n))
+    lines.extend(f"v {v + 1} {col}"
+                 for v, col in enumerate(c.vertex_colours.tolist()))
     lines.extend(
-        f"e {u + 1} {v + 1} {int(c.edge_colours[eid])}"
-        for eid, (u, v) in enumerate(g.edges)
+        f"e {u + 1} {v + 1} {col}"
+        for u, v, col in zip(g.edge_u.tolist(), g.edge_v.tolist(),
+                             c.edge_colours.tolist())
     )
     return "\n".join(lines) + "\n"
 
 
+# A colouring file as write_colouring writes it: the k line, every vertex
+# line, then every edge line. At most 18 digits keeps each number in int64.
+_K_LINE = re.compile(r"k ([0-9]{1,18})\n")
+_ODD_VERTEX_LINE = re.compile(r"^(?!v [0-9]{1,18} [0-9]{1,18}$)", re.M)
+_ODD_EDGE_LINE = re.compile(r"^(?!e [0-9]{1,18} [0-9]{1,18} [0-9]{1,18}$)", re.M)
+
+
+def _each_once(ids: np.ndarray, size: int) -> bool:
+    """Whether size ids name every one of 0..size-1, so none twice."""
+    if not size:
+        return True
+    if ids.min() < 0 or ids.max() >= size:
+        return False
+    seen = np.zeros(size, dtype=bool)
+    seen[ids] = True
+    return bool(seen.all())
+
+
+def _parse_colouring_layout(text: str, g: Graph):
+    """(k, vertex colours, edge colours) of a file in write_colouring's
+    layout that names each vertex and each edge of g exactly once; None for
+    any other text."""
+    text = text if text.endswith("\n") else text + "\n"
+    head = _K_LINE.match(text)
+    if head is None:
+        return None
+    # the vertex lines end where the first edge line starts
+    edges_at = text.find("\ne ", head.end() - 1) + 1 or len(text)
+    vrows = int_rows(text, head.end(), edges_at, _ODD_VERTEX_LINE, 2)
+    erows = int_rows(text, edges_at, len(text), _ODD_EDGE_LINE, 3)
+    if (vrows is None or erows is None
+            or len(vrows) != g.n or len(erows) != g.m):
+        return None
+    vids = vrows[:, 0] - 1
+    eids = g.find_edges(erows[:, 0] - 1, erows[:, 1] - 1)
+    if not (_each_once(vids, g.n) and _each_once(eids, g.m)):
+        return None
+    vc = np.zeros(g.n, dtype=np.int64)
+    ec = np.zeros(g.m, dtype=np.int64)
+    vc[vids] = vrows[:, 1]
+    ec[eids] = erows[:, 2]
+    return int(head[1]), vc, ec
+
+
 def parse_colouring(text: str, g: Graph) -> TotalColouring:
+    """Parse ``k <bound>``, ``v <vertex> <colour>`` and ``e <u> <v> <colour>``
+    lines against g. A file in write_colouring's layout is tokenised at
+    once; any other text, and any unknown or repeated vertex or edge, goes
+    through the line-by-line parser, the one source of error messages."""
+    parsed = _parse_colouring_layout(text, g)
+    k, vc, ec = parsed if parsed is not None else _parse_colouring_lines(text, g)
+    try:
+        return TotalColouring(vc, ec, k)
+    except ColouringError as exc:
+        raise ColouringParseError(str(exc)) from None
+
+
+def _parse_colouring_lines(text: str, g: Graph):
     k = None
     vc = np.zeros(g.n, dtype=np.int64)
     ec = np.zeros(g.m, dtype=np.int64)
@@ -250,17 +322,4 @@ def parse_colouring(text: str, g: Graph) -> TotalColouring:
         raise ColouringParseError(
             f"colouring not total: {missing_v} vertices and {missing_e} edges missing"
         )
-    try:
-        return TotalColouring(vc, ec, k)
-    except ColouringError as exc:
-        raise ColouringParseError(str(exc)) from None
-
-
-def load_colouring(path, g: Graph) -> TotalColouring:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_colouring(fh.read(), g)
-
-
-def save_colouring(path, g: Graph, c: TotalColouring) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_colouring(g, c))
+    return k, vc, ec

@@ -319,27 +319,28 @@ def recolour_H(g: Graph, state: ConstructionState, h_edge_ids,
     size ever runs out. The scan is deterministic.
     """
     st = state.copy()
-    h_ids = sorted(int(e) for e in np.asarray(h_edge_ids, dtype=np.int64))
-    sums = vertex_sums(g, st.vertex_colours, st.edge_colours)
+    h_ids = sorted(np.asarray(h_edge_ids, dtype=np.int64).tolist())
+    sums = vertex_sums(g, st.vertex_colours, st.edge_colours).tolist()
     base = st.span
+    us, vs = g.edge_u[h_ids].tolist(), g.edge_v[h_ids].tolist()
     if h_ids:
         dh = np.bincount(np.concatenate(
             [g.edge_u[h_ids], g.edge_v[h_ids]]), minlength=g.n)
-        maxpair = max(len(risky[int(g.edge_u[e])]) + len(risky[int(g.edge_v[e])])
-                      for e in h_ids)
+        maxpair = max(len(risky[u]) + len(risky[v]) for u, v in zip(us, vs))
         planned = maxpair + 2 * int(dh.max(initial=0)) + 2
     else:
         planned = 0
     size = planned
+    colours = dict(zip(h_ids, st.edge_colours[h_ids].tolist()))
     used_at: dict[int, set[int]] = {}
     grew = False
     top_used = 0
-    for eid in h_ids:
-        u, v = int(g.edge_u[eid]), int(g.edge_v[eid])
-        old = int(st.edge_colours[eid])
+    for eid, u, v in zip(h_ids, us, vs):
+        old = colours[eid]
         taken = used_at.get(u, set()) | used_at.get(v, set())
-        forbid_u = {int(sums[w]) for w in risky[u] if w != v}
-        forbid_v = {int(sums[w]) for w in risky[v] if w != u}
+        forbid_u = {sums[w] for w in risky[u] if w != v}
+        forbid_v = {sums[w] for w in risky[v] if w != u}
+        rest_u, rest_v = sums[u] - old, sums[v] - old
         chosen = None
         offset = 1
         while chosen is None:
@@ -348,17 +349,19 @@ def recolour_H(g: Graph, state: ConstructionState, h_edge_ids,
                 grew = True
             c = base + offset
             if (c not in taken
-                    and int(sums[u]) - old + c not in forbid_u
-                    and int(sums[v]) - old + c not in forbid_v):
+                    and rest_u + c not in forbid_u
+                    and rest_v + c not in forbid_v):
                 chosen = c
             offset += 1
-        st.edge_colours[eid] = chosen
+        colours[eid] = chosen
         shift = chosen - old
         sums[u] += shift
         sums[v] += shift
         used_at.setdefault(u, set()).add(chosen)
         used_at.setdefault(v, set()).add(chosen)
         top_used = max(top_used, chosen - base)
+    if h_ids:
+        st.edge_colours[list(colours)] = list(colours.values())
     return st, ReserveInfo(base, planned, top_used, grew)
 
 
@@ -429,7 +432,7 @@ def greedy_nsd(g: Graph) -> TotalColouring:
         vc[v] = _lowest_free(used)
     used = [1 | (1 << c) for c in vc]
     ec = []
-    for u, v in g.edges:
+    for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
         c = _lowest_free(used[u] | used[v])
         ec.append(c)
         used[u] |= 1 << c

@@ -1,16 +1,24 @@
 """Simple undirected graphs: construction, DIMACS-like file I/O, generators.
 
 Vertices are dense 0-based integers in memory; files use 1-based ids.
-Graphs are immutable once built and cache the numpy views the rest of the
-package leans on (edge endpoint arrays, degrees).
+Graphs are immutable once built. They hold their edges as numpy arrays
+(sorted edge keys, endpoint arrays, degrees) and build the per-vertex Python
+views (``edges``, ``adjacency``, incident edge ids) on first use.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
+
+# The most vertices a graph may declare. Arrays are allocated per vertex, so
+# an unchecked count in a tiny file would be an unbounded allocation; 10^7
+# still admits K_{2,Δ} at the Δ where the strict lemma first becomes feasible.
+MAX_VERTICES = 10 ** 7
 
 
 class GraphError(ValueError):
@@ -25,53 +33,104 @@ class GenerationError(GraphError):
     """A generator could not produce a graph for the requested parameters."""
 
 
+def _check_vertex_count(n: int) -> None:
+    if n < 0:
+        raise GraphError("vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise GraphError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+
+
+def _ordered_ends(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs' smaller and larger endpoints as int64 arrays. A bad pair
+    raises, the first one in input order, with the pair-by-pair message."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        arr = np.asarray(edges, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError):
+        arr = None          # endpoints past int64, or not pairs of integers
+    if arr is not None and arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr is not None and arr.ndim == 2 and arr.shape[1] == 2:
+        lo, hi = np.minimum(arr[:, 0], arr[:, 1]), np.maximum(arr[:, 0], arr[:, 1])
+        if not lo.size or (lo.min() >= 0 and hi.max() < n and (lo < hi).all()):
+            return lo, hi
+    for u, v in edges:
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+    raise GraphError("edge endpoints must be integers")
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) for int64 values: a sort and a mask, many times
+    faster than np.unique on numpy 2.4."""
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
+def _pooled(values: np.ndarray, size: int) -> list[int]:
+    """values, all below size, as a list of Python ints with one int object
+    per distinct value, so that views repeating a value hold one copy."""
+    return np.arange(size).astype(object)[values].tolist()
+
+
+def _split(flat: list[int], bounds: list[int]) -> tuple[tuple[int, ...], ...]:
+    """flat cut into consecutive tuples ending at each of bounds."""
+    return tuple([tuple(flat[a:b]) for a, b in zip([0] + bounds, bounds)])
+
+
 class Graph:
     """Immutable simple undirected graph.
 
-    Edges are stored sorted lexicographically with u < v; parallel edges in
-    the input collapse silently, self-loops raise. The edge id of an edge is
-    its index in ``edges``, which every colouring in this package aligns to.
+    ``edges`` is pairs or an (m, 2) integer array. Edges are stored sorted
+    lexicographically with u < v, as the keys ``u*n + v``; parallel edges
+    in the input collapse silently, self-loops raise. The edge id of an edge
+    is its index in ``edges``, which every colouring in this package aligns
+    to.
     """
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if n < 0:
-            raise GraphError("vertex count must be non-negative")
-        seen = set()
-        for u, v in edges:
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-            seen.add((u, v) if u < v else (v, u))
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
+        _check_vertex_count(n)
+        lo, hi = _ordered_ends(n, edges)
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
-        self.m = len(self.edges)
-
-        # every edge (w, x) with w < x precedes every edge (x, y) in
-        # lexicographic order, so appending yields sorted neighbour lists
-        adj: list[list[int]] = [[] for _ in range(n)]
-        inc: list[list[int]] = [[] for _ in range(n)]
-        for eid, (u, v) in enumerate(self.edges):
-            adj[u].append(v)
-            adj[v].append(u)
-            inc[u].append(eid)
-            inc[v].append(eid)
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
-        self._incident: tuple[tuple[int, ...], ...] = tuple(map(tuple, inc))
-
-        if self.m:
-            earr = np.array(self.edges, dtype=np.int64)
-        else:
-            earr = np.zeros((0, 2), dtype=np.int64)
-        self.edge_u = earr[:, 0].copy()
-        self.edge_v = earr[:, 1].copy()
-        self.degrees = np.zeros(n, dtype=np.int64)
-        np.add.at(self.degrees, self.edge_u, 1)
-        np.add.at(self.degrees, self.edge_v, 1)
+        # n <= MAX_VERTICES keeps every key below 2^63
+        self._keys = sorted_unique(lo * n + hi)
+        self.m = len(self._keys)
+        self.edge_u, self.edge_v = np.divmod(self._keys, max(n, 1))
+        self.degrees = np.bincount(np.concatenate([self.edge_u, self.edge_v]),
+                                   minlength=n).astype(np.int64, copy=False)
         self.max_degree = int(self.degrees.max()) if n else 0
-        for arr in (self.edge_u, self.edge_v, self.degrees):
+        for arr in (self._keys, self.edge_u, self.edge_v, self.degrees):
             arr.flags.writeable = False
-        self._edge_index: dict[tuple[int, int], int] | None = None
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(_pooled(self.edge_u, self.n), _pooled(self.edge_v, self.n)))
+
+    @cached_property
+    def _vertex_order(self) -> np.ndarray:
+        # In the doubled list [edge_v, edge_u] a vertex x first meets its
+        # edges (w, x), w < x, then its edges (x, y), each run in edge-id
+        # order; every (w, x) precedes every (x, y) in edge-id order. So a
+        # stable sort by vertex lists each vertex's neighbours and incident
+        # edge ids ascending, aligned.
+        return np.argsort(np.concatenate([self.edge_v, self.edge_u]),
+                          kind="stable")
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours, ascending."""
+        far = np.concatenate([self.edge_u, self.edge_v])[self._vertex_order]
+        return _split(_pooled(far, self.n), np.cumsum(self.degrees).tolist())
+
+    @cached_property
+    def _incident(self) -> tuple[tuple[int, ...], ...]:
+        ids = self._vertex_order % max(self.m, 1)
+        return _split(_pooled(ids, self.m), np.cumsum(self.degrees).tolist())
 
     def incident_edges(self, v: int) -> tuple[int, ...]:
         """Edge ids incident to v, ordered by the neighbour at the far end."""
@@ -80,35 +139,72 @@ class Graph:
     def degree(self, v: int) -> int:
         return int(self.degrees[v])
 
+    def find_edges(self, us, vs) -> np.ndarray:
+        """Edge ids of the pairs (us[i], vs[i]), -1 where there is no edge."""
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        n = self.n
+        real = (us >= 0) & (us < n) & (vs >= 0) & (vs < n) & (us != vs)
+        keys = np.where(real, np.minimum(us, vs) * n + np.maximum(us, vs), -1)
+        ids = np.searchsorted(self._keys, keys)
+        found = real & (ids < self.m)
+        found[found] = self._keys[ids[found]] == keys[found]
+        return np.where(found, ids, -1)
+
+    def _edge_index(self, u: int, v: int) -> int:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return -1
+        return int(self.find_edges([u], [v])[0])
+
     def edge_id(self, u: int, v: int) -> int:
-        if self._edge_index is None:
-            self._edge_index = {e: i for i, e in enumerate(self.edges)}
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self._edge_index[key]
-        except KeyError:
-            raise GraphError(f"no edge ({u}, {v}) in graph") from None
+        eid = self._edge_index(u, v)
+        if eid < 0:
+            raise GraphError(f"no edge ({u}, {v}) in graph")
+        return eid
 
     def has_edge(self, u: int, v: int) -> bool:
-        if self._edge_index is None:
-            self._edge_index = {e: i for i, e in enumerate(self.edges)}
-        return ((u, v) if u < v else (v, u)) in self._edge_index
+        return self._edge_index(u, v) >= 0
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self.edges == other.edges
+            and np.array_equal(self._keys, other._keys)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self._keys.tobytes()))
 
     def __reduce__(self):
-        return (Graph, (self.n, list(self.edges)))
+        return (Graph, (self.n, np.stack([self.edge_u, self.edge_v], axis=1)))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+# A graph file as write_graph writes it: the problem line, then bare
+# "e <u> <v>" lines. At most 18 digits keeps every number inside int64.
+_GRAPH_HEADER = re.compile(r"p edge ([0-9]{1,18}) [0-9]{1,18}\n")
+_ODD_EDGE_LINE = re.compile(r"^(?!e [0-9]{1,18} [0-9]{1,18}$)", re.M)
+
+
+def int_rows(text: str, start: int, end: int, odd_line: re.Pattern,
+             width: int) -> np.ndarray | None:
+    """The lines text[start:end], each a letter and then ``width`` unsigned
+    integers and each ending in a newline, as a (lines, width) int64 array;
+    None if ``odd_line`` finds a line of another shape.
+
+    odd_line is a lookahead at a line start, not a pattern repeated over
+    the lines, because a repeated group makes the regex engine keep state
+    for every line it has passed.
+    """
+    if start >= end:
+        return np.zeros((0, width), dtype=np.int64)
+    if odd_line.search(text, start, end - 1):
+        return None
+    lines = text[start:end]
+    flat = np.fromstring(lines.replace(lines[0], " "), dtype=np.int64, sep=" ")
+    return flat.reshape(-1, width)
 
 
 def parse_graph(text: str) -> Graph:
@@ -117,8 +213,26 @@ def parse_graph(text: str) -> Graph:
     Comment lines start with ``c``; blank lines are skipped. Vertex ids in the
     file are 1-based and are shifted down. Duplicate edge lines collapse; the
     declared m is not cross-checked against the line count (sloppy corpora),
-    but unknown line types are an error.
+    but unknown line types are an error. A problem line may declare at most
+    MAX_VERTICES vertices.
+
+    A file in write_graph's layout is tokenised at once. Any other text,
+    and any range error or self-loop, goes through the line-by-line parser,
+    the one source of error messages.
     """
+    layout = text if text.endswith("\n") else text + "\n"
+    head = _GRAPH_HEADER.match(layout)
+    ends = head and int_rows(layout, head.end(), len(layout), _ODD_EDGE_LINE, 2)
+    if ends is not None:
+        n = int(head[1])
+        if n <= MAX_VERTICES and (not ends.size or (
+                ends.min() >= 1 and ends.max() <= n
+                and not np.any(ends[:, 0] == ends[:, 1]))):
+            return Graph(n, ends - 1)
+    return _parse_graph_lines(text)
+
+
+def _parse_graph_lines(text: str) -> Graph:
     n = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -138,6 +252,9 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError(f"line {lineno}: non-integer sizes in {line!r}") from None
             if n < 0 or declared_m < 0:
                 raise GraphParseError(f"line {lineno}: negative size in {line!r}")
+            if n > MAX_VERTICES:
+                raise GraphParseError(
+                    f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}")
         elif parts[0] == "e":
             if n is None:
                 raise GraphParseError(f"line {lineno}: edge before problem line")
@@ -162,37 +279,33 @@ def parse_graph(text: str) -> Graph:
 def write_graph(g: Graph) -> str:
     """Serialize to the same format; edges come out sorted, 1-based."""
     lines = [f"p edge {g.n} {g.m}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges)
+    lines.extend(f"e {u + 1} {v + 1}"
+                 for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()))
     return "\n".join(lines) + "\n"
-
-
-def load_graph(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
-
-
-def save_graph(path, g: Graph) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_graph(g))
 
 
 # ---------------------------------------------------------------------------
 # generators
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    _check_vertex_count(n)
+    return Graph(n, np.stack(np.triu_indices(n, 1), axis=1))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise GenerationError("cycle needs at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    _check_vertex_count(n)
+    ring = np.arange(n)
+    return Graph(n, np.stack([ring, (ring + 1) % n], axis=1))
 
 
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise GenerationError("path needs at least 1 vertex")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    _check_vertex_count(n)
+    steps = np.arange(n - 1)
+    return Graph(n, np.stack([steps, steps + 1], axis=1))
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -201,12 +314,13 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
         raise GenerationError("n must be non-negative")
     if not (0.0 <= p <= 1.0):
         raise GenerationError(f"p={p} outside [0, 1]")
+    _check_vertex_count(n)
     rng = np.random.default_rng(seed)
-    edges: list[tuple[int, int]] = []
-    for u in range(n - 1):
-        hits = np.nonzero(rng.random(n - u - 1) < p)[0]
-        edges.extend((u, int(u + 1 + w)) for w in hits)
-    return Graph(n, edges)
+    # one draw per row u, over the candidate neighbours u+1 .. n-1
+    far = [u + 1 + np.nonzero(rng.random(n - u - 1) < p)[0] for u in range(n - 1)]
+    near = np.repeat(np.arange(len(far)), [len(row) for row in far])
+    far_all = np.concatenate(far) if far else np.zeros(0, dtype=np.int64)
+    return Graph(n, np.stack([near, far_all], axis=1))
 
 
 def regular_graph(n: int, d: int, seed: int) -> Graph:
@@ -217,6 +331,7 @@ def regular_graph(n: int, d: int, seed: int) -> Graph:
         raise GenerationError(f"degree {d} impossible with {n} vertices")
     if (n * d) % 2 != 0:
         raise GenerationError(f"n*d = {n * d} is odd, no {d}-regular graph on {n} vertices")
+    _check_vertex_count(n)
     if d == 0:
         return Graph(n, [])
     rng = np.random.default_rng(seed)
@@ -230,7 +345,7 @@ def regular_graph(n: int, d: int, seed: int) -> Graph:
         keys = lo * n + hi
         if len(np.unique(keys)) != len(keys):
             continue
-        return Graph(n, list(zip(lo.tolist(), hi.tolist())))
+        return Graph(n, np.stack([lo, hi], axis=1))
     raise GenerationError(
         f"pairing model failed to produce a simple {d}-regular graph in 200 tries"
     )

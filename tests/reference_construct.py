@@ -1,5 +1,6 @@
 """Reference copies of the construction hot paths as they were before the
-bitmask and class-sorted rewrites.
+bitmask and class-sorted rewrites, and of ``recolour_H`` as it was before it
+moved onto Python lists.
 
 The functions below are kept verbatim (only the imports differ) so that
 tests/test_equivalence.py can check that the optimised versions in
@@ -11,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from nsdcolour.colouring import TotalColouring
-from nsdcolour.construct import ClassWidthError, ConstructionState
+from nsdcolour.colouring import TotalColouring, vertex_sums
+from nsdcolour.construct import ClassWidthError, ConstructionState, ReserveInfo
 from nsdcolour.graph import Graph
 from nsdcolour.lemma import LemmaState
 
@@ -206,3 +207,58 @@ def greedy_nsd(g: Graph) -> TotalColouring:
     if m:
         k = max(k, int(ec.max()))
     return TotalColouring(vc, ec, k)
+
+
+def recolour_H(g: Graph, state: ConstructionState, h_edge_ids,
+               risky: list[list[int]]) -> tuple[ConstructionState, ReserveInfo]:
+    """Move the picked edges onto fresh reserve colours above the span.
+
+    Edges are processed in ascending id. Each pick avoids reserve colours
+    already used at either endpoint and any colour that would land an
+    endpoint's new sum on the current sum of a risky neighbour. Both endpoint
+    sums shift by the same amount, so previously separated pairs stay
+    separated; the reserve grows (and records that it grew) if the planned
+    size ever runs out. The scan is deterministic.
+    """
+    st = state.copy()
+    h_ids = sorted(int(e) for e in np.asarray(h_edge_ids, dtype=np.int64))
+    sums = vertex_sums(g, st.vertex_colours, st.edge_colours)
+    base = st.span
+    if h_ids:
+        dh = np.bincount(np.concatenate(
+            [g.edge_u[h_ids], g.edge_v[h_ids]]), minlength=g.n)
+        maxpair = max(len(risky[int(g.edge_u[e])]) + len(risky[int(g.edge_v[e])])
+                      for e in h_ids)
+        planned = maxpair + 2 * int(dh.max(initial=0)) + 2
+    else:
+        planned = 0
+    size = planned
+    used_at: dict[int, set[int]] = {}
+    grew = False
+    top_used = 0
+    for eid in h_ids:
+        u, v = int(g.edge_u[eid]), int(g.edge_v[eid])
+        old = int(st.edge_colours[eid])
+        taken = used_at.get(u, set()) | used_at.get(v, set())
+        forbid_u = {int(sums[w]) for w in risky[u] if w != v}
+        forbid_v = {int(sums[w]) for w in risky[v] if w != u}
+        chosen = None
+        offset = 1
+        while chosen is None:
+            if offset > size:
+                size += max(planned, 4)
+                grew = True
+            c = base + offset
+            if (c not in taken
+                    and int(sums[u]) - old + c not in forbid_u
+                    and int(sums[v]) - old + c not in forbid_v):
+                chosen = c
+            offset += 1
+        st.edge_colours[eid] = chosen
+        shift = chosen - old
+        sums[u] += shift
+        sums[v] += shift
+        used_at.setdefault(u, set()).add(chosen)
+        used_at.setdefault(v, set()).add(chosen)
+        top_used = max(top_used, chosen - base)
+    return st, ReserveInfo(base, planned, top_used, grew)

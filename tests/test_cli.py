@@ -1,10 +1,13 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from nsdcolour import (Graph, complete_graph, is_valid, parse_colouring,
-                       parse_graph, write_colouring, write_graph)
+from nsdcolour import (Graph, GraphError, complete_graph, is_valid,
+                       parse_colouring, parse_graph, write_colouring,
+                       write_graph)
+from nsdcolour.graph import MAX_VERTICES
 from nsdcolour.cli import main
 from nsdcolour.construct import greedy_nsd
 
@@ -245,6 +248,27 @@ def test_malformed_graph_is_usage_error(tmp_path, capsys):
     p.write_text("this is not a graph\n")
     rc = main(["exact", str(p)])
     assert rc == 2
+
+
+def test_million_vertex_header_parses_quickly():
+    t0 = time.perf_counter()
+    g = parse_graph("p edge 1000000 0\n")
+    assert time.perf_counter() - t0 < 1.0
+    assert (g.n, g.m, g.max_degree) == (1000000, 0, 0)
+
+
+@pytest.mark.parametrize("command", ["verify", "construct"])
+def test_vertex_count_past_limit_is_usage_error(tmp_path, capsys, command):
+    gpath = tmp_path / "huge.graph"
+    gpath.write_text("p edge 1000000000 0\n")
+    cpath = tmp_path / "huge.col"
+    cpath.write_text("k 1\n")
+    argv = [command, str(gpath)] + ([str(cpath)] if command == "verify" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "1000000000" in err and str(MAX_VERTICES) in err
+    with pytest.raises(GraphError, match=str(MAX_VERTICES)):
+        Graph(10 ** 9, [])
 
 
 def test_unknown_subcommand_exits_two(capsys):

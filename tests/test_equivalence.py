@@ -1,5 +1,6 @@
-"""The optimised greedy_nsd, properize and repair_small_degree return exactly
-what the reference implementations in reference_construct.py return.
+"""The optimised greedy_nsd, properize, repair_small_degree and recolour_H
+return exactly what the reference implementations in reference_construct.py
+return.
 
 Graphs come from hypothesis (n <= 40, plus edgeless graphs, K2 and complete
 graphs) and from the acceptance grid points with n <= 500. Class assignments
@@ -14,9 +15,10 @@ from hypothesis import strategies as st
 
 import reference_construct as ref
 from nsdcolour import (ClassWidthError, ConstructionState, Graph, LemmaParams,
-                       LemmaState, complete_graph, greedy_nsd,
-                       properize, random_graph, repair_small_degree,
-                       resample_until_valid, stage_two)
+                       LemmaState, RiskParams, complete_graph, compute_risky,
+                       greedy_nsd, properize, random_graph, recolour_H,
+                       repair_small_degree, resample_until_valid, select_H,
+                       stage_two)
 
 
 def same_array(a, b):
@@ -131,3 +133,21 @@ def test_grid_points_match_reference(n, mean):
     cs = properize(g, r2.state, None)
     assert_same_state(cs, ref.properize(g, r2.state, None))
     assert_same_repair(g, cs)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.0])
+@pytest.mark.parametrize("n,mean", [(100, 8), (200, 12), (500, 60)])
+def test_recolour_matches_reference(n, mean, scale):
+    # scale 0 leaves only equal scores risky; scale 1 makes nearly every
+    # large-large pair risky, so most sums are forbidden
+    g = random_graph(n, mean / (n - 1), seed=0)
+    p = LemmaParams(g.max_degree, slack=2.0)
+    r1 = resample_until_valid(g, p, seed=1, max_rounds=200)
+    r2 = stage_two(g, r1.state, p, seed=2, max_rounds=200)
+    cs = properize(g, r2.state, None)
+    risky = compute_risky(g, r2.state, p, RiskParams(p, scale=scale))
+    h_ids = select_H(g, p, seed=3).edge_ids
+    new, new_info = recolour_H(g, cs, h_ids, risky)
+    old, old_info = ref.recolour_H(g, cs, h_ids, risky)
+    assert new_info == old_info
+    assert_same_state(new, old)

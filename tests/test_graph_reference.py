@@ -1,0 +1,234 @@
+"""The array-built ``Graph``, the tokenising parsers and the sorted clash
+grouping of ``check_proper`` give exactly what the pure-Python originals in
+reference_graph.py give.
+
+Graphs come from hypothesis: edge lists with repeats in both orientations,
+isolated vertices and n = 0, passed as pairs and as arrays. Compared are
+every view and lookup, the error text on planted bad edges, the full ordered
+violation list on colourings with planted clash groups, and the result or
+error text of both parsers on regular files with planted faults and on the
+fuzz texts of test_parsers_fuzz.py.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_graph as ref
+from nsdcolour import (ColouringParseError, GraphError, GraphParseError,
+                       TotalColouring, check_proper, greedy_nsd,
+                       parse_colouring, parse_graph, random_graph,
+                       write_colouring, write_graph)
+from nsdcolour.graph import Graph
+from test_parsers_fuzz import (C4_TEXT, COLOURING_TEXTS, GRAPH_TEXTS,
+                               declares_small_graph)
+
+
+@st.composite
+def edge_lists(draw, max_n=12):
+    # loop-free pairs in either orientation, some repeated reversed or as is;
+    # n may be 0 or 1, and vertices may be left isolated
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return n, []
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends).filter(lambda e: e[0] != e[1]),
+                          max_size=40))
+    again = draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(again),
+                          max_size=len(again)))
+    again = [(v, u) if f else (u, v) for (u, v), f in zip(again, flips)]
+    mixed = pairs + again
+    order = draw(st.permutations(range(len(mixed))))
+    return n, [mixed[i] for i in order]
+
+
+def as_input(pairs, array: bool):
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2) if array else pairs
+
+
+def outcome(fn, *args, errors=(GraphError,)):
+    """('ok', value) or ('error', type name, message)."""
+    try:
+        return ("ok", fn(*args))
+    except errors as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+def assert_same_graph(new, old):
+    assert (new.n, new.m, new.max_degree) == (old.n, old.m, old.max_degree)
+    assert new.edges == old.edges
+    assert new.adjacency == old.adjacency
+    assert [new.incident_edges(v) for v in range(new.n)] == \
+        [old.incident_edges(v) for v in range(old.n)]
+    for name in ("degrees", "edge_u", "edge_v"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for u in range(-1, new.n + 1):
+        for v in range(-1, new.n + 1):
+            assert new.has_edge(u, v) == old.has_edge(u, v)
+            assert outcome(new.edge_id, u, v) == outcome(old.edge_id, u, v)
+
+
+@given(edge_lists(), st.booleans())
+def test_graph_matches_reference(drawn, array):
+    n, pairs = drawn
+    assert_same_graph(Graph(n, as_input(pairs, array)), ref.Graph(n, pairs))
+
+
+BAD = [lambda n: (0, 0), lambda n: (n - 1, n - 1), lambda n: (0, n),
+       lambda n: (n, 0), lambda n: (-1, 1), lambda n: (1, -3),
+       lambda n: (2 ** 70, 0), lambda n: (0, -2 ** 64), lambda n: (2 ** 63, 2 ** 63)]
+
+
+@given(edge_lists(), st.lists(st.tuples(st.integers(0, 40), st.sampled_from(BAD)),
+                              min_size=1, max_size=3), st.booleans())
+def test_bad_edge_error_text_matches_reference(drawn, planted, array):
+    n, pairs = drawn
+    n = max(n, 2)
+    for at, bad in planted:
+        pairs.insert(min(at, len(pairs)), bad(n))
+    fits = all(-2 ** 63 <= x < 2 ** 63 for pair in pairs for x in pair)
+    got = outcome(Graph, n, as_input(pairs, array and fits))
+    want = outcome(ref.Graph, n, pairs)
+    assert got[0] == want[0] == "error"
+    assert got[1:] == want[1:]
+
+
+# ---------------------------------------------------------------------------
+# check_proper
+
+
+@st.composite
+def clashing_colourings(draw):
+    """A graph and a colouring from a small palette, so that vertex-vertex,
+    vertex-edge and edge-edge clashes abound, with whole stars planted in
+    one colour so that groups of three and more edges clash."""
+    n, pairs = draw(edge_lists())
+    old = ref.Graph(n, pairs)
+    palette = draw(st.integers(1, 4))
+    colours = st.integers(1, palette)
+    vc = draw(st.lists(colours, min_size=n, max_size=n))
+    ec = draw(st.lists(colours, min_size=old.m, max_size=old.m))
+    for v in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=3)) if n else []:
+        same = draw(colours)
+        for e in old.incident_edges(v):
+            ec[e] = same
+    return n, pairs, TotalColouring(vc, ec, palette)
+
+
+@settings(max_examples=300)
+@given(clashing_colourings())
+def test_check_proper_matches_reference(drawn):
+    n, pairs, c = drawn
+    assert check_proper(Graph(n, pairs), c) == \
+        ref.check_proper(ref.Graph(n, pairs), c)
+
+
+def test_check_proper_on_a_large_corrupted_colouring():
+    g = random_graph(300, 0.05, seed=3)
+    old = ref.Graph(g.n, g.edges)
+    rng = np.random.default_rng(4)
+    ec = greedy_nsd(g).edge_colours.copy()
+    vc = greedy_nsd(g).vertex_colours.copy()
+    for e in rng.choice(g.m, size=40, replace=False):
+        ec[e] = rng.integers(1, 4)
+    vc[rng.choice(g.n, size=30, replace=False)] = 1
+    c = TotalColouring(vc, ec, int(max(ec.max(), vc.max())))
+    got = check_proper(g, c)
+    assert got == ref.check_proper(old, c)
+    assert {v.kind for v in got} == {"vertex-vertex", "vertex-edge", "edge-edge"}
+
+
+# ---------------------------------------------------------------------------
+# parsers
+
+
+def same_parse_graph(text):
+    got = outcome(parse_graph, text, errors=(GraphParseError,))
+    want = outcome(ref.parse_graph, text, errors=(GraphParseError,))
+    if want[0] == "ok":
+        assert got[0] == "ok", got
+        assert_same_graph(got[1], want[1])
+    else:
+        assert got == want
+
+
+def same_parse_colouring(text, g):
+    errors = (ColouringParseError,)
+    got = outcome(parse_colouring, text, g, errors=errors)
+    want = outcome(ref.parse_colouring, text, ref.Graph(g.n, g.edges),
+                   errors=errors)
+    assert got == want
+
+
+G30 = random_graph(30, 0.2, seed=11)
+G30_TEXT = write_graph(G30)
+G30_COLOURING = write_colouring(G30, greedy_nsd(G30))
+
+# (line index or None for the end, replacement line or None to delete)
+GRAPH_FAULTS = [(0, "p edge 30"), (0, "p edge 31 3"), (0, "p edge 29 3"),
+                (0, "p edge 30 -1"), (1, "e 1 1"), (1, "e 0 2"),
+                (1, "e 1 31"), (1, "e 1 2 3"), (1, "c a comment"),
+                (1, "  e 1 2"), (1, "e 1  2"), (1, "e 01 2"),
+                (1, "e 1 99999999999999999999"), (None, "p edge 30 1"),
+                (None, "x"), (None, ""), (2, "e 2 1")]
+COLOURING_FAULTS = [(0, "k 0"), (0, "k 99999999999999999999"), (0, None),
+                    (1, None), (1, "v 2 1"), (1, "v 31 1"), (1, "v 1 0"),
+                    (1, "v 1 99999999999999999999"), (31, "e 1 1 1"),
+                    (31, None), (31, "e 30 29 1"), (32, G30_COLOURING.split("\n")[31]),
+                    (31, "e 1 2"), (None, "k 5"), (None, "v 1 1"),
+                    (31, "v 1 1"), (1, "c x"), (None, "")]
+
+
+def plant(text, at, line):
+    lines = text.split("\n")[:-1]
+    if at is None:
+        lines.append(line)
+    elif line is None:
+        del lines[at]
+    else:
+        lines[at] = line
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("at,line", GRAPH_FAULTS)
+def test_parse_graph_faults_match_reference(at, line):
+    same_parse_graph(plant(G30_TEXT, at, line))
+
+
+@pytest.mark.parametrize("at,line", COLOURING_FAULTS)
+def test_parse_colouring_faults_match_reference(at, line):
+    same_parse_colouring(plant(G30_COLOURING, at, line), G30)
+
+
+@pytest.mark.parametrize("text", ["", "p edge 0 0", "p edge 0 0\n",
+                                  "p edge 3 0", G30_TEXT, G30_TEXT[:-1],
+                                  G30_TEXT.replace("\n", "\r\n")])
+def test_parse_graph_layouts_match_reference(text):
+    same_parse_graph(text)
+
+
+@given(GRAPH_TEXTS)
+def test_parse_graph_fuzz_matches_reference(text):
+    if declares_small_graph(text):
+        same_parse_graph(text)
+
+
+@given(COLOURING_TEXTS)
+def test_parse_colouring_fuzz_matches_reference(text):
+    same_parse_colouring(text, parse_graph(C4_TEXT))
+
+
+def test_regular_files_take_the_tokenising_path(monkeypatch):
+    import nsdcolour.colouring as colouring_mod
+    import nsdcolour.graph as graph_mod
+
+    def refuse(*args):
+        raise AssertionError("line parser used on a regular file")
+    monkeypatch.setattr(graph_mod, "_parse_graph_lines", refuse)
+    monkeypatch.setattr(colouring_mod, "_parse_colouring_lines", refuse)
+    g = parse_graph(G30_TEXT)
+    assert g == G30
+    assert parse_colouring(G30_COLOURING, g) == greedy_nsd(G30)
