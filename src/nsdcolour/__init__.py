@@ -50,8 +50,6 @@ from .lemma import (
     Stage2Result,
     InfeasibleStrictError,
     sample_stage_one,
-    s_of,
-    interval_index,
     check_properties,
     event_scope,
     resample_event,

@@ -87,19 +87,20 @@ def _lowest_free(used: int) -> int:
     return ((used + 1) & ~used).bit_length() - 1
 
 
-def _colour_class_edges(g: Graph, edge_ids, width_hint):
-    """Proper slot assignment for one class's edges.
+def _colour_class_edges(edge_u: list[int], edge_v: list[int], edge_ids,
+                        width_hint):
+    """Proper slot assignment for one class's edges, whose endpoints are
+    edge_u[eid] and edge_v[eid].
 
     Greedy lowest-free; when the pick would land at or above width_hint, one
     alternating-path swap is attempted to reuse a slot below it. Returns
     {edge_id: slot}.
     """
-    ends = g.edges
     slot_of: dict[int, int] = {}
     used: dict[int, int] = {}
     inc: dict[int, list[int]] = {}
     for eid in edge_ids:
-        u, v = ends[eid]
+        u, v = edge_u[eid], edge_v[eid]
         uu, uv = used.get(u, 0), used.get(v, 0)
         s = _lowest_free(uu | uv)
         if width_hint is not None and s >= width_hint:
@@ -118,7 +119,7 @@ def _colour_class_edges(g: Graph, edge_ids, width_hint):
                         break
                 if nxt is None:
                     break
-                y = ends[nxt][0] if ends[nxt][1] == x else ends[nxt][1]
+                y = edge_u[nxt] if edge_v[nxt] == x else edge_v[nxt]
                 path.append(nxt)
                 if y in seen:
                     break
@@ -130,7 +131,7 @@ def _colour_class_edges(g: Graph, edge_ids, width_hint):
                         old = slot_of[fid]
                         new = b if old == a else a
                         slot_of[fid] = new
-                        for w in ends[fid]:
+                        for w in (edge_u[fid], edge_v[fid]):
                             used[w] = (used.get(w, 0) & ~(1 << old)) | (1 << new)
                     s = a
                 # path ended at u with nonempty path: keep the overflow slot
@@ -163,9 +164,11 @@ def properize(g: Graph, st: LemmaState, width: int | None) -> ConstructionState:
     v_slot = [0] * g.n
     e_slot = [0] * g.m
     v_members, e_members = _members(st.c3v), _members(st.c3e)
+    edge_u, edge_v = g.edge_u.tolist(), g.edge_v.tolist()
     needed = 1
     for beta in sorted(v_members.keys() | e_members.keys()):
-        slots = _colour_class_edges(g, e_members.get(beta, ()), width)
+        slots = _colour_class_edges(edge_u, edge_v, e_members.get(beta, ()),
+                                    width)
         for eid, s in slots.items():
             e_slot[eid] = s
             needed = max(needed, s + 1)

@@ -19,12 +19,25 @@ Two independent routes on purpose:
 Both iterate the palette bound k upwards from max degree + 1, which is a
 valid lower bound: a maximum-degree vertex and its incident edges are
 pairwise constrained to distinct colours.
+
+``solve_exact`` can share work between isomorphic graphs through a class
+table that the caller owns and passes in (``conjecture_sweep`` makes a fresh
+one per call). A graph is looked up by ``canonical_labelling``: colour
+refinement from the degrees, then the least sorted edge list over every
+labelling that keeps the refined cells in order. The first graph of a class
+is searched as without the table, and its chi and witness are stored in
+canonical labels; every later member gets that witness mapped back through
+its own labelling, without a search. Isomorphic graphs have the same chi and
+a relabelled witness stays valid, so no answer changes. A graph whose cells
+allow more than MAX_LABELLINGS (6!) labellings gets no key and is always
+searched, which keeps paths, cycles and large graphs off a factorial path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, permutations, product
 
 import numpy as np
 
@@ -209,16 +222,7 @@ def _solve_component(g: Graph, comp: list[int], k: int, counter: list[int],
     return place(0)
 
 
-def solve_exact(g: Graph, k_max: int | None = None) -> SolveResult:
-    """Minimum palette bound and a witness, by pruned backtracking.
-
-    Components are solved independently (their optima are independent) and
-    the answer is the maximum over components. nodes_explored counts every
-    candidate colour placement tried across all components and k values.
-    k_max defaults to max_degree + 8.
-    """
-    if k_max is None:
-        k_max = g.max_degree + 8
+def _search(g: Graph, k_max: int) -> SolveResult:
     counter = [0]
     if g.n == 0:
         return SolveResult(1, TotalColouring([], [], 1), 0)
@@ -238,14 +242,123 @@ def solve_exact(g: Graph, k_max: int | None = None) -> SolveResult:
     return SolveResult(chi, witness, counter[0])
 
 
+def solve_exact(g: Graph, k_max: int | None = None,
+                classes: dict | None = None) -> SolveResult:
+    """Minimum palette bound and a witness, by pruned backtracking.
+
+    Components are solved independently (their optima are independent) and
+    the answer is the maximum over components. nodes_explored counts every
+    candidate colour placement tried across all components and k values.
+    k_max defaults to max_degree + 8.
+
+    classes is an optional class table owned by the caller, keyed by
+    canonical form and k_max. When g's class is in it, g is not searched:
+    the stored result is mapped through g's canonical labelling and
+    returned with nodes_explored 0. Otherwise g is searched and the result
+    is stored. A graph with no canonical key is always searched.
+    """
+    if k_max is None:
+        k_max = g.max_degree + 8
+    canon = canonical_labelling(g) if classes is not None and g.n else None
+    if canon is None:
+        return _search(g, k_max)
+    key, labelling = canon
+    vid = np.asarray(labelling, dtype=np.int64)
+    eid = _canonical_edge_ids(g, vid)
+    entry = classes.get((key, k_max))
+    if entry is None:
+        res = _search(g, k_max)
+        cv = ce = None
+        if res.witness is not None:
+            cv = np.empty(g.n, dtype=np.int64)
+            ce = np.empty(g.m, dtype=np.int64)
+            cv[vid] = res.witness.vertex_colours
+            ce[eid] = res.witness.edge_colours
+        classes[key, k_max] = (res.chi_sum_total, cv, ce)
+        return res
+    chi, cv, ce = entry
+    if chi is None:
+        return SolveResult(None, None, 0, exceeded_k_max=True, k_max=k_max)
+    return SolveResult(chi, TotalColouring(cv[vid], ce[eid], chi), 0)
+
+
+# ---------------------------------------------------------------------------
+# canonical form
+
+# The most labellings canonical_labelling tries for one graph (6!).
+MAX_LABELLINGS = 720
+
+
+def canonical_labelling(g: Graph) -> tuple[tuple, list[int]] | None:
+    """Canonical key of g's isomorphism class and a labelling reaching it.
+
+    The vertex partition is refined from the degrees: each vertex's colour
+    becomes the rank of (own colour, sorted neighbour colours) among all
+    such pairs, until the number of cells stops growing. The ranks order the
+    cells, and are invariant under relabelling. The key is (n, edges), where
+    edges is the lexicographically least sorted (lo, hi) edge list over every
+    labelling that maps the k-th cell onto the k-th block of labels. It is
+    the edge list itself, not a hash, so equal keys mean isomorphic graphs.
+    labelling[v] is v's canonical label; relabelling g's edges by it gives
+    the key's edges. None when the cells allow more than MAX_LABELLINGS
+    labellings.
+    """
+    n = g.n
+    ends = list(zip(g.edge_u.tolist(), g.edge_v.tolist()))
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in ends:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    colour = [len(row) for row in nbrs]
+    cells = len(set(colour))
+    while True:
+        sig = [(colour[v], tuple(sorted(colour[w] for w in nbrs[v])))
+               for v in range(n)]
+        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        colour = [rank[s] for s in sig]
+        if len(rank) == cells:
+            break
+        cells = len(rank)
+    members: list[list[int]] = [[] for _ in range(cells)]
+    for v in range(n):
+        members[colour[v]].append(v)
+    if math.prod(math.factorial(len(cell)) for cell in members) > MAX_LABELLINGS:
+        return None
+    starts = list(accumulate((len(cell) for cell in members), initial=0))
+    label = [0] * n
+    best, best_label = None, label
+    for choice in product(*(permutations(cell) for cell in members)):
+        for start, cell in zip(starts, choice):
+            for i, v in enumerate(cell):
+                label[v] = start + i
+        keys = sorted(a * n + b if a < b else b * n + a
+                      for a, b in ((label[u], label[v]) for u, v in ends))
+        if best is None or keys < best:
+            best, best_label = keys, label.copy()
+    return (n, tuple(divmod(x, n) for x in best)), best_label
+
+
+def _canonical_edge_ids(g: Graph, vid: np.ndarray) -> np.ndarray:
+    """Index of each edge of g in the canonical edge list of the labelling
+    vid, which is sorted."""
+    a, b = vid[g.edge_u], vid[g.edge_v]
+    keys = np.minimum(a, b) * g.n + np.maximum(a, b)
+    ids = np.empty(g.m, dtype=np.int64)
+    ids[np.argsort(keys)] = np.arange(g.m)
+    return ids
+
+
 def conjecture_sweep(graphs, k_max_extra: int = 5) -> list[dict]:
     """Solve each graph and compare against the max-degree-plus-3 bound.
 
     graphs: iterable of (graph_id, Graph) pairs. Per-graph errors are recorded
     and the sweep continues. k_max per graph is max_degree + k_max_extra so a
-    bound violation would still report the true value.
+    bound violation would still report the true value. Isomorphic graphs
+    share one search through a class table that lives for this call only;
+    every graph's witness is still verified on that graph.
     """
     rows: list[dict] = []
+    classes: dict = {}
     for gid, g in graphs:
         bound = g.max_degree + 3
         row = {
@@ -259,7 +372,7 @@ def conjecture_sweep(graphs, k_max_extra: int = 5) -> list[dict]:
             "nodes": 0,
         }
         try:
-            res = solve_exact(g, g.max_degree + k_max_extra)
+            res = solve_exact(g, g.max_degree + k_max_extra, classes=classes)
             row["nodes"] = res.nodes_explored
             if res.exceeded_k_max:
                 row["verdict"] = f"unsolved<=+{k_max_extra}"

@@ -413,11 +413,33 @@ def enumerate_labelled_graphs(n: int, max_edges: int | None = None) -> Iterator[
         yield Graph(n, chosen)
 
 
+def _mask_connected(n: int, pairs: list[tuple[int, int]], mask: int) -> bool:
+    """Whether the edges of pairs chosen by the bits of mask connect n >= 1
+    vertices, by a search over per-vertex neighbour bitmasks."""
+    nbr = [0] * n
+    for i, (u, v) in enumerate(pairs):
+        if mask >> i & 1:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+    seen = frontier = 1
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = nbr[low.bit_length() - 1] & ~seen
+        seen |= new
+        frontier |= new
+    return seen == (1 << n) - 1
+
+
 def enumerate_connected_graphs(max_n: int) -> Iterator[tuple[str, Graph]]:
-    """All connected labelled graphs on 1..max_n vertices with stable ids."""
+    """All connected labelled graphs on 1..max_n vertices with stable ids, in
+    the order of enumerate_labelled_graphs. A Graph is built only for the
+    connected edge subsets."""
     for n in range(1, max_n + 1):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         idx = 0
-        for g in enumerate_labelled_graphs(n):
-            if is_connected(g):
-                yield f"conn-n{n}-{idx}", g
+        for mask in range(1 << len(pairs)):
+            if _mask_connected(n, pairs, mask):
+                chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+                yield f"conn-n{n}-{idx}", Graph(n, chosen)
                 idx += 1

@@ -158,23 +158,6 @@ class LemmaParams:
         return f"LemmaParams(delta={self.delta}, r1={self.r1}, r2={self.r2}, {mode})"
 
 
-def s_of(d: int, c1v: int, p: LemmaParams) -> Fraction:
-    """Exact score of a vertex with degree d and attractor colour c1v."""
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    return Fraction(p.score2(d, c1v), 2)
-
-
-def interval_index(s, p: LemmaParams) -> int:
-    """1-based index a of the right-closed interval ((a-1)*len, a*len] holding s."""
-    s = Fraction(s)
-    if s <= 0:
-        raise ValueError(f"score {s} not positive")
-    if p.interval_len <= 0:
-        raise ValueError("interval length is zero for this max degree")
-    return math.ceil(s / p.interval_len)
-
-
 @dataclass
 class LemmaState:
     """The engine's random variables plus the derived edge target colours.

@@ -161,3 +161,23 @@ def recount_proper_and_distinct(g, vertex_colours, edge_colours):
         if sums[a] == sums[b]:
             return True, False
     return True, True
+
+
+# ---------------------------------------------------------------------------
+# the scalar score path: one vertex's exact score and its interval
+
+def s_of(d: int, c1v: int, p) -> Fraction:
+    """Exact score of a vertex with degree d and attractor colour c1v."""
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+    return Fraction(p.score2(d, c1v), 2)
+
+
+def interval_index(s, p) -> int:
+    """1-based index a of the right-closed interval ((a-1)*len, a*len] holding s."""
+    s = Fraction(s)
+    if s <= 0:
+        raise ValueError(f"score {s} not positive")
+    if p.interval_len <= 0:
+        raise ValueError("interval length is zero for this max degree")
+    return math.ceil(s / p.interval_len)

@@ -1,15 +1,18 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
 
 import reference_exact as ref
 from nsdcolour import (EnumerationGuardError, Graph, brute_force_chi,
-                       complete_graph, conjecture_sweep, connected_components,
-                       cycle_graph, enumerate_connected_graphs,
-                       enumerate_labelled_graphs, is_connected, is_valid,
-                       path_graph, solve_exact)
+                       check_nsd, check_proper, complete_graph,
+                       conjecture_sweep, connected_components, cycle_graph,
+                       enumerate_connected_graphs, enumerate_labelled_graphs,
+                       is_connected, is_valid, path_graph, run_sweep,
+                       solve_exact)
+from nsdcolour.exact import MAX_LABELLINGS, canonical_labelling
 
 
 # minimum spans pinned by independent exhaustive enumeration
@@ -200,3 +203,96 @@ def test_root_pin_loses_no_colouring():
                              unpinned_colourable(g, chi - 1))
         assert verdicts[key] == (True, False), (g.n, g.edges, chi)
     assert checked > 350
+
+
+# ---------------------------------------------------------------------------
+# canonical labelling and the sweep's class table
+
+def relabelled(g, perm):
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def test_canonical_keys_match_brute_force_classes():
+    # equal keys exactly when the forms over all n! labellings are equal
+    graphs = [g for n in range(1, 6) for g in enumerate_labelled_graphs(n)]
+    graphs += seeded_graphs(6, 40, seed=7)
+    assert len(graphs) == 1099 + 40
+    brute_of_key, key_of_brute = {}, {}
+    for g in graphs:
+        key, _ = canonical_labelling(g)
+        brute = g.n, canonical_form(g)
+        assert brute_of_key.setdefault(key, brute) == brute, g.edges
+        assert key_of_brute.setdefault(brute, key) == key, g.edges
+    assert len(key_of_brute) == 1 + 2 + 4 + 11 + 34 + len(
+        {canonical_form(g) for g in graphs if g.n == 6})
+
+
+def test_canonical_labelling_reaches_key_and_ignores_labels():
+    rng = random.Random(11)
+    graphs = [g for _, g in enumerate_connected_graphs(5)]
+    graphs += seeded_graphs(6, 40, seed=8)
+    for g in graphs:
+        key, labelling = canonical_labelling(g)
+        assert sorted(labelling) == list(range(g.n))
+        assert key == (g.n, relabelled(g, labelling).edges)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert canonical_labelling(relabelled(g, perm))[0] == key, g.edges
+
+
+def test_sweep_rows_match_uncached_solves():
+    graphs = list(enumerate_connected_graphs(5))
+    rows = conjecture_sweep(graphs)
+    classes = {}
+    for row, (gid, g) in zip(rows, graphs):
+        k_max = g.max_degree + 5
+        ref_res = solve_exact(g, k_max)
+        res = solve_exact(g, k_max, classes=classes)
+        assert res.chi_sum_total == ref_res.chi_sum_total
+        assert not check_proper(g, res.witness) and not check_nsd(g, res.witness)
+        expected = {"graph_id": gid, "n": g.n, "m": g.m,
+                    "max_degree": g.max_degree,
+                    "chi_sum_total": ref_res.chi_sum_total,
+                    "delta_plus_3": g.max_degree + 3,
+                    "verdict": ("pass" if ref_res.chi_sum_total
+                                <= g.max_degree + 3 else "fail")}
+        assert {c: row[c] for c in expected} == expected
+    assert len(rows) == 772 and len(classes) == 31
+
+
+def test_each_sweep_searches_each_class_once():
+    graphs = list(enumerate_connected_graphs(5))
+    first_of_class = {}
+    for gid, g in graphs:
+        first_of_class.setdefault(canonical_labelling(g)[0], gid)
+    for _ in range(2):
+        rows = conjecture_sweep(graphs)
+        searched = [r["graph_id"] for r in rows if r["nodes"] > 0]
+        assert searched == list(first_of_class.values())
+        assert len(searched) == 31
+
+
+def test_class_table_shares_an_unsolved_result():
+    # K3 needs 5 colours; the table is keyed by k_max too
+    classes = {}
+    first = solve_exact(complete_graph(3), k_max=4, classes=classes)
+    second = solve_exact(complete_graph(3), k_max=4, classes=classes)
+    assert first.exceeded_k_max and first.nodes_explored > 0
+    assert second.exceeded_k_max and second.nodes_explored == 0
+    wider = solve_exact(complete_graph(3), k_max=5, classes=classes)
+    assert wider.chi_sum_total == 5 and wider.nodes_explored > 0
+
+
+def test_paths_and_cycles_stay_off_the_factorial_path():
+    # a path's refined cells are mirror pairs (2^(n//2) labellings), a
+    # cycle's one cell of n (n! labellings)
+    for n in range(2, 61):
+        assert (canonical_labelling(path_graph(n)) is None) == (
+            2 ** (n // 2) > MAX_LABELLINGS), n
+    for n in range(3, 41):
+        assert (canonical_labelling(cycle_graph(n)) is None) == (n >= 7), n
+    t0 = time.perf_counter()
+    rows = run_sweep(["path:2..60", "cycle:3..40"])
+    assert time.perf_counter() - t0 < 2.0
+    assert len(rows) == 59 + 38
+    assert all(r["verdict"] == "pass" for r in rows)

@@ -6,11 +6,10 @@ import pytest
 
 from nsdcolour import (ALL_PROPERTIES, Graph, InfeasibleStrictError,
                        LemmaParams, LemmaState, STAGE_ONE_PROPERTIES,
-                       check_properties, event_scope,
-                       interval_index, random_graph, resample_event,
-                       resample_until_valid, s_of, sample_stage_one,
+                       check_properties, event_scope, random_graph,
+                       resample_event, resample_until_valid, sample_stage_one,
                        stage_two)
-from recount import recount
+from recount import interval_index, recount, s_of
 
 
 def make_params(delta, slack=1.0):
