@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, int_rows, sorted_unique
+from .graph import Graph, GraphError, int_rows, sorted_unique
 
 
 class ColouringError(ValueError):
@@ -202,15 +202,11 @@ def is_valid(g: Graph, c: TotalColouring) -> bool:
 
 def write_colouring(g: Graph, c: TotalColouring) -> str:
     _check_shapes(g, c)
-    lines = [f"k {c.k}"]
-    lines.extend(f"v {v + 1} {col}"
-                 for v, col in enumerate(c.vertex_colours.tolist()))
-    lines.extend(
-        f"e {u + 1} {v + 1} {col}"
-        for u, v, col in zip(g.edge_u.tolist(), g.edge_v.tolist(),
-                             c.edge_colours.tolist())
-    )
-    return "\n".join(lines) + "\n"
+    vrows = np.stack([np.arange(1, g.n + 1), c.vertex_colours], axis=1)
+    erows = np.stack([g.edge_u + 1, g.edge_v + 1, c.edge_colours], axis=1)
+    return (f"k {c.k}\n"
+            + ("v %d %d\n" * g.n) % tuple(vrows.ravel().tolist())
+            + ("e %d %d %d\n" * g.m) % tuple(erows.ravel().tolist()))
 
 
 # A colouring file as write_colouring writes it: the k line, every vertex
@@ -296,10 +292,11 @@ def _parse_colouring_lines(text: str, g: Graph):
                 vc[v] = col
             elif parts[0] == "e" and len(parts) == 4:
                 u, v, col = int(parts[1]) - 1, int(parts[2]) - 1, int(parts[3])
-                if not g.has_edge(u, v):
+                try:
+                    eid = g.edge_id(u, v)
+                except GraphError:
                     raise ColouringParseError(
-                        f"line {lineno}: no edge ({u + 1}, {v + 1}) in graph")
-                eid = g.edge_id(u, v)
+                        f"line {lineno}: no edge ({u + 1}, {v + 1}) in graph") from None
                 if e_seen[eid]:
                     raise ColouringParseError(f"line {lineno}: edge coloured twice")
                 e_seen[eid] = True

@@ -87,36 +87,44 @@ def _lowest_free(used: int) -> int:
     return ((used + 1) & ~used).bit_length() - 1
 
 
-def _colour_class_edges(edge_u: list[int], edge_v: list[int], edge_ids,
-                        width_hint):
-    """Proper slot assignment for one class's edges, whose endpoints are
-    edge_u[eid] and edge_v[eid].
+def _members(cls: np.ndarray) -> list[list[int]]:
+    """Ascending ids of each class's members, by ascending class, from one
+    stable argsort."""
+    order = np.argsort(cls, kind="stable")
+    cuts = np.flatnonzero(np.diff(cls[order])) + 1
+    return [grp.tolist() for grp in np.split(order, cuts) if grp.size]
 
-    Greedy lowest-free; when the pick would land at or above width_hint, one
-    alternating-path swap is attempted to reuse a slot below it. Returns
-    {edge_id: slot}.
+
+def _colour_class_edges(g: Graph, edge_u: list[int], edge_v: list[int],
+                        c3e: list[int], edge_ids: list[int], width_hint,
+                        e_slot: list[int]) -> None:
+    """Proper slots for one class's edges, ascending ids, written into e_slot.
+
+    edge_u[eid] and edge_v[eid] are the endpoints and c3e[eid] the class.
+    Each edge takes the lowest slot free at both endpoints, read from a
+    per-vertex bitmask of the class's slots. When the pick would land at or
+    above width_hint, one alternating-path swap is attempted to reuse a slot
+    below it. The walk reads a vertex's already-slotted edges of the class
+    from g.incident_edges (ascending ids, below the current edge), so no
+    per-vertex edge lists are kept while no swap runs.
     """
-    slot_of: dict[int, int] = {}
-    used: dict[int, int] = {}
-    inc: dict[int, list[int]] = {}
+    used = [0] * g.n
     for eid in edge_ids:
         u, v = edge_u[eid], edge_v[eid]
-        uu, uv = used.get(u, 0), used.get(v, 0)
-        s = _lowest_free(uu | uv)
+        taken = used[u] | used[v]
+        s = ((taken + 1) & ~taken).bit_length() - 1
         if width_hint is not None and s >= width_hint:
-            a = _lowest_free(uu)
-            b = _lowest_free(uv)
+            beta = c3e[eid]
+            a = _lowest_free(used[u])
+            b = _lowest_free(used[v])
             # walk the a/b alternating path from v; flipping it frees a at v
             # unless the path ends at u
             path = []
             x, want = v, a
             seen = {v}
             while True:
-                nxt = None
-                for fid in inc.get(x, ()):
-                    if slot_of[fid] == want:
-                        nxt = fid
-                        break
+                nxt = next((f for f in g.incident_edges(x) if f < eid
+                            and c3e[f] == beta and e_slot[f] == want), None)
                 if nxt is None:
                     break
                 y = edge_u[nxt] if edge_v[nxt] == x else edge_v[nxt]
@@ -125,68 +133,66 @@ def _colour_class_edges(edge_u: list[int], edge_v: list[int], edge_ids,
                     break
                 seen.add(y)
                 x, want = y, (b if want == a else a)
-            if x != u or not path:
-                if x != u:
-                    for fid in path:
-                        old = slot_of[fid]
-                        new = b if old == a else a
-                        slot_of[fid] = new
-                        for w in (edge_u[fid], edge_v[fid]):
-                            used[w] = (used.get(w, 0) & ~(1 << old)) | (1 << new)
-                    s = a
-                # path ended at u with nonempty path: keep the overflow slot
-        slot_of[eid] = s
-        for w in (u, v):
-            used[w] = used.get(w, 0) | (1 << slot_of[eid])
-            inc.setdefault(w, []).append(eid)
-    return slot_of
+            # a path that ends at u keeps the overflow slot
+            if x != u:
+                for fid in path:
+                    old = e_slot[fid]
+                    new = b if old == a else a
+                    e_slot[fid] = new
+                    for w in (edge_u[fid], edge_v[fid]):
+                        used[w] = (used[w] & ~(1 << old)) | (1 << new)
+                s = a
+        e_slot[eid] = s
+        used[u] |= 1 << s
+        used[v] |= 1 << s
 
 
-def _members(cls: np.ndarray) -> dict[int, list[int]]:
-    """Ascending ids of each class's members, from one stable argsort."""
-    order = np.argsort(cls, kind="stable")
-    cuts = np.flatnonzero(np.diff(cls[order])) + 1
-    return {int(cls[grp[0]]): grp.tolist()
-            for grp in np.split(order, cuts) if grp.size}
+def _vertex_slots(g: Graph, st: LemmaState, e_slot: list[int]) -> list[int]:
+    """Each vertex's lowest slot free of the slots of its incident edges and
+    of its lower neighbours in its own class, in ascending vertex order.
+
+    Array masks find the same-class incidences and neighbour pairs, so the
+    loops touch only those.
+    """
+    ends = np.concatenate([g.edge_u, g.edge_v])
+    at = np.flatnonzero(np.tile(st.c3e, 2) == st.c3v[ends])
+    forbid = [0] * g.n
+    for x, eid in zip(ends[at].tolist(), (at % max(g.m, 1)).tolist()):
+        forbid[x] |= 1 << e_slot[eid]
+    # same-class neighbour pairs (lo, hi) grouped by hi, whose slot needs
+    # every lo slot first; lo < hi, so ascending order provides them
+    same = np.flatnonzero(st.c3v[g.edge_u] == st.c3v[g.edge_v])
+    same = same[np.argsort(g.edge_v[same], kind="stable")]
+    lower = g.edge_u[same].tolist()
+    bounds = np.cumsum(np.bincount(g.edge_v[same], minlength=g.n)).tolist()
+    v_slot = [0] * g.n
+    start = 0
+    for v, end in enumerate(bounds):
+        f = forbid[v]
+        for w in lower[start:end]:
+            f |= 1 << v_slot[w]
+        start = end
+        v_slot[v] = ((f + 1) & ~f).bit_length() - 1
+    return v_slot
 
 
 def properize(g: Graph, st: LemmaState, width: int | None) -> ConstructionState:
     """Lift engine classes to colour bands and make the result proper.
 
-    Band for class beta covers colours {B*(beta-1)+1 .. B*beta}. Classes are
-    processed in increasing beta; earlier bands are never revisited. With
-    width=None the needed band width is learned and used. Raises
+    Band for class beta covers colours {B*(beta-1)+1 .. B*beta}. Each class
+    is coloured on its own, edges first; no slot depends on another class.
+    With width=None the needed band width is learned and used. Raises
     ClassWidthError when a fixed width is exceeded.
     """
     if g.m and int(st.c3e.min(initial=1)) < 1:
         raise ValueError("edge classes must be fully assigned before lifting")
-    c3v, c3e = st.c3v.tolist(), st.c3e.tolist()
-    v_slot = [0] * g.n
-    e_slot = [0] * g.m
-    v_members, e_members = _members(st.c3v), _members(st.c3e)
+    c3e = st.c3e.tolist()
     edge_u, edge_v = g.edge_u.tolist(), g.edge_v.tolist()
-    needed = 1
-    for beta in sorted(v_members.keys() | e_members.keys()):
-        slots = _colour_class_edges(edge_u, edge_v, e_members.get(beta, ()),
-                                    width)
-        for eid, s in slots.items():
-            e_slot[eid] = s
-            needed = max(needed, s + 1)
-        # vertex order inside a class is ascending, so the neighbours below v
-        # are exactly its already-assigned same-class neighbours
-        for v in v_members.get(beta, ()):
-            forbid = 0
-            for eid in g.incident_edges(v):
-                if c3e[eid] == beta:
-                    forbid |= 1 << e_slot[eid]
-            for w in g.adjacency[v]:
-                if w >= v:
-                    break
-                if c3v[w] == beta:
-                    forbid |= 1 << v_slot[w]
-            s = _lowest_free(forbid)
-            v_slot[v] = s
-            needed = max(needed, s + 1)
+    e_slot = [0] * g.m
+    for members in _members(st.c3e):
+        _colour_class_edges(g, edge_u, edge_v, c3e, members, width, e_slot)
+    v_slot = _vertex_slots(g, st, e_slot)
+    needed = 1 + max(max(e_slot, default=0), max(v_slot, default=0))
     if width is None:
         width = needed
     elif needed > width:
@@ -233,16 +239,16 @@ def compute_risky(g: Graph, st: LemmaState, p: LemmaParams,
     deg = g.degrees
     large = 3 * deg >= p.delta
     s2 = p.score2_array(deg, st.c1)
-    risky: list[list[int]] = [[] for _ in range(g.n)]
-    both = large[g.edge_u] & large[g.edge_v]
-    close = np.abs(s2[g.edge_u] - s2[g.edge_v]) <= risk.threshold
-    for eid in np.nonzero(both & close)[0]:
-        u, v = int(g.edge_u[eid]), int(g.edge_v[eid])
-        risky[u].append(v)
-        risky[v].append(u)
-    for v in range(g.n):
-        risky[v].sort()
-    return risky
+    eu, ev = g.edge_u, g.edge_v
+    risky_edge = large[eu] & large[ev] & (np.abs(s2[eu] - s2[ev]) <= risk.threshold)
+    # the doubled edge list in vertex order lists each vertex's neighbours
+    # ascending (see Graph._vertex_order)
+    order = g._vertex_order
+    order = order[np.tile(risky_edge, 2)[order]]
+    far = np.concatenate([eu, ev])[order].tolist()
+    bounds = np.cumsum(np.bincount(np.concatenate([ev, eu])[order],
+                                   minlength=g.n)).tolist()
+    return [far[a:b] for a, b in zip([0] + bounds, bounds)]
 
 
 # ---------------------------------------------------------------------------

@@ -152,9 +152,13 @@ class Graph:
         return np.where(found, ids, -1)
 
     def _edge_index(self, u: int, v: int) -> int:
+        # one scalar search: a tenth of the cost of find_edges on 1-element
+        # arrays, and the colouring line parser makes one per edge line
         if not (0 <= u < self.n and 0 <= v < self.n):
             return -1
-        return int(self.find_edges([u], [v])[0])
+        key = min(u, v) * self.n + max(u, v)
+        i = int(self._keys.searchsorted(key))
+        return i if i < self.m and self._keys[i] == key else -1
 
     def edge_id(self, u: int, v: int) -> int:
         eid = self._edge_index(u, v)

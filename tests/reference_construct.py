@@ -1,6 +1,7 @@
 """Reference copies of the construction hot paths as they were before the
-bitmask and class-sorted rewrites, and of ``recolour_H`` as it was before it
-moved onto Python lists.
+bitmask and class-sorted rewrites, of ``recolour_H`` as it was before it
+moved onto Python lists, and of ``compute_risky`` as it was before it was
+built from one mask over the vertex-ordered edge list.
 
 The functions below are kept verbatim (only the imports differ) so that
 tests/test_equivalence.py can check that the optimised versions in
@@ -13,9 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from nsdcolour.colouring import TotalColouring, vertex_sums
-from nsdcolour.construct import ClassWidthError, ConstructionState, ReserveInfo
+from nsdcolour.construct import (ClassWidthError, ConstructionState, ReserveInfo,
+                                 RiskParams)
 from nsdcolour.graph import Graph
-from nsdcolour.lemma import LemmaState
+from nsdcolour.lemma import LemmaParams, LemmaState
 
 
 def _vertex_sums(g: Graph, vc: np.ndarray, ec: np.ndarray) -> np.ndarray:
@@ -262,3 +264,21 @@ def recolour_H(g: Graph, state: ConstructionState, h_edge_ids,
         used_at.setdefault(v, set()).add(chosen)
         top_used = max(top_used, chosen - base)
     return st, ReserveInfo(base, planned, top_used, grew)
+
+
+def compute_risky(g: Graph, st: LemmaState, p: LemmaParams,
+                  risk: RiskParams) -> list[list[int]]:
+    """risky[v]: sorted large neighbours of large v within the score window."""
+    deg = g.degrees
+    large = 3 * deg >= p.delta
+    s2 = p.score2_array(deg, st.c1)
+    risky: list[list[int]] = [[] for _ in range(g.n)]
+    both = large[g.edge_u] & large[g.edge_v]
+    close = np.abs(s2[g.edge_u] - s2[g.edge_v]) <= risk.threshold
+    for eid in np.nonzero(both & close)[0]:
+        u, v = int(g.edge_u[eid]), int(g.edge_v[eid])
+        risky[u].append(v)
+        risky[v].append(u)
+    for v in range(g.n):
+        risky[v].sort()
+    return risky

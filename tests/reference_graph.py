@@ -1,5 +1,6 @@
 """Reference copies of ``Graph``, ``parse_graph``, ``parse_colouring`` and
-``check_proper`` as they were before the array-first rewrite.
+``check_proper`` as they were before the array-first rewrite, and of
+``write_colouring`` as it was before it formatted from flattened arrays.
 
 The code below is kept verbatim (only the imports differ) so that
 tests/test_graph_reference.py can check that the array-built graph, the
@@ -250,3 +251,16 @@ def check_proper(g: Graph, c: TotalColouring) -> list[Violation]:
                         "edge-edge", (g.edges[group[i]], g.edges[group[j]])
                     ))
     return out
+
+
+def write_colouring(g: Graph, c: TotalColouring) -> str:
+    _check_shapes(g, c)
+    lines = [f"k {c.k}"]
+    lines.extend(f"v {v + 1} {col}"
+                 for v, col in enumerate(c.vertex_colours.tolist()))
+    lines.extend(
+        f"e {u + 1} {v + 1} {col}"
+        for u, v, col in zip(g.edge_u.tolist(), g.edge_v.tolist(),
+                             c.edge_colours.tolist())
+    )
+    return "\n".join(lines) + "\n"

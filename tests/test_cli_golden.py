@@ -1,0 +1,55 @@
+"""Byte-identity gate for the CLI on one fixed graph.
+
+``gen``, ``construct -o --report`` and ``verify --json`` run on a random
+graph with n=300 (p=0.1, seed 5: max degree 45, the pipeline's colouring
+is kept and every large-large edge is risky). The sha256 of every file and
+stdout they write must equal the digest recorded before the array rewrite
+of properize and compute_risky. A change that moves any of these bytes has
+changed the colouring, the report or the file format; record new digests
+only for a change that means to.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from nsdcolour.cli import main
+
+DIGESTS = {
+    "graph": "0246bf076b8a9339db89c04072681df77b42a650e5485cb731f7293e694fd888",
+    "colouring": "0c54edc3178c0716689bbc27ec81ec058df3992068e82426d12dea6535675f43",
+    "report": "48bb208e2d2875bc138641138bc5a350ada50a97fb4860c3ec87e4909f04673b",
+    "construct stdout": "c95eaf61952d5b1c5fb44f06026a1dbea9ebb6e77303f8a19dcfb7afb41411d6",
+    "verify --json stdout": "161a21f64bed8c387e0075d52765e051b2cd6bd003c3223d65303870bdce6b60",
+}
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    graph, col, report = d / "g.graph", d / "g.col", d / "r.json"
+    got = {}
+
+    def run(argv, name=None):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = main(argv)
+        assert rc == 0, argv
+        if name:
+            got[name] = buf.getvalue().encode()
+
+    run(["gen", "--kind", "random", "--n", "300", "--p", "0.1", "--seed", "5",
+         "-o", str(graph)])
+    run(["construct", str(graph), "-o", str(col), "--report", str(report)],
+        "construct stdout")
+    run(["verify", str(graph), str(col), "--json"], "verify --json stdout")
+    got.update(graph=graph.read_bytes(), colouring=col.read_bytes(),
+               report=report.read_bytes())
+    return got
+
+
+@pytest.mark.parametrize("name", list(DIGESTS))
+def test_output_bytes_unchanged(outputs, name):
+    assert hashlib.sha256(outputs[name]).hexdigest() == DIGESTS[name]

@@ -1,11 +1,12 @@
-"""The optimised greedy_nsd, properize, repair_small_degree and recolour_H
-return exactly what the reference implementations in reference_construct.py
-return.
+"""The optimised greedy_nsd, properize, repair_small_degree, compute_risky
+and recolour_H return exactly what the reference implementations in
+reference_construct.py return.
 
 Graphs come from hypothesis (n <= 40, plus edgeless graphs, K2 and complete
 graphs) and from the acceptance grid points with n <= 500. Class assignments
 for properize are drawn with few classes and narrow fixed widths, so the
-alternating-path swap and ClassWidthError paths both run.
+alternating-path swap and ClassWidthError paths both run; fixed small cases
+pin a swap that moves a slot and one whose path ends at the other endpoint.
 """
 
 import numpy as np
@@ -51,6 +52,13 @@ def assert_same_properize(g, state, width):
     assert_same_state(properize(g, state, width), old)
 
 
+def assert_same_risky(g, state, p, scale):
+    risk = RiskParams(p, scale=scale)
+    new = compute_risky(g, state, p, risk)
+    assert new == ref.compute_risky(g, state, p, risk)
+    assert all(type(w) is int for row in new for w in row)
+
+
 def assert_same_repair(g, cs):
     new, new_count = repair_small_degree(g, cs)
     old, old_count = ref.repair_small_degree(g, cs)
@@ -63,6 +71,21 @@ def graphs(draw, max_n=40):
     n = draw(st.integers(0, max_n))
     p = draw(st.sampled_from([0.0, 0.05, 0.15, 0.3, 0.6, 1.0]))
     return random_graph(n, p, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def hub_graphs(draw, max_n=40):
+    """A random graph plus a few hubs joined to many vertices, so that small
+    and large vertices (3*degree >= max_degree) sit side by side."""
+    g = draw(graphs(max_n=max_n))
+    n = g.n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hubs = min(n, draw(st.integers(0, 3)))
+    near = np.repeat(np.arange(hubs), n)
+    far = np.tile(np.arange(n), hubs)
+    keep = (near != far) & (rng.random(near.size) < 0.7)
+    return Graph(n, np.concatenate([np.stack([g.edge_u, g.edge_v], axis=1),
+                                    np.stack([near[keep], far[keep]], axis=1)]))
 
 
 def lemma_state(g, rng, classes):
@@ -104,6 +127,17 @@ def test_repair_matches_reference(g, seed, top):
     assert_same_repair(g, construction_state(g, np.random.default_rng(seed), top))
 
 
+@settings(max_examples=150)
+@given(g=hub_graphs(), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.0, 1.0, 2.0]))
+def test_risky_matches_reference(g, seed, scale):
+    p = LemmaParams(g.max_degree, slack=2.0)
+    rng = np.random.default_rng(seed)
+    state = lemma_state(g, rng, 3)
+    state.c1 = rng.integers(1, p.r1 + 1, size=g.n, dtype=np.int64)
+    assert_same_risky(g, state, p, scale)
+
+
 @pytest.mark.parametrize("g", [Graph(0, []), Graph(1, []), Graph(5, []),
                                Graph(2, [(0, 1)])]
                          + [complete_graph(n) for n in (3, 4, 7, 12, 20)],
@@ -133,6 +167,8 @@ def test_grid_points_match_reference(n, mean):
     cs = properize(g, r2.state, None)
     assert_same_state(cs, ref.properize(g, r2.state, None))
     assert_same_repair(g, cs)
+    for scale in (0.0, 1.0, 2.0):
+        assert_same_risky(g, r2.state, p, scale)
 
 
 @pytest.mark.parametrize("scale", [0.0, 1.0])
@@ -151,3 +187,55 @@ def test_recolour_matches_reference(n, mean, scale):
     old, old_info = ref.recolour_H(g, cs, h_ids, risky)
     assert new_info == old_info
     assert_same_state(new, old)
+
+
+# ---------------------------------------------------------------------------
+# the alternating-path swap, pinned on small cases
+
+
+def one_class_edges(g, vertex_classes):
+    """Every edge in class 1; vertex classes as given."""
+    return LemmaState(np.ones(g.n, dtype=np.int64), np.ones(g.m, dtype=np.int64),
+                      np.array(vertex_classes, dtype=np.int64),
+                      np.ones(g.m, dtype=np.int64))
+
+
+def test_swap_moves_a_slot():
+    # edges by id: (0,4) (1,2) (1,3) (3,4); greedy gives slots 0 0 1 and then
+    # 2 for (3,4). With width 2 the swap walks from 4 along slot 0 to vertex
+    # 0 and flips (0,4) to slot 1, so (3,4) takes slot 0. Every vertex has a
+    # class of its own, so only the edges decide the width.
+    g = Graph(5, [(0, 4), (1, 2), (1, 3), (3, 4)])
+    state = one_class_edges(g, [2, 3, 4, 5, 6])
+    swapped = ref.properize(g, state, 2)
+    greedy = ref.properize(g, state, None)
+    assert greedy.width == 3
+    assert (swapped.edge_colours - 1).tolist() == [1, 0, 1, 0]
+    assert (greedy.edge_colours - 1).tolist() == [0, 0, 1, 2]
+    assert_same_state(properize(g, state, 2), swapped)
+
+
+def test_swap_path_ending_at_u_keeps_the_overflow():
+    # triangle: (0,1) and (0,2) take slots 0 and 1, so (1,2) overflows to 2
+    # under width 2. The walk goes 2 -> 0 -> 1 and ends at u = 1, so no flip
+    # is made and the overflow slot stands: the width error asks for 3.
+    # Flipping the path anyway would leave every edge in slots 0 and 1.
+    g = Graph(3, [(0, 1), (0, 2), (1, 2)])
+    state = one_class_edges(g, [2, 3, 4])
+    with pytest.raises(ClassWidthError) as old:
+        ref.properize(g, state, 2)
+    assert old.value.needed == 3
+    assert_same_properize(g, state, 2)
+
+
+def test_swap_flip_then_path_ending_at_u():
+    # one class on a 7-vertex graph at width 5 = max degree: edge 10 flips a
+    # three-edge path and edge 11's path then ends at its u
+    g = Graph(7, [(0, 1), (0, 4), (0, 5), (1, 3), (1, 5), (1, 6), (2, 3),
+                  (2, 4), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)])
+    state = one_class_edges(g, [1] * 7)
+    with pytest.raises(ClassWidthError):
+        ref.properize(g, state, 5)
+    assert_same_properize(g, state, 5)
+    for width in (6, 7, None):
+        assert_same_properize(g, state, width)

@@ -5,9 +5,10 @@ reference_graph.py give.
 Graphs come from hypothesis: edge lists with repeats in both orientations,
 isolated vertices and n = 0, passed as pairs and as arrays. Compared are
 every view and lookup, the error text on planted bad edges, the full ordered
-violation list on colourings with planted clash groups, and the result or
-error text of both parsers on regular files with planted faults and on the
-fuzz texts of test_parsers_fuzz.py.
+violation list on colourings with planted clash groups, the result or error
+text of both parsers on regular files with planted faults and on the fuzz
+texts of test_parsers_fuzz.py, and the text write_colouring writes (n = 0,
+m = 0 and colours up to 2^63 - 1 included).
 """
 
 import numpy as np
@@ -124,6 +125,28 @@ def test_check_proper_matches_reference(drawn):
     n, pairs, c = drawn
     assert check_proper(Graph(n, pairs), c) == \
         ref.check_proper(ref.Graph(n, pairs), c)
+
+
+@settings(max_examples=200)
+@given(edge_lists(), st.sampled_from([1, 9, 2**62, 2**63 - 1]), st.data())
+def test_write_colouring_matches_reference(drawn, k, data):
+    # colours up to k, so near 2^63 for the largest k; n = 0 and m = 0 occur
+    n, pairs = drawn
+    g = Graph(n, pairs)
+    colours = st.integers(max(1, k - 5), k) | st.integers(1, k)
+    c = TotalColouring(data.draw(st.lists(colours, min_size=n, max_size=n)),
+                       data.draw(st.lists(colours, min_size=g.m, max_size=g.m)),
+                       k)
+    assert write_colouring(g, c) == ref.write_colouring(g, c)
+
+
+@pytest.mark.parametrize("g", [Graph(0, []), Graph(3, []), random_graph(40, 0.2, seed=1)],
+                         ids=repr)
+def test_write_colouring_edge_cases_match_reference(g):
+    c = greedy_nsd(g)
+    assert write_colouring(g, c) == ref.write_colouring(g, c)
+    top = TotalColouring(np.full(g.n, 2**63 - 1), np.full(g.m, 2**63 - 2), 2**63 - 1)
+    assert write_colouring(g, top) == ref.write_colouring(g, top)
 
 
 def test_check_proper_on_a_large_corrupted_colouring():
