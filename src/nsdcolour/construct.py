@@ -95,6 +95,24 @@ def _members(cls: np.ndarray) -> list[list[int]]:
     return [grp.tolist() for grp in np.split(order, cuts) if grp.size]
 
 
+def _incidences(g: Graph, verts: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The neighbours and incident edge ids of each of verts, one run per
+    vertex in the order of verts, each run ascending by neighbour; and where
+    each run ends. The runs are slices of Graph._vertex_order, so no
+    per-vertex view is built."""
+    deg = g.degrees[verts]
+    ends = np.cumsum(deg)
+    first = np.cumsum(g.degrees) - g.degrees
+    pos = (np.repeat(first[verts] - (ends - deg), deg)
+           + np.arange(int(ends[-1]) if ends.size else 0))
+    at = g._vertex_order[pos]
+    ids = at % max(g.m, 1)
+    # at < m is an edge (w, x) met at its larger end x, so w is the far end
+    far = np.where(at < g.m, g.edge_u[ids], g.edge_v[ids])
+    return far, ids, ends
+
+
 def _colour_class_edges(g: Graph, edge_u: list[int], edge_v: list[int],
                         c3e: list[int], edge_ids: list[int], width_hint,
                         e_slot: list[int]) -> None:
@@ -273,11 +291,10 @@ def select_H(g: Graph, p: LemmaParams, seed: int,
     pickers = np.nonzero((3 * deg >= p.delta) & (deg > 0))[0]
     cap = p.caps["dH"]
 
-    picks: dict[int, np.ndarray] = {}
-    for v in pickers:
-        inc = np.array(g.incident_edges(int(v)), dtype=np.int64)
-        k = min(2, inc.size)
-        picks[int(v)] = rng.choice(inc, size=k, replace=False)
+    _, inc, ends = _incidences(g, pickers)
+    runs = dict(zip(pickers.tolist(), np.split(inc, ends[:-1])))
+    picks = {v: rng.choice(run, size=min(2, run.size), replace=False)
+             for v, run in runs.items()}
 
     rounds = 0
     valid = True
@@ -296,11 +313,10 @@ def select_H(g: Graph, p: LemmaParams, seed: int,
             valid = False
             break
         v = int(over[0])
-        redraw = sorted(w for w in ([v] + list(g.adjacency[v])) if w in picks)
-        for w in redraw:
-            inc = np.array(g.incident_edges(w), dtype=np.int64)
-            k = min(2, inc.size)
-            picks[w] = rng.choice(inc, size=k, replace=False)
+        nbrs = _incidences(g, over[:1])[0].tolist()
+        for w in sorted(w for w in [v, *nbrs] if w in runs):
+            picks[w] = rng.choice(runs[w], size=min(2, runs[w].size),
+                                  replace=False)
         rounds += 1
     return HSelection(h, rounds, valid, cap)
 
@@ -374,29 +390,41 @@ def recolour_H(g: Graph, state: ConstructionState, h_edge_ids,
     return st, ReserveInfo(base, planned, top_used, grew)
 
 
-def _clear_sum_ties(g: Graph, vc: list[int], ec: list[int], sums: list[int],
-                    vertices) -> int:
-    """Recolour each listed vertex whose sum equals a neighbour's, in order.
+def _clear_sum_ties(g: Graph, vc: list[int], ec: np.ndarray, sums: np.ndarray,
+                    keep: np.ndarray) -> int:
+    """Recolour each vertex of the mask keep whose sum equals a neighbour's,
+    in ascending order.
 
     The new colour is the smallest one avoiding neighbour vertex colours,
-    incident edge colours, and every neighbour's current sum. vc and sums are
-    updated in place; returns how many vertices were recoloured.
+    incident edge colours, and every neighbour's current sum. A move changes
+    only the moved vertex's sum, to one no neighbour has, so a vertex with no
+    tie at the start never gets one: only the endpoints of edges whose sums
+    are equal at the start are scanned. vc is updated in place; returns how
+    many vertices were recoloured.
     """
+    tie = sums[g.edge_u] == sums[g.edge_v]
+    tied = np.zeros(g.n, dtype=bool)
+    tied[g.edge_u[tie]] = True
+    tied[g.edge_v[tie]] = True
+    verts = np.flatnonzero(tied & keep)
+    far, ids, ends = _incidences(g, verts)
+    far, cols, sums = far.tolist(), ec[ids].tolist(), sums.tolist()
     moved = 0
-    for v in vertices:
-        nbrs = g.adjacency[v]
+    start = 0
+    for v, end in zip(verts.tolist(), ends.tolist()):
+        nbrs = far[start:end]
         nb_sums = {sums[w] for w in nbrs}
-        if sums[v] not in nb_sums:
-            continue
-        forbid = {vc[w] for w in nbrs}
-        forbid.update(ec[e] for e in g.incident_edges(v))
-        body = sums[v] - vc[v]
-        c = 1
-        while c in forbid or body + c in nb_sums:
-            c += 1
-        vc[v] = c
-        sums[v] = body + c
-        moved += 1
+        if sums[v] in nb_sums:
+            forbid = {vc[w] for w in nbrs}
+            forbid.update(cols[start:end])
+            body = sums[v] - vc[v]
+            c = 1
+            while c in forbid or body + c in nb_sums:
+                c += 1
+            vc[v] = c
+            sums[v] = body + c
+            moved += 1
+        start = end
     return moved
 
 
@@ -411,9 +439,9 @@ def repair_small_degree(g: Graph, state: ConstructionState) -> tuple[Constructio
     """
     st = state.copy()
     vc = st.vertex_colours.tolist()
-    sums = vertex_sums(g, st.vertex_colours, st.edge_colours).tolist()
-    small = [v for v, d in enumerate(g.degrees.tolist()) if 3 * d < g.max_degree]
-    repaired = _clear_sum_ties(g, vc, st.edge_colours.tolist(), sums, small)
+    sums = vertex_sums(g, st.vertex_colours, st.edge_colours)
+    repaired = _clear_sum_ties(g, vc, st.edge_colours, sums,
+                               3 * g.degrees < g.max_degree)
     st.vertex_colours[:] = vc
     return st, repaired
 
@@ -426,30 +454,45 @@ def greedy_nsd(g: Graph) -> TotalColouring:
     sweep separating equal neighbour sums. Span is at most 3*max_degree + 1
     (and exactly 3 on a single edge).
 
-    Vertices, then edges in id order, take the lowest free colour. Each
-    vertex keeps a bitmask of the colours at it (its own, its coloured edges,
-    and bit 0), so an edge's pick is one OR of its endpoints' masks: O(m)
-    bitmask operations instead of rescanning incident edges.
+    Vertices in ascending order, then edges in id order, take the lowest
+    free colour. A vertex reads its lower neighbours from a stable argsort
+    of edge_v taken from Graph._vertex_order. Each vertex keeps a bitmask of
+    the colours at it (its own, its coloured edges, and bit 0), so an edge's
+    pick is one OR of its endpoints' masks. Edge ids are sorted by (u, v),
+    so the edges of each u to its higher neighbours are one id run, over
+    which u's mask stays in a local. The edge pass keeps colours, not bits:
+    a list of bits several hundred wide costs megabytes.
     """
-    vc = [0] * g.n
-    for v in range(g.n):
+    n = g.n
+    # the entries of Graph._vertex_order below m, the edges (w, v), w < v, met
+    # at v, are a stable argsort of edge_v: grouped by v with w ascending
+    order = g._vertex_order
+    lower = g.edge_u[order[order < g.m]].tolist()
+    vc = [0] * n
+    start = 0
+    for v, end in enumerate(np.cumsum(np.bincount(g.edge_v, minlength=n)).tolist()):
         used = 1
-        for w in g.adjacency[v]:
-            if w >= v:
-                break
+        for w in lower[start:end]:
             used |= 1 << vc[w]
-        vc[v] = _lowest_free(used)
+        vc[v] = ((used + 1) & ~used).bit_length() - 1
+        start = end
     used = [1 | (1 << c) for c in vc]
+    higher = g.edge_v.tolist()
     ec = []
-    for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
-        c = _lowest_free(used[u] | used[v])
-        ec.append(c)
-        used[u] |= 1 << c
-        used[v] |= 1 << c
-    sums = vertex_sums(g, np.array(vc, dtype=np.int64),
-                       np.array(ec, dtype=np.int64)).tolist()
-    _clear_sum_ties(g, vc, ec, sums, range(g.n))
-    return TotalColouring(vc, ec, max([1, *vc, *ec]))
+    start = 0
+    for u, end in enumerate(np.cumsum(np.bincount(g.edge_u, minlength=n)).tolist()):
+        mask = used[u]
+        for v in higher[start:end]:
+            taken = mask | used[v]
+            bit = (taken + 1) & ~taken
+            ec.append(bit.bit_length() - 1)
+            mask |= bit
+            used[v] |= bit
+        start = end
+    ec = np.array(ec, dtype=np.int64)
+    sums = vertex_sums(g, np.array(vc, dtype=np.int64), ec)
+    _clear_sum_ties(g, vc, ec, sums, np.ones(n, dtype=bool))
+    return TotalColouring(vc, ec, max(1, *vc, int(ec.max(initial=1))))
 
 
 # ---------------------------------------------------------------------------

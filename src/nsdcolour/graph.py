@@ -20,6 +20,9 @@ import numpy as np
 # still admits K_{2,Δ} at the Δ where the strict lemma first becomes feasible.
 MAX_VERTICES = 10 ** 7
 
+# doubles per draw of random_graph's stream
+_DRAW_BLOCK = 1 << 16
+
 
 class GraphError(ValueError):
     """Invalid graph structure (self-loop, endpoint out of range, ...)."""
@@ -320,11 +323,17 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
         raise GenerationError(f"p={p} outside [0, 1]")
     _check_vertex_count(n)
     rng = np.random.default_rng(seed)
-    # one draw per row u, over the candidate neighbours u+1 .. n-1
-    far = [u + 1 + np.nonzero(rng.random(n - u - 1) < p)[0] for u in range(n - 1)]
-    near = np.repeat(np.arange(len(far)), [len(row) for row in far])
-    far_all = np.concatenate(far) if far else np.zeros(0, dtype=np.int64)
-    return Graph(n, np.stack([near, far_all], axis=1))
+    # one draw per candidate pair, row u over the neighbours u+1 .. n-1, rows
+    # in order. random(a + b) returns random(a) then random(b), so the stream
+    # is drawn in blocks and each hit mapped back to its row and column.
+    rows = np.arange(n - 1, 0, -1)
+    offsets = np.cumsum(rows) - rows
+    total = n * (n - 1) // 2
+    hits = [start + np.flatnonzero(rng.random(min(_DRAW_BLOCK, total - start)) < p)
+            for start in range(0, total, _DRAW_BLOCK)]
+    hits = np.concatenate(hits) if hits else np.zeros(0, dtype=np.int64)
+    near = np.searchsorted(offsets, hits, side="right") - 1
+    return Graph(n, np.stack([near, hits - offsets[near] + near + 1], axis=1))
 
 
 def regular_graph(n: int, d: int, seed: int) -> Graph:

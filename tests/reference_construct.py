@@ -1,7 +1,8 @@
 """Reference copies of the construction hot paths as they were before the
 bitmask and class-sorted rewrites, of ``recolour_H`` as it was before it
-moved onto Python lists, and of ``compute_risky`` as it was before it was
-built from one mask over the vertex-ordered edge list.
+moved onto Python lists, of ``compute_risky`` as it was before it was
+built from one mask over the vertex-ordered edge list, and of ``select_H``
+as it was when it read the per-vertex incident-edge and adjacency views.
 
 The functions below are kept verbatim (only the imports differ) so that
 tests/test_equivalence.py can check that the optimised versions in
@@ -14,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from nsdcolour.colouring import TotalColouring, vertex_sums
-from nsdcolour.construct import (ClassWidthError, ConstructionState, ReserveInfo,
-                                 RiskParams)
+from nsdcolour.construct import (ClassWidthError, ConstructionState,
+                                 HSelection, ReserveInfo, RiskParams)
 from nsdcolour.graph import Graph
 from nsdcolour.lemma import LemmaParams, LemmaState
 
@@ -282,3 +283,46 @@ def compute_risky(g: Graph, st: LemmaState, p: LemmaParams,
     for v in range(g.n):
         risky[v].sort()
     return risky
+
+
+def select_H(g: Graph, p: LemmaParams, seed: int,
+             max_rounds: int = 100) -> HSelection:
+    """Each large vertex (3*degree >= max_degree) picks two distinct incident
+    edges (one if its degree is one); the union is resampled until every
+    vertex touches at most cap picked edges.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    deg = g.degrees
+    pickers = np.nonzero((3 * deg >= p.delta) & (deg > 0))[0]
+    cap = p.caps["dH"]
+
+    picks: dict[int, np.ndarray] = {}
+    for v in pickers:
+        inc = np.array(g.incident_edges(int(v)), dtype=np.int64)
+        k = min(2, inc.size)
+        picks[int(v)] = rng.choice(inc, size=k, replace=False)
+
+    rounds = 0
+    valid = True
+    while True:
+        if picks:
+            h = np.unique(np.concatenate(list(picks.values())))
+        else:
+            h = np.array([], dtype=np.int64)
+        dh = np.bincount(
+            np.concatenate([g.edge_u[h], g.edge_v[h]]) if h.size else
+            np.array([], dtype=np.int64), minlength=g.n)
+        over = np.nonzero(dh > cap)[0]
+        if over.size == 0:
+            break
+        if rounds >= max_rounds:
+            valid = False
+            break
+        v = int(over[0])
+        redraw = sorted(w for w in ([v] + list(g.adjacency[v])) if w in picks)
+        for w in redraw:
+            inc = np.array(g.incident_edges(w), dtype=np.int64)
+            k = min(2, inc.size)
+            picks[w] = rng.choice(inc, size=k, replace=False)
+        rounds += 1
+    return HSelection(h, rounds, valid, cap)

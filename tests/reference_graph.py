@@ -1,6 +1,7 @@
 """Reference copies of ``Graph``, ``parse_graph``, ``parse_colouring`` and
-``check_proper`` as they were before the array-first rewrite, and of
-``write_colouring`` as it was before it formatted from flattened arrays.
+``check_proper`` as they were before the array-first rewrite, of
+``write_colouring`` as it was before it formatted from flattened arrays, and
+of ``random_graph`` as it was when it drew one block per row.
 
 The code below is kept verbatim (only the imports differ) so that
 tests/test_graph_reference.py can check that the array-built graph, the
@@ -18,7 +19,9 @@ import numpy as np
 
 from nsdcolour.colouring import (ColouringError, ColouringParseError,
                                  TotalColouring, Violation, _check_shapes)
-from nsdcolour.graph import GraphError, GraphParseError
+from nsdcolour.graph import Graph as ArrayGraph
+from nsdcolour.graph import (GenerationError, GraphError, GraphParseError,
+                             _check_vertex_count)
 
 
 class Graph:
@@ -264,3 +267,18 @@ def write_colouring(g: Graph, c: TotalColouring) -> str:
                              c.edge_colours.tolist())
     )
     return "\n".join(lines) + "\n"
+
+
+def random_graph(n: int, p: float, seed: int) -> ArrayGraph:
+    """Erdos-Renyi G(n, p), deterministic for a given seed."""
+    if n < 0:
+        raise GenerationError("n must be non-negative")
+    if not (0.0 <= p <= 1.0):
+        raise GenerationError(f"p={p} outside [0, 1]")
+    _check_vertex_count(n)
+    rng = np.random.default_rng(seed)
+    # one draw per row u, over the candidate neighbours u+1 .. n-1
+    far = [u + 1 + np.nonzero(rng.random(n - u - 1) < p)[0] for u in range(n - 1)]
+    near = np.repeat(np.arange(len(far)), [len(row) for row in far])
+    far_all = np.concatenate(far) if far else np.zeros(0, dtype=np.int64)
+    return ArrayGraph(n, np.stack([near, far_all], axis=1))

@@ -1,10 +1,12 @@
 """Byte-identity gate for the CLI on one fixed graph.
 
-``gen``, ``construct -o --report`` and ``verify --json`` run on a random
-graph with n=300 (p=0.1, seed 5: max degree 45, the pipeline's colouring
-is kept and every large-large edge is risky). The sha256 of every file and
-stdout they write must equal the digest recorded before the array rewrite
-of properize and compute_risky. A change that moves any of these bytes has
+``gen``, ``construct -o --report``, ``verify --json`` and
+``construct --greedy -o`` run on a random graph with n=300 (p=0.1, seed 5:
+max degree 45, the pipeline's colouring is kept and every large-large edge
+is risky). The sha256 of every file and stdout they write must equal the
+digest recorded before the array rewrite of properize and compute_risky, or,
+for ``construct --greedy``, before greedy_nsd moved onto edge runs and a
+sweep over tied vertices only. A change that moves any of these bytes has
 changed the colouring, the report or the file format; record new digests
 only for a change that means to.
 """
@@ -23,6 +25,8 @@ DIGESTS = {
     "report": "48bb208e2d2875bc138641138bc5a350ada50a97fb4860c3ec87e4909f04673b",
     "construct stdout": "c95eaf61952d5b1c5fb44f06026a1dbea9ebb6e77303f8a19dcfb7afb41411d6",
     "verify --json stdout": "161a21f64bed8c387e0075d52765e051b2cd6bd003c3223d65303870bdce6b60",
+    "greedy colouring": "3a952b667817b151589de61675a811985abe25e8798679aca0bec489757cc690",
+    "construct --greedy stdout": "75ceda62b3df18ee9676104fe3aa2ed04b69c5a850030350fee99fd640a3c2f3",
 }
 
 
@@ -30,6 +34,7 @@ DIGESTS = {
 def outputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("golden")
     graph, col, report = d / "g.graph", d / "g.col", d / "r.json"
+    greedy = d / "greedy.col"
     got = {}
 
     def run(argv, name=None):
@@ -45,8 +50,11 @@ def outputs(tmp_path_factory):
     run(["construct", str(graph), "-o", str(col), "--report", str(report)],
         "construct stdout")
     run(["verify", str(graph), str(col), "--json"], "verify --json stdout")
+    run(["construct", str(graph), "--greedy", "-o", str(greedy)],
+        "construct --greedy stdout")
     got.update(graph=graph.read_bytes(), colouring=col.read_bytes(),
                report=report.read_bytes())
+    got["greedy colouring"] = greedy.read_bytes()
     return got
 
 

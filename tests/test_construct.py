@@ -317,6 +317,19 @@ def test_construct_valid_mid_size():
     assert rep.reference_bound == reference_span_bound(g.max_degree)
 
 
+@pytest.mark.parametrize("n,p,seed,capped", [
+    (2000, float(f"{150 / 1999:.6f}"), 0, True), (500, 0.05, 1, False)])
+def test_construct_builds_no_tuple_views(n, p, seed, capped):
+    # the capped run (a grid point) serves greedy_nsd from the band floor;
+    # the uncapped one runs every phase and keeps the pipeline's colouring
+    g = random_graph(n, p, seed=seed)
+    cap = 3 * g.max_degree + 10 if capped else None
+    col, rep = construct(g, ConstructConfig(span_cap=cap))
+    assert rep.valid and rep.fallback_used == capped
+    # the per-vertex tuple views of Graph, built on first use
+    assert not {"edges", "adjacency", "_incident"} & set(vars(g))
+
+
 def test_construct_span_cap_substitutes_fallback():
     g = random_graph(500, 0.05, seed=41)
     cap = 3 * g.max_degree + 10

@@ -1,12 +1,14 @@
-"""The optimised greedy_nsd, properize, repair_small_degree, compute_risky
-and recolour_H return exactly what the reference implementations in
+"""The optimised greedy_nsd, properize, repair_small_degree, compute_risky,
+select_H and recolour_H return exactly what the reference implementations in
 reference_construct.py return.
 
 Graphs come from hypothesis (n <= 40, plus edgeless graphs, K2 and complete
-graphs) and from the acceptance grid points with n <= 500. Class assignments
-for properize are drawn with few classes and narrow fixed widths, so the
-alternating-path swap and ClassWidthError paths both run; fixed small cases
-pin a swap that moves a slot and one whose path ends at the other endpoint.
+graphs) and from the acceptance grid points: greedy_nsd on all ten, the
+pipeline phases on those with n <= 500. Class assignments for properize are
+drawn with few classes and narrow fixed widths, so the alternating-path swap
+and ClassWidthError paths both run; fixed small cases pin a swap that moves
+a slot and one whose path ends at the other endpoint. select_H also runs
+under lowered pick-degree caps, so its redraw rounds and the round limit run.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from nsdcolour import (ClassWidthError, ConstructionState, Graph, LemmaParams,
                        greedy_nsd, properize, random_graph, recolour_H,
                        repair_small_degree, resample_until_valid, select_H,
                        stage_two)
+from test_acceptance import GRID
 
 
 def same_array(a, b):
@@ -57,6 +60,24 @@ def assert_same_risky(g, state, p, scale):
     new = compute_risky(g, state, p, risk)
     assert new == ref.compute_risky(g, state, p, risk)
     assert all(type(w) is int for row in new for w in row)
+
+
+def assert_same_select(g, p, seed, max_rounds=100):
+    new = select_H(g, p, seed, max_rounds)
+    old = ref.select_H(g, p, seed, max_rounds)
+    assert same_array(new.edge_ids, old.edge_ids)
+    assert (new.rounds, new.valid, new.cap) == (old.rounds, old.valid, old.cap)
+    return new
+
+
+def capped_params(g, cap):
+    """LemmaParams whose pick-degree cap is lowered to cap. At slack 2 the
+    cap is 30*ln(max degree) or more (the log floored at 1), above any picked
+    degree these graphs reach, so the redraw rounds run only under a lowered
+    cap."""
+    p = LemmaParams(g.max_degree, slack=2.0)
+    p.caps = {**p.caps, "dH": cap}
+    return p
 
 
 def assert_same_repair(g, cs):
@@ -138,6 +159,24 @@ def test_risky_matches_reference(g, seed, scale):
     assert_same_risky(g, state, p, scale)
 
 
+@settings(max_examples=150)
+@given(g=hub_graphs(), seed=st.integers(0, 2**32 - 1),
+       cap=st.sampled_from([None, 1, 2, 3, 5]),
+       max_rounds=st.sampled_from([0, 2, 100]))
+def test_select_matches_reference(g, seed, cap, max_rounds):
+    p = (LemmaParams(g.max_degree, slack=2.0) if cap is None
+         else capped_params(g, cap))
+    assert_same_select(g, p, seed, max_rounds)
+
+
+def test_select_redraws_match_reference():
+    g = random_graph(100, 0.2, seed=4)
+    h = assert_same_select(g, capped_params(g, 6), seed=5)
+    assert h.rounds == 10 and h.valid
+    h = assert_same_select(g, capped_params(g, 4), seed=5, max_rounds=5)
+    assert h.rounds == 5 and not h.valid
+
+
 @pytest.mark.parametrize("g", [Graph(0, []), Graph(1, []), Graph(5, []),
                                Graph(2, [(0, 1)])]
                          + [complete_graph(n) for n in (3, 4, 7, 12, 20)],
@@ -152,14 +191,19 @@ def test_named_graphs_match_reference(g):
 
 
 # ---------------------------------------------------------------------------
-# acceptance grid points with n <= 500, on real engine output
+# acceptance grid points, on real engine output
+
+
+@pytest.mark.parametrize("n,mean", GRID)
+def test_greedy_on_grid_points_matches_reference(n, mean):
+    # the graphs of the grid experiment, whose families give p to 6 places
+    assert_same_greedy(random_graph(n, float(f"{mean / (n - 1):.6f}"), seed=0))
 
 
 @pytest.mark.parametrize("n,mean", [(100, 8), (100, 25), (200, 12), (500, 15),
                                     (500, 60)])
 def test_grid_points_match_reference(n, mean):
     g = random_graph(n, mean / (n - 1), seed=0)
-    assert_same_greedy(g)
     p = LemmaParams(g.max_degree, slack=2.0)
     r1 = resample_until_valid(g, p, seed=1, max_rounds=200)
     r2 = stage_two(g, r1.state, p, seed=2, max_rounds=200)
@@ -169,6 +213,7 @@ def test_grid_points_match_reference(n, mean):
     assert_same_repair(g, cs)
     for scale in (0.0, 1.0, 2.0):
         assert_same_risky(g, r2.state, p, scale)
+    assert_same_select(g, p, seed=3)
 
 
 @pytest.mark.parametrize("scale", [0.0, 1.0])

@@ -7,8 +7,10 @@ isolated vertices and n = 0, passed as pairs and as arrays. Compared are
 every view and lookup, the error text on planted bad edges, the full ordered
 violation list on colourings with planted clash groups, the result or error
 text of both parsers on regular files with planted faults and on the fuzz
-texts of test_parsers_fuzz.py, and the text write_colouring writes (n = 0,
-m = 0 and colours up to 2^63 - 1 included).
+texts of test_parsers_fuzz.py, the text write_colouring writes (n = 0,
+m = 0 and colours up to 2^63 - 1 included), and the graphs random_graph
+draws on the ten acceptance grid points, on n <= 3, at p = 0 and p = 1, and
+on stream lengths that end inside or just past a draw block.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from nsdcolour import (ColouringParseError, GraphError, GraphParseError,
                        parse_colouring, parse_graph, random_graph,
                        write_colouring, write_graph)
 from nsdcolour.graph import Graph
+from test_acceptance import GRID
 from test_parsers_fuzz import (C4_TEXT, COLOURING_TEXTS, GRAPH_TEXTS,
                                declares_small_graph)
 
@@ -147,6 +150,26 @@ def test_write_colouring_edge_cases_match_reference(g):
     assert write_colouring(g, c) == ref.write_colouring(g, c)
     top = TotalColouring(np.full(g.n, 2**63 - 1), np.full(g.m, 2**63 - 2), 2**63 - 1)
     assert write_colouring(g, top) == ref.write_colouring(g, top)
+
+
+def same_random_graph(n, p, seed):
+    assert random_graph(n, p, seed) == ref.random_graph(n, p, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5])
+@pytest.mark.parametrize("n,mean", GRID)
+def test_random_graph_on_grid_points_matches_reference(n, mean, seed):
+    same_random_graph(n, float(f"{mean / (n - 1):.6f}"), seed)
+    same_random_graph(n, mean / (n - 1), seed)
+
+
+# 363 and 364 vertices make 65,703 and 66,066 pairs, streams that end just
+# past one draw block of 2^16; 512 vertices make 130,816, inside the second
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 1.0])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 363, 364, 512])
+def test_random_graph_small_and_extreme_match_reference(n, p):
+    for seed in (0, 7, 123456789):
+        same_random_graph(n, p, seed)
 
 
 def test_check_proper_on_a_large_corrupted_colouring():
