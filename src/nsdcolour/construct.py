@@ -95,24 +95,6 @@ def _members(cls: np.ndarray) -> list[list[int]]:
     return [grp.tolist() for grp in np.split(order, cuts) if grp.size]
 
 
-def _incidences(g: Graph, verts: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The neighbours and incident edge ids of each of verts, one run per
-    vertex in the order of verts, each run ascending by neighbour; and where
-    each run ends. The runs are slices of Graph._vertex_order, so no
-    per-vertex view is built."""
-    deg = g.degrees[verts]
-    ends = np.cumsum(deg)
-    first = np.cumsum(g.degrees) - g.degrees
-    pos = (np.repeat(first[verts] - (ends - deg), deg)
-           + np.arange(int(ends[-1]) if ends.size else 0))
-    at = g._vertex_order[pos]
-    ids = at % max(g.m, 1)
-    # at < m is an edge (w, x) met at its larger end x, so w is the far end
-    far = np.where(at < g.m, g.edge_u[ids], g.edge_v[ids])
-    return far, ids, ends
-
-
 def _colour_class_edges(g: Graph, edge_u: list[int], edge_v: list[int],
                         c3e: list[int], edge_ids: list[int], width_hint,
                         e_slot: list[int]) -> None:
@@ -123,7 +105,7 @@ def _colour_class_edges(g: Graph, edge_u: list[int], edge_v: list[int],
     per-vertex bitmask of the class's slots. When the pick would land at or
     above width_hint, one alternating-path swap is attempted to reuse a slot
     below it. The walk reads a vertex's already-slotted edges of the class
-    from g.incident_edges (ascending ids, below the current edge), so no
+    from its run of g.incidences (ids below the current edge), so no
     per-vertex edge lists are kept while no swap runs.
     """
     used = [0] * g.n
@@ -141,8 +123,9 @@ def _colour_class_edges(g: Graph, edge_u: list[int], edge_v: list[int],
             x, want = v, a
             seen = {v}
             while True:
-                nxt = next((f for f in g.incident_edges(x) if f < eid
-                            and c3e[f] == beta and e_slot[f] == want), None)
+                run = g.incidences([x])[1].tolist()
+                nxt = next((f for f in run if f < eid and c3e[f] == beta
+                            and e_slot[f] == want), None)
                 if nxt is None:
                     break
                 y = edge_u[nxt] if edge_v[nxt] == x else edge_v[nxt]
@@ -291,7 +274,7 @@ def select_H(g: Graph, p: LemmaParams, seed: int,
     pickers = np.nonzero((3 * deg >= p.delta) & (deg > 0))[0]
     cap = p.caps["dH"]
 
-    _, inc, ends = _incidences(g, pickers)
+    _, inc, ends = g.incidences(pickers)
     runs = dict(zip(pickers.tolist(), np.split(inc, ends[:-1])))
     picks = {v: rng.choice(run, size=min(2, run.size), replace=False)
              for v, run in runs.items()}
@@ -313,7 +296,7 @@ def select_H(g: Graph, p: LemmaParams, seed: int,
             valid = False
             break
         v = int(over[0])
-        nbrs = _incidences(g, over[:1])[0].tolist()
+        nbrs = g.incidences(over[:1])[0].tolist()
         for w in sorted(w for w in [v, *nbrs] if w in runs):
             picks[w] = rng.choice(runs[w], size=min(2, runs[w].size),
                                   replace=False)
@@ -407,7 +390,7 @@ def _clear_sum_ties(g: Graph, vc: list[int], ec: np.ndarray, sums: np.ndarray,
     tied[g.edge_u[tie]] = True
     tied[g.edge_v[tie]] = True
     verts = np.flatnonzero(tied & keep)
-    far, ids, ends = _incidences(g, verts)
+    far, ids, ends = g.incidences(verts)
     far, cols, sums = far.tolist(), ec[ids].tolist(), sums.tolist()
     moved = 0
     start = 0

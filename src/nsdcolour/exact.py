@@ -70,6 +70,15 @@ def _lower_bound(g: Graph) -> int:
     return g.max_degree + 1
 
 
+def _neighbourhoods(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
+    """Each vertex's neighbours, ascending, and its aligned incident edge
+    ids, as Python lists cut from g.incidences()."""
+    far, ids, ends = g.incidences()
+    far, ids, bounds = far.tolist(), ids.tolist(), [0, *ends.tolist()]
+    cuts = list(zip(bounds, bounds[1:]))
+    return [far[a:b] for a, b in cuts], [ids[a:b] for a, b in cuts]
+
+
 def _brute_search_k(g: Graph, k: int, chunk: int = 1 << 16):
     """First (smallest-index) valid assignment with palette {1..k}, or None.
 
@@ -81,8 +90,7 @@ def _brute_search_k(g: Graph, k: int, chunk: int = 1 << 16):
     total = k ** t
     eu, ev = g.edge_u, g.edge_v
     incident_pairs = []
-    for v in range(n):
-        inc = g.incident_edges(v)
+    for inc in _neighbourhoods(g)[1]:
         for i in range(len(inc)):
             for j in range(i + 1, len(inc)):
                 incident_pairs.append((inc[i], inc[j]))
@@ -149,39 +157,41 @@ def brute_force_chi(g: Graph, k_max: int | None = None) -> SolveResult:
 # ---------------------------------------------------------------------------
 # backtracking solver
 
-def _component_objects(g: Graph, comp: list[int]) -> list[tuple[int, int, int]]:
+def _component_objects(nbrs: list[list[int]], inc: list[list[int]],
+                       comp: list[int]) -> list[tuple[int, int, int]]:
     """BFS object list for one component: each vertex v as (-1, v, v), then
     its edges back to already-placed vertices u as (edge id, u, v), sorted by
-    u."""
+    u. nbrs and inc are the graph's _neighbourhoods."""
     placed: set[int] = set()
     objects: list[tuple[int, int, int]] = []
     for v in comp:
         objects.append((-1, v, v))
-        for u, eid in zip(g.adjacency[v], g.incident_edges(v)):
+        for u, eid in zip(nbrs[v], inc[v]):
             if u in placed:
                 objects.append((eid, u, v))
         placed.add(v)
     return objects
 
 
-def _solve_component(g: Graph, comp: list[int], k: int, counter: list[int],
+def _solve_component(nbrs: list[list[int]], inc: list[list[int]],
+                     comp: list[int], k: int, counter: list[int],
                      vc: list[int], ec: list[int], sums: list[int],
                      used: list[int], remaining: list[int]) -> bool:
     """Colour one component with palette {1..k} in place; True on success.
 
-    The lists are the search state of the whole graph, shared by all its
-    components and indexed by vertex, or by edge id for ec: vc and ec hold
-    colours (0 = unplaced), used[v] has bit c set when v or an incident edge
-    has colour c, and remaining[v] counts v's uncoloured edges, so v's sum
-    is final at 0. A failed search restores every entry it touched.
+    nbrs and inc are the graph's _neighbourhoods. The other lists are the
+    search state of the whole graph, shared by all its components and
+    indexed by vertex, or by edge id for ec: vc and ec hold colours (0 =
+    unplaced), used[v] has bit c set when v or an incident edge has colour
+    c, and remaining[v] counts v's uncoloured edges, so v's sum is final at
+    0. A failed search restores every entry it touched.
     counter[0] accumulates the number of candidate colour placements tried.
     """
-    objects = _component_objects(g, comp)
-    adjacency = g.adjacency
+    objects = _component_objects(nbrs, inc, comp)
 
     def final_clash(x: int) -> bool:
         return remaining[x] == 0 and any(
-            remaining[w] == 0 and sums[w] == sums[x] for w in adjacency[x])
+            remaining[w] == 0 and sums[w] == sums[x] for w in nbrs[x])
 
     def place(idx: int) -> bool:
         if idx == len(objects):
@@ -189,7 +199,7 @@ def _solve_component(g: Graph, comp: list[int], k: int, counter: list[int],
         eid, u, v = objects[idx]
         if eid < 0:
             banned = 0
-            for w in adjacency[v]:
+            for w in nbrs[v]:
                 banned |= 1 << vc[w]
         else:
             banned = used[u] | used[v]
@@ -228,12 +238,13 @@ def _search(g: Graph, k_max: int) -> SolveResult:
         return SolveResult(1, TotalColouring([], [], 1), 0)
     vc, ec, sums, used = [0] * g.n, [0] * g.m, [0] * g.n, [0] * g.n
     remaining = g.degrees.tolist()
+    nbrs, inc = _neighbourhoods(g)
     chi = 1
     for comp in connected_components(g):
         comp_delta = max(g.degree(v) for v in comp)
         for k in range(comp_delta + 1, k_max + 1):
-            if _solve_component(g, comp, k, counter, vc, ec, sums, used,
-                                remaining):
+            if _solve_component(nbrs, inc, comp, k, counter, vc, ec, sums,
+                                used, remaining):
                 chi = max(chi, k)
                 break
         else:
@@ -305,10 +316,7 @@ def canonical_labelling(g: Graph) -> tuple[tuple, list[int]] | None:
     """
     n = g.n
     ends = list(zip(g.edge_u.tolist(), g.edge_v.tolist()))
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in ends:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
+    nbrs = _neighbourhoods(g)[0]
     colour = [len(row) for row in nbrs]
     cells = len(set(colour))
     while True:

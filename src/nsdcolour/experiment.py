@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construct import ConstructConfig, construct, reference_span_bound
-from .exact import conjecture_sweep, solve_exact
+from .exact import conjecture_sweep
 from .graph import (GenerationError, Graph, complete_graph, cycle_graph,
                     enumerate_connected_graphs, path_graph, random_graph,
                     regular_graph)
@@ -189,12 +189,11 @@ def _solve_one(graph: Graph, graph_id: str, run_index: int,
             verdict="ok" if report.valid else "invalid",
             report=report.to_dict())
     else:
-        res = solve_exact(graph, k_max=delta + 3 + spec.k_max_extra)
-        if res.exceeded_k_max:
-            verdict, span = "unsolved", 0
-        else:
-            span = res.chi_sum_total
-            verdict = "pass" if span <= delta + 3 else "fail"
+        [row] = conjecture_sweep([(graph_id, graph)],
+                                 k_max_extra=3 + spec.k_max_extra)
+        unsolved = row["verdict"].startswith("unsolved")
+        verdict = "unsolved" if unsolved else row["verdict"]
+        span = row["chi_sum_total"] or 0
         rec = RunRecord(
             run_index=run_index, graph_id=graph_id, seed=seed,
             n=graph.n, m=graph.m, max_degree=delta, mode="exact",
@@ -202,8 +201,8 @@ def _solve_one(graph: Graph, graph_id: str, run_index: int,
             reference_bound=reference_span_bound(delta),
             span_over_delta=span / max(delta, 1),
             fallback=False, verdict=verdict,
-            report={"nodes_explored": res.nodes_explored,
-                    "exceeded_k_max": res.exceeded_k_max})
+            report={"nodes_explored": row["nodes"],
+                    "exceeded_k_max": unsolved})
     rec.wall_time_s = time.perf_counter() - t0
     return rec
 

@@ -2,8 +2,9 @@
 
 Vertices are dense 0-based integers in memory; files use 1-based ids.
 Graphs are immutable once built. They hold their edges as numpy arrays
-(sorted edge keys, endpoint arrays, degrees) and build the per-vertex Python
-views (``edges``, ``adjacency``, incident edge ids) on first use.
+(sorted edge keys, endpoint arrays, degrees). Every neighbourhood is read
+through ``Graph.incidences``: runs of one stable argsort of the doubled edge
+list, each vertex's neighbours aligned with its incident edge ids.
 """
 
 from __future__ import annotations
@@ -75,17 +76,6 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[first]
 
 
-def _pooled(values: np.ndarray, size: int) -> list[int]:
-    """values, all below size, as a list of Python ints with one int object
-    per distinct value, so that views repeating a value hold one copy."""
-    return np.arange(size).astype(object)[values].tolist()
-
-
-def _split(flat: list[int], bounds: list[int]) -> tuple[tuple[int, ...], ...]:
-    """flat cut into consecutive tuples ending at each of bounds."""
-    return tuple([tuple(flat[a:b]) for a, b in zip([0] + bounds, bounds)])
-
-
 class Graph:
     """Immutable simple undirected graph.
 
@@ -112,7 +102,7 @@ class Graph:
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(_pooled(self.edge_u, self.n), _pooled(self.edge_v, self.n)))
+        return tuple(zip(self.edge_u.tolist(), self.edge_v.tolist()))
 
     @cached_property
     def _vertex_order(self) -> np.ndarray:
@@ -124,20 +114,26 @@ class Graph:
         return np.argsort(np.concatenate([self.edge_v, self.edge_u]),
                           kind="stable")
 
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's neighbours, ascending."""
-        far = np.concatenate([self.edge_u, self.edge_v])[self._vertex_order]
-        return _split(_pooled(far, self.n), np.cumsum(self.degrees).tolist())
-
-    @cached_property
-    def _incident(self) -> tuple[tuple[int, ...], ...]:
-        ids = self._vertex_order % max(self.m, 1)
-        return _split(_pooled(ids, self.m), np.cumsum(self.degrees).tolist())
-
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        """Edge ids incident to v, ordered by the neighbour at the far end."""
-        return self._incident[v]
+    def incidences(self, verts=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The neighbours and incident edge ids of each of verts (every
+        vertex by default), one run per vertex in the order of verts, each
+        run ascending by neighbour and aligned with its edge ids; and where
+        each run ends. The runs are slices of _vertex_order."""
+        if verts is None:
+            at = self._vertex_order
+            ends = np.cumsum(self.degrees)
+        else:
+            verts = np.asarray(verts, dtype=np.int64)
+            deg = self.degrees[verts]
+            ends = np.cumsum(deg)
+            first = np.cumsum(self.degrees) - self.degrees
+            pos = (np.repeat(first[verts] - (ends - deg), deg)
+                   + np.arange(int(ends[-1]) if ends.size else 0))
+            at = self._vertex_order[pos]
+        ids = at % max(self.m, 1)
+        # at < m is an edge (w, x) met at its larger end x, so w is the far end
+        far = np.where(at < self.m, self.edge_u[ids], self.edge_v[ids])
+        return far, ids, ends
 
     def degree(self, v: int) -> int:
         return int(self.degrees[v])
@@ -390,6 +386,8 @@ def generate(kind: str, *, n: int, p: float | None = None, d: int | None = None,
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists of the connected components, each BFS-ordered from its
     smallest vertex; components sorted by smallest vertex."""
+    far, _, ends = g.incidences()
+    far, bounds = far.tolist(), [0, *ends.tolist()]
     seen = [False] * g.n
     comps: list[list[int]] = []
     for root in range(g.n):
@@ -400,7 +398,7 @@ def connected_components(g: Graph) -> list[list[int]]:
         q = deque([root])
         while q:
             v = q.popleft()
-            for u in g.adjacency[v]:
+            for u in far[bounds[v]:bounds[v + 1]]:
                 if not seen[u]:
                     seen[u] = True
                     order.append(u)

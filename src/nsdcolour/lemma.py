@@ -76,8 +76,8 @@ class LemmaParams:
     the r-scaled axis (see module docstring), "1°" splits into "1°a"/"1°b".
 
     score(d, c1) = b_unit * (d*c1 + (d/r1)*T(r1) + (d/r2)*T(r2)) with
-    T(r) = r(r+1)/2, kept as an exact Fraction (twice the score is always an
-    integer). interval_len is the float evaluation of D^{5/3} ln^{1/3} D / 3
+    T(r) = r(r+1)/2; score2_array gives twice the score, which is always an
+    integer. interval_len is the float evaluation of D^{5/3} ln^{1/3} D / 3
     converted to an exact Fraction once, so boundary membership of the
     right-closed intervals ((a-1)*len, a*len] is deterministic.
     """
@@ -146,11 +146,8 @@ class LemmaParams:
                 + "; ".join(reasons)
             )
 
-    def score2(self, d: int, c1v: int) -> int:
-        """Twice the score; integer by the closed form b_unit*d*(2c1+r1+r2+2)."""
-        return self.b_unit * d * (2 * c1v + self.r1 + self.r2 + 2)
-
     def score2_array(self, degrees: np.ndarray, c1: np.ndarray) -> np.ndarray:
+        """Twice the score; integer by the closed form b_unit*d*(2c1+r1+r2+2)."""
         return self.b_unit * degrees * (2 * c1 + self.r1 + self.r2 + 2)
 
     def __repr__(self) -> str:
@@ -354,8 +351,8 @@ def event_scope(g: Graph, v: int, prop: str):
 
     Returned as (c1 vertex ids, c2 edge ids, c3v vertex ids), each sorted.
     """
-    nbrs = list(g.adjacency[v])
-    inc = sorted(g.incident_edges(v))
+    far, ids, _ = g.incidences([v])
+    nbrs, inc = far.tolist(), sorted(ids.tolist())
     closed = sorted([v] + nbrs)
     if prop in ("I", "VI"):
         return nbrs, [], []

@@ -20,8 +20,13 @@ def recount(g, st, p, h3_edge_ids=None):
     edges = list(g.edges)
     deg = [g.degree(v) for v in range(n)]
     large = [3 * deg[v] >= p.delta for v in range(n)]
-    nbrs = [list(g.adjacency[v]) for v in range(n)]
-    inc = [list(g.incident_edges(v)) for v in range(n)]
+    nbrs = [[] for _ in range(n)]
+    inc = [[] for _ in range(n)]
+    for e, (a, b) in enumerate(edges):
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+        inc[a].append(e)
+        inc[b].append(e)
     sums = [c1[a] + c1[b] + c2[e] for e, (a, b) in enumerate(edges)]
     caps = p.caps
     out = {}
@@ -52,10 +57,7 @@ def recount(g, st, p, h3_edge_ids=None):
 
         def alpha(w):
             if w not in cache:
-                s = Fraction(p.b_unit * deg[w], 1) * (
-                    Fraction(c1[w], 1) + Fraction(p.r1 + 1, 2)
-                    + Fraction(p.r2 + 1, 2))
-                cache[w] = math.ceil(s / p.interval_len)
+                cache[w] = math.ceil(s_of(deg[w], c1[w], p) / p.interval_len)
             return cache[w]
 
         for v in range(n):
@@ -170,7 +172,8 @@ def s_of(d: int, c1v: int, p) -> Fraction:
     """Exact score of a vertex with degree d and attractor colour c1v."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    return Fraction(p.score2(d, c1v), 2)
+    return Fraction(p.b_unit * d, 1) * (
+        Fraction(c1v, 1) + Fraction(p.r1 + 1, 2) + Fraction(p.r2 + 1, 2))
 
 
 def interval_index(s, p) -> int:

@@ -1,7 +1,8 @@
 """Reference copies of ``Graph``, ``parse_graph``, ``parse_colouring`` and
 ``check_proper`` as they were before the array-first rewrite, of
 ``write_colouring`` as it was before it formatted from flattened arrays, and
-of ``random_graph`` as it was when it drew one block per row.
+of ``random_graph`` as it was when it drew one block per row. ``ViewGraph``
+gives the package Graph back the per-vertex tuple views it no longer builds.
 
 The code below is kept verbatim (only the imports differ) so that
 tests/test_graph_reference.py can check that the array-built graph, the
@@ -108,6 +109,20 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+class ViewGraph(ArrayGraph):
+    """A package Graph that also carries the frozen Graph's ``adjacency``
+    and ``incident_edges`` views, which the frozen copies in
+    reference_construct.py and reference_exact.py read."""
+
+    def __init__(self, g: ArrayGraph):
+        super().__init__(g.n, np.stack([g.edge_u, g.edge_v], axis=1))
+        frozen = Graph(g.n, self.edges)
+        self.adjacency = frozen.adjacency
+        self._incident = frozen._incident
+
+    incident_edges = Graph.incident_edges
 
 
 def parse_graph(text: str) -> Graph:

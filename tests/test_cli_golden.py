@@ -1,4 +1,4 @@
-"""Byte-identity gate for the CLI on one fixed graph.
+"""Byte-identity gate for the CLI on fixed inputs.
 
 ``gen``, ``construct -o --report``, ``verify --json`` and
 ``construct --greedy -o`` run on a random graph with n=300 (p=0.1, seed 5:
@@ -6,9 +6,18 @@ max degree 45, the pipeline's colouring is kept and every large-large edge
 is risky). The sha256 of every file and stdout they write must equal the
 digest recorded before the array rewrite of properize and compute_risky, or,
 for ``construct --greedy``, before greedy_nsd moved onto edge runs and a
-sweep over tied vertices only. A change that moves any of these bytes has
-changed the colouring, the report or the file format; record new digests
-only for a change that means to.
+sweep over tied vertices only.
+
+The exact, lemma and experiment paths have digests recorded before every
+neighbourhood was read through ``Graph.incidences``: ``exact --json
+--witness`` on a 6-vertex random graph, ``sweep`` over ``connected<=4``,
+``lemma --slack 1`` on the same n=300 graph (three stage-one resampling
+rounds, so ``event_scope`` runs) and an exact-solver experiment over
+``complete:2..5`` and ``cycle:3..7``.
+
+A change that moves any of these bytes has changed the colouring, the
+report or the file format; record new digests only for a change that means
+to.
 """
 
 import contextlib
@@ -27,7 +36,22 @@ DIGESTS = {
     "verify --json stdout": "161a21f64bed8c387e0075d52765e051b2cd6bd003c3223d65303870bdce6b60",
     "greedy colouring": "3a952b667817b151589de61675a811985abe25e8798679aca0bec489757cc690",
     "construct --greedy stdout": "75ceda62b3df18ee9676104fe3aa2ed04b69c5a850030350fee99fd640a3c2f3",
+    "exact --json stdout":
+        "8f71863f0e00771bb9b0de3168040c411ea888dd1520087d9c730b3152c39bfa",
+    "exact witness":
+        "be38da3348ec9a5e407e708217164a988d9c1c7dbaa0699a8744ef36c998deb9",
+    "sweep connected<=4":
+        "f0c92c8810c36e5a152bd0c37c1368130369189cc43ae3130748edcb64713e0e",
+    "lemma stdout":
+        "a4e4f1b5638927ded8352b2bd543b7c067f390bd8d48253fde78ec9cc83f03a0",
+    "exact experiment csv":
+        "1aac655b32cb05b9177d3c35b76ae9d63d67219ad53625bd7f78e7dee9701a15",
+    "exact experiment summary":
+        "eb069abed49cb354fc29d62c62980aa2db10589c4c9fcce1d3f688473413dfd5",
 }
+
+EXACT_SPEC = ('{"name": "exact-small", "seed": 0, "solver": "exact", '
+              '"families": ["complete:2..5", "cycle:3..7"]}')
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +59,10 @@ def outputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("golden")
     graph, col, report = d / "g.graph", d / "g.col", d / "r.json"
     greedy = d / "greedy.col"
+    small, witness = d / "g6.graph", d / "g6.col"
+    sweep, spec = d / "sweep.csv", d / "spec.json"
+    csv, summary = d / "exp.csv", d / "exp.json"
+    spec.write_text(EXACT_SPEC)
     got = {}
 
     def run(argv, name=None):
@@ -52,9 +80,21 @@ def outputs(tmp_path_factory):
     run(["verify", str(graph), str(col), "--json"], "verify --json stdout")
     run(["construct", str(graph), "--greedy", "-o", str(greedy)],
         "construct --greedy stdout")
+    run(["gen", "--kind", "random", "--n", "6", "--p", "0.5", "--seed", "3",
+         "-o", str(small)])
+    run(["exact", str(small), "--json", "--witness", str(witness)],
+        "exact --json stdout")
+    run(["sweep", "--family", "connected<=4", "-o", str(sweep)])
+    run(["lemma", "--delta", "45", "--graph", str(graph), "--slack", "1"],
+        "lemma stdout")
+    run(["experiment", str(spec), "--csv", str(csv), "--summary", str(summary)])
     got.update(graph=graph.read_bytes(), colouring=col.read_bytes(),
                report=report.read_bytes())
     got["greedy colouring"] = greedy.read_bytes()
+    got["exact witness"] = witness.read_bytes()
+    got["sweep connected<=4"] = sweep.read_bytes()
+    got["exact experiment csv"] = csv.read_bytes()
+    got["exact experiment summary"] = summary.read_bytes()
     return got
 
 

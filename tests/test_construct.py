@@ -119,7 +119,8 @@ def test_risky_respects_window():
     risky = compute_risky(g, st, p, risk)
     s2 = p.score2_array(g.degrees, st.c1)
     for v in range(6):
-        assert risky[v] == [u for u in g.adjacency[v] if s2[u] == s2[v]]
+        nbrs = g.incidences([v])[0].tolist()
+        assert risky[v] == [u for u in nbrs if s2[u] == s2[v]]
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +327,10 @@ def test_construct_builds_no_tuple_views(n, p, seed, capped):
     cap = 3 * g.max_degree + 10 if capped else None
     col, rep = construct(g, ConstructConfig(span_cap=cap))
     assert rep.valid and rep.fallback_used == capped
-    # the per-vertex tuple views of Graph, built on first use
-    assert not {"edges", "adjacency", "_incident"} & set(vars(g))
+    # the arrays Graph.__init__ builds and the one argsort every
+    # neighbourhood is read from; not the edges tuple view
+    assert set(vars(g)) == {"n", "m", "_keys", "edge_u", "edge_v", "degrees",
+                            "max_degree", "_vertex_order"}
 
 
 def test_construct_span_cap_substitutes_fallback():

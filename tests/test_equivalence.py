@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_construct as ref
+from reference_graph import ViewGraph
 from nsdcolour import (ClassWidthError, ConstructionState, Graph, LemmaParams,
                        LemmaState, RiskParams, complete_graph, compute_risky,
                        greedy_nsd, properize, random_graph, recolour_H,
@@ -30,7 +31,7 @@ def same_array(a, b):
 
 
 def assert_same_greedy(g):
-    new, old = greedy_nsd(g), ref.greedy_nsd(g)
+    new, old = greedy_nsd(g), ref.greedy_nsd(ViewGraph(g))
     assert same_array(new.vertex_colours, old.vertex_colours)
     assert same_array(new.edge_colours, old.edge_colours)
     assert new.k == old.k
@@ -46,7 +47,7 @@ def assert_same_state(new, old):
 def assert_same_properize(g, state, width):
     """The same state, or a ClassWidthError with the same need."""
     try:
-        old = ref.properize(g, state, width)
+        old = ref.properize(ViewGraph(g), state, width)
     except ClassWidthError as exc:
         with pytest.raises(ClassWidthError) as got:
             properize(g, state, width)
@@ -64,7 +65,7 @@ def assert_same_risky(g, state, p, scale):
 
 def assert_same_select(g, p, seed, max_rounds=100):
     new = select_H(g, p, seed, max_rounds)
-    old = ref.select_H(g, p, seed, max_rounds)
+    old = ref.select_H(ViewGraph(g), p, seed, max_rounds)
     assert same_array(new.edge_ids, old.edge_ids)
     assert (new.rounds, new.valid, new.cap) == (old.rounds, old.valid, old.cap)
     return new
@@ -82,7 +83,7 @@ def capped_params(g, cap):
 
 def assert_same_repair(g, cs):
     new, new_count = repair_small_degree(g, cs)
-    old, old_count = ref.repair_small_degree(g, cs)
+    old, old_count = ref.repair_small_degree(ViewGraph(g), cs)
     assert new_count == old_count
     assert_same_state(new, old)
 
@@ -209,7 +210,7 @@ def test_grid_points_match_reference(n, mean):
     r2 = stage_two(g, r1.state, p, seed=2, max_rounds=200)
     assert_same_properize(g, r2.state, p.b_unit)
     cs = properize(g, r2.state, None)
-    assert_same_state(cs, ref.properize(g, r2.state, None))
+    assert_same_state(cs, ref.properize(ViewGraph(g), r2.state, None))
     assert_same_repair(g, cs)
     for scale in (0.0, 1.0, 2.0):
         assert_same_risky(g, r2.state, p, scale)
@@ -252,8 +253,8 @@ def test_swap_moves_a_slot():
     # class of its own, so only the edges decide the width.
     g = Graph(5, [(0, 4), (1, 2), (1, 3), (3, 4)])
     state = one_class_edges(g, [2, 3, 4, 5, 6])
-    swapped = ref.properize(g, state, 2)
-    greedy = ref.properize(g, state, None)
+    swapped = ref.properize(ViewGraph(g), state, 2)
+    greedy = ref.properize(ViewGraph(g), state, None)
     assert greedy.width == 3
     assert (swapped.edge_colours - 1).tolist() == [1, 0, 1, 0]
     assert (greedy.edge_colours - 1).tolist() == [0, 0, 1, 2]
@@ -268,7 +269,7 @@ def test_swap_path_ending_at_u_keeps_the_overflow():
     g = Graph(3, [(0, 1), (0, 2), (1, 2)])
     state = one_class_edges(g, [2, 3, 4])
     with pytest.raises(ClassWidthError) as old:
-        ref.properize(g, state, 2)
+        ref.properize(ViewGraph(g), state, 2)
     assert old.value.needed == 3
     assert_same_properize(g, state, 2)
 
@@ -280,7 +281,7 @@ def test_swap_flip_then_path_ending_at_u():
                   (2, 4), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)])
     state = one_class_edges(g, [1] * 7)
     with pytest.raises(ClassWidthError):
-        ref.properize(g, state, 5)
+        ref.properize(ViewGraph(g), state, 5)
     assert_same_properize(g, state, 5)
     for width in (6, 7, None):
         assert_same_properize(g, state, width)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import reference_exact as ref
+from reference_graph import ViewGraph
 from nsdcolour import (EnumerationGuardError, Graph, brute_force_chi,
                        check_nsd, check_proper, complete_graph,
                        conjecture_sweep, connected_components, cycle_graph,
@@ -106,8 +107,9 @@ def test_solver_matches_reference_search():
     graphs = [g for n in range(6) for g in enumerate_labelled_graphs(n)]
     graphs += seeded_graphs(6, 30, seed=5)
     for g in graphs:
+        viewed = ViewGraph(g)
         for k_max in (g.max_degree + 8, g.max_degree + 1):
-            new, old = solve_exact(g, k_max), ref.solve_exact(g, k_max)
+            new, old = solve_exact(g, k_max), ref.solve_exact(viewed, k_max)
             assert (new.chi_sum_total, new.nodes_explored, new.exceeded_k_max,
                     new.k_max) == (old.chi_sum_total, old.nodes_explored,
                                    old.exceeded_k_max, old.k_max), g.edges
@@ -128,7 +130,10 @@ def unpinned_colourable(g, k):
     neighbour or an incident object, and equal sums on adjacent vertices
     whose edges are all coloured. No colour is pinned anywhere.
     """
-    adj = g.adjacency
+    adj = [[] for _ in range(g.n)]
+    for a, b in g.edges:    # lexicographic edges: each list comes out sorted
+        adj[a].append(b)
+        adj[b].append(a)
     vc, sums, used = [0] * g.n, [0] * g.n, [0] * g.n
     left = g.degrees.tolist()
     objects, seen = [], set()

@@ -4,13 +4,15 @@ reference_graph.py give.
 
 Graphs come from hypothesis: edge lists with repeats in both orientations,
 isolated vertices and n = 0, passed as pairs and as arrays. Compared are
-every view and lookup, the error text on planted bad edges, the full ordered
-violation list on colourings with planted clash groups, the result or error
-text of both parsers on regular files with planted faults and on the fuzz
-texts of test_parsers_fuzz.py, the text write_colouring writes (n = 0,
-m = 0 and colours up to 2^63 - 1 included), and the graphs random_graph
-draws on the ten acceptance grid points, on n <= 3, at p = 0 and p = 1, and
-on stream lengths that end inside or just past a draw block.
+every lookup, the runs of Graph.incidences against the frozen tuple views
+(for all vertices and for vertex lists in any order, with repeats), the
+error text on planted bad edges, the full ordered violation list on
+colourings with planted clash groups, the result or error text of both
+parsers on regular files with planted faults and on the fuzz texts of
+test_parsers_fuzz.py, the text write_colouring writes (n = 0, m = 0 and
+colours up to 2^63 - 1 included), and the graphs random_graph draws on the
+ten acceptance grid points, on n <= 3, at p = 0 and p = 1, and on stream
+lengths that end inside or just past a draw block.
 """
 
 import numpy as np
@@ -63,9 +65,7 @@ def outcome(fn, *args, errors=(GraphError,)):
 def assert_same_graph(new, old):
     assert (new.n, new.m, new.max_degree) == (old.n, old.m, old.max_degree)
     assert new.edges == old.edges
-    assert new.adjacency == old.adjacency
-    assert [new.incident_edges(v) for v in range(new.n)] == \
-        [old.incident_edges(v) for v in range(old.n)]
+    assert runs(new) == views(old, range(old.n))
     for name in ("degrees", "edge_u", "edge_v"):
         a, b = getattr(new, name), getattr(old, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -75,10 +75,44 @@ def assert_same_graph(new, old):
             assert outcome(new.edge_id, u, v) == outcome(old.edge_id, u, v)
 
 
+def runs(g, verts=None):
+    """Graph.incidences cut into one (neighbours, edge ids) pair per run."""
+    far, ids, ends = g.incidences(verts)
+    assert len(far) == len(ids) == (ends[-1] if ends.size else 0)
+    bounds = [0, *ends.tolist()]
+    return [(tuple(far[a:b].tolist()), tuple(ids[a:b].tolist()))
+            for a, b in zip(bounds, bounds[1:])]
+
+
+def views(old, verts):
+    """The frozen Graph's tuple views of each of verts."""
+    return [(old.adjacency[v], old.incident_edges(v)) for v in verts]
+
+
 @given(edge_lists(), st.booleans())
 def test_graph_matches_reference(drawn, array):
     n, pairs = drawn
     assert_same_graph(Graph(n, as_input(pairs, array)), ref.Graph(n, pairs))
+
+
+@given(edge_lists(), st.data())
+def test_incidences_match_reference_views(drawn, data):
+    # verts in any order, repeats allowed, and empty; isolated vertices
+    # give empty runs
+    n, pairs = drawn
+    new, old = Graph(n, pairs), ref.Graph(n, pairs)
+    verts = data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n + 2)
+                      if n else st.just([]))
+    assert runs(new, verts) == views(old, verts)
+    assert runs(new, np.array(verts, dtype=np.int64)) == views(old, verts)
+
+
+@pytest.mark.parametrize("n,pairs,verts", [
+    (0, [], []), (3, [], [2, 0, 2]), (5, [(3, 1)], [4, 1, 3, 1, 0])])
+def test_incidences_on_empty_graphs_and_isolated_vertices(n, pairs, verts):
+    new, old = Graph(n, pairs), ref.Graph(n, pairs)
+    assert runs(new) == views(old, range(n))
+    assert runs(new, verts) == views(old, verts)
 
 
 BAD = [lambda n: (0, 0), lambda n: (n - 1, n - 1), lambda n: (0, n),

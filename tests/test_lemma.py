@@ -257,7 +257,7 @@ def test_checker_agrees_with_recount_on_random_states():
 def test_event_scopes():
     g = star(4)
     nbrs = [1, 2, 3, 4]
-    inc = sorted(g.incident_edges(0))
+    inc = sorted(g.edge_id(0, w) for w in nbrs)
     assert event_scope(g, 0, "I") == (nbrs, [], [])
     assert event_scope(g, 0, "VI") == (nbrs, [], [])
     assert event_scope(g, 0, "II") == ([], inc, [])

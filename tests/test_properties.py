@@ -74,8 +74,7 @@ def test_verifier_detects_injected_clash(g, data):
     u, v = g.edges[eid]
     kinds = ["vertex-vertex", "vertex-edge"]
     # an edge-edge clash needs a second edge at a shared endpoint
-    other = [j for j in list(g.incident_edges(u)) + list(g.incident_edges(v))
-             if j != eid]
+    other = [j for j in g.incidences([u, v])[1].tolist() if j != eid]
     if other:
         kinds.append("edge-edge")
     kind = data.draw(st.sampled_from(kinds))
