@@ -16,6 +16,17 @@ Two independent routes on purpose:
   seeded sample with n = 6, has a colouring one colour below the reported
   minimum.
 
+  The order is fixed, so each component gets a plan once, for every k:
+  each vertex carries its neighbours placed before it, and each edge the
+  sum checks that fall due when it is placed, as (x, [w...]) for an
+  endpoint x whose last edge it is and x's neighbours w that are already
+  final. A check bans the one colour sums[w] - sums[x], and a level's free
+  colours are a bitmask, taken lowest first. The search keeps its own
+  stack, so no graph meets Python's recursion limit. nodes_explored counts
+  the colours each level visit tries in ascending order, banned ones
+  included, by arithmetic: a visit that ends holding colour c adds c, one
+  that runs out adds k, or 1 at the pinned root.
+
 Both iterate the palette bound k upwards from max degree + 1, which is a
 valid lower bound: a maximum-degree vertex and its incident edges are
 pairwise constrained to distinct colours.
@@ -157,100 +168,134 @@ def brute_force_chi(g: Graph, k_max: int | None = None) -> SolveResult:
 # ---------------------------------------------------------------------------
 # backtracking solver
 
-def _component_objects(nbrs: list[list[int]], inc: list[list[int]],
-                       comp: list[int]) -> list[tuple[int, int, int]]:
-    """BFS object list for one component: each vertex v as (-1, v, v), then
-    its edges back to already-placed vertices u as (edge id, u, v), sorted by
-    u. nbrs and inc are the graph's _neighbourhoods."""
-    placed: set[int] = set()
-    objects: list[tuple[int, int, int]] = []
-    for v in comp:
-        objects.append((-1, v, v))
-        for u, eid in zip(nbrs[v], inc[v]):
-            if u in placed:
-                objects.append((eid, u, v))
-        placed.add(v)
-    return objects
+def _component_plan(nbrs: list[list[int]], inc: list[list[int]],
+                    comp: list[int]) -> list[tuple]:
+    """The search levels of one component, built once for every palette.
 
-
-def _solve_component(nbrs: list[list[int]], inc: list[list[int]],
-                     comp: list[int], k: int, counter: list[int],
-                     vc: list[int], ec: list[int], sums: list[int],
-                     used: list[int], remaining: list[int]) -> bool:
-    """Colour one component with palette {1..k} in place; True on success.
-
-    nbrs and inc are the graph's _neighbourhoods. The other lists are the
-    search state of the whole graph, shared by all its components and
-    indexed by vertex, or by edge id for ec: vc and ec hold colours (0 =
-    unplaced), used[v] has bit c set when v or an incident edge has colour
-    c, and remaining[v] counts v's uncoloured edges, so v's sum is final at
-    0. A failed search restores every entry it touched.
-    counter[0] accumulates the number of candidate colour placements tried.
+    The objects are in BFS order: each vertex v, then its edges back to
+    already-placed vertices u, sorted by u. A vertex level is
+    (-1, v, v, before, False), where before lists v's neighbours placed
+    earlier. An edge level is (edge id, u, v, checks, pair): checks holds
+    (x, ws) for each endpoint x whose last edge this is, with ws the
+    neighbours of x other than u and v whose sums are already final, and
+    pair is True when this is the last edge of both u and v. nbrs and inc
+    are the graph's _neighbourhoods.
     """
-    objects = _component_objects(nbrs, inc, comp)
-
-    def final_clash(x: int) -> bool:
-        return remaining[x] == 0 and any(
-            remaining[w] == 0 and sums[w] == sums[x] for w in nbrs[x])
-
-    def place(idx: int) -> bool:
-        if idx == len(objects):
-            return True
-        eid, u, v = objects[idx]
+    placed: set[int] = set()
+    plan: list[tuple] = []
+    last = {}   # the level of each vertex's last edge
+    for v in comp:
+        before = [(u, eid) for u, eid in zip(nbrs[v], inc[v]) if u in placed]
+        plan.append((-1, v, v, [u for u, _ in before], False))
+        for u, eid in before:
+            last[u] = last[v] = len(plan)
+            plan.append((eid, u, v))
+        placed.add(v)
+    for i, (eid, u, v, *_) in enumerate(plan):
         if eid < 0:
-            banned = 0
-            for w in nbrs[v]:
-                banned |= 1 << vc[w]
-        else:
-            banned = used[u] | used[v]
-        top = 1 if idx == 0 else k  # the component root is pinned to colour 1
-        for c in range(1, top + 1):
-            counter[0] += 1
-            if banned >> c & 1:
-                continue
+            continue
+        checks = []
+        for x in (u, v):
+            ws = [w for w in nbrs[x] if w != u and w != v and last[w] < i]
+            if last[x] == i and ws:
+                checks.append((x, ws))
+        plan[i] = (eid, u, v, checks, last[u] == last[v] == i)
+    return plan
+
+
+def _solve_component(plan: list[tuple], k: int, vc: list[int],
+                     ec: list[int], used: list[int],
+                     sums: list[int]) -> tuple[bool, int]:
+    """Colour one component with palette {1..k}: (success, nodes).
+
+    Depth first over plan's levels on an explicit stack: free_at[i] holds
+    the colours level i has still to try, bit_at[i] the one it holds.
+
+    The other lists are indexed by vertex, or by edge id for ec, and shared
+    by every component of the graph: vc[v] is v's colour, used[v] has bit c
+    set when v or a placed edge at v has colour c, and sums[v] is v's colour
+    plus its placed edges' colours. Placing a vertex assigns its entries and
+    every read is of a placed vertex, so a failed search needs no cleanup.
+    On success ec receives the component's edge colours.
+    """
+    full = (2 << k) - 2
+    depth = len(plan)
+    free_at, bit_at = [0] * depth, [0] * depth
+    nodes = i = 0
+    free = 2   # the component root is pinned to colour 1
+    eid, u, v, extra, pair = plan[0]
+    while True:
+        if free:
+            b = free & -free
+            free_at[i], bit_at[i] = free ^ b, b
+            c = b.bit_length() - 1
             if eid < 0:
                 vc[v] = sums[v] = c
-                used[v] = 1 << c
-                if place(idx + 1):
-                    return True
-                vc[v] = sums[v] = used[v] = 0
-                continue
+                used[v] = b
+            else:
+                used[u] |= b
+                used[v] |= b
+                sums[u] += c
+                sums[v] += c
+            i += 1
+            if i == depth:
+                break
+            eid, u, v, extra, pair = plan[i]
+            if eid < 0:
+                banned = 0
+                for w in extra:
+                    banned |= 1 << vc[w]
+            elif pair and sums[u] == sums[v]:
+                banned = full   # the edge adds the same colour to both
+            else:
+                banned = used[u] | used[v]
+                for x, ws in extra:
+                    sx = sums[x]
+                    for w in ws:
+                        d = sums[w] - sx
+                        if d > 0:
+                            banned |= 1 << d
+            free = full & ~banned
+        else:
+            nodes += k if i else 1
+            i -= 1
+            if i < 0:
+                return False, nodes
+            eid, u, v, extra, pair = plan[i]
+            if eid >= 0:
+                b = bit_at[i]
+                c = b.bit_length() - 1
+                used[u] ^= b
+                used[v] ^= b
+                sums[u] -= c
+                sums[v] -= c
+            free = free_at[i]
+    for (eid, *_), b in zip(plan, bit_at):
+        c = b.bit_length() - 1
+        nodes += c
+        if eid >= 0:
             ec[eid] = c
-            for x in (u, v):
-                used[x] |= 1 << c
-                sums[x] += c
-                remaining[x] -= 1
-            if not (final_clash(u) or final_clash(v)) and place(idx + 1):
-                return True
-            for x in (u, v):
-                used[x] &= ~(1 << c)
-                sums[x] -= c
-                remaining[x] += 1
-            ec[eid] = 0
-        return False
-
-    return place(0)
+    return True, nodes
 
 
 def _search(g: Graph, k_max: int) -> SolveResult:
-    counter = [0]
     if g.n == 0:
         return SolveResult(1, TotalColouring([], [], 1), 0)
-    vc, ec, sums, used = [0] * g.n, [0] * g.m, [0] * g.n, [0] * g.n
-    remaining = g.degrees.tolist()
+    vc, ec, used, sums = [0] * g.n, [0] * g.m, [0] * g.n, [0] * g.n
     nbrs, inc = _neighbourhoods(g)
-    chi = 1
+    nodes, chi = 0, 1
     for comp in connected_components(g):
-        comp_delta = max(g.degree(v) for v in comp)
+        plan = _component_plan(nbrs, inc, comp)
+        comp_delta = max(len(nbrs[v]) for v in comp)
         for k in range(comp_delta + 1, k_max + 1):
-            if _solve_component(nbrs, inc, comp, k, counter, vc, ec, sums,
-                                used, remaining):
+            found, tried = _solve_component(plan, k, vc, ec, used, sums)
+            nodes += tried
+            if found:
                 chi = max(chi, k)
                 break
         else:
-            return SolveResult(None, None, counter[0], exceeded_k_max=True, k_max=k_max)
-    witness = TotalColouring(vc, ec, chi)
-    return SolveResult(chi, witness, counter[0])
+            return SolveResult(None, None, nodes, exceeded_k_max=True, k_max=k_max)
+    return SolveResult(chi, TotalColouring(vc, ec, chi), nodes)
 
 
 def solve_exact(g: Graph, k_max: int | None = None,

@@ -56,14 +56,18 @@ def _parse_range(token: str) -> range:
     return range(v, v + 1)
 
 
-def _parse_kv(body: str) -> dict[str, str]:
+def _parse_kv(kind: str, body: str, keys: tuple[str, ...]) -> list[str]:
+    """The values of keys, in order, from a family body of key=value pairs."""
     out = {}
     for part in body.split(","):
         if "=" not in part:
             raise ValueError(f"expected key=value, got {part!r}")
         k, v = part.split("=", 1)
         out[k.strip()] = v.strip()
-    return out
+    for key in keys:
+        if key not in out:
+            raise ValueError(f"{kind} family spec lacks key {key!r}")
+    return [out[key] for key in keys]
 
 
 def parse_family(spec: str) -> list[tuple[str, Graph]]:
@@ -81,13 +85,12 @@ def parse_family(spec: str) -> list[tuple[str, Graph]]:
                  "path": path_graph}[kind]
         return [(f"{kind}-{n}", maker(n)) for n in _parse_range(body)]
     if kind == "random":
-        kv = _parse_kv(body)
-        n, p, seeds = int(kv["n"]), float(kv["p"]), int(kv["seeds"])
-        return [(f"random-n{n}-p{kv['p']}-s{s}", random_graph(n, p, seed=s))
+        n, p, seeds = _parse_kv(kind, body, ("n", "p", "seeds"))
+        n, seeds = int(n), int(seeds)
+        return [(f"random-n{n}-p{p}-s{s}", random_graph(n, float(p), seed=s))
                 for s in range(seeds)]
     if kind == "regular":
-        kv = _parse_kv(body)
-        n, d, seeds = int(kv["n"]), int(kv["d"]), int(kv["seeds"])
+        n, d, seeds = map(int, _parse_kv(kind, body, ("n", "d", "seeds")))
         return [(f"regular-n{n}-d{d}-s{s}", regular_graph(n, d, seed=s))
                 for s in range(seeds)]
     raise ValueError(f"unknown family kind {kind!r}")

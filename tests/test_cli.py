@@ -137,6 +137,27 @@ def test_sweep_csv(tmp_path, capsys):
     assert all(line.endswith("pass") for line in lines[1:])
 
 
+def test_exact_and_sweep_on_long_paths(tmp_path, capsys):
+    # deeper than Python's recursion limit: 2n - 1 search levels
+    gpath = tmp_path / "p600.graph"
+    assert main(["gen", "--kind", "path", "--n", "600", "-o", str(gpath)]) == 0
+    assert main(["exact", str(gpath)]) == 0
+    assert capsys.readouterr().out == "chi_sum_total 4\n"
+    out = tmp_path / "paths.csv"
+    assert main(["sweep", "--family", "path:590..600", "-o", str(out)]) == 0
+    rows = out.read_text().strip().split("\n")[1:]
+    assert len(rows) == 11 and all(r.endswith(",pass") for r in rows)
+
+
+@pytest.mark.parametrize("family, key", [("random:n=5", "p"),
+                                         ("regular:n=5,d=2", "seeds")])
+def test_sweep_family_missing_key_is_usage_error(family, key, capsys):
+    assert main(["sweep", "--family", family]) == 2
+    kind = family.split(":")[0]
+    assert capsys.readouterr().err == (
+        f"error: {kind} family spec lacks key {key!r}\n")
+
+
 def test_lemma_parameter_dump(capsys):
     rc = main(["lemma", "--delta", "4096"])
     assert rc == 0
@@ -235,6 +256,13 @@ def test_experiment_command(tmp_path, capsys):
     lines = csv_path.read_text().strip().split("\n")
     assert len(lines) == 4
     assert "wall_time_s" not in lines[0]
+
+
+def test_experiment_family_missing_key_is_usage_error(tmp_path, capsys):
+    spath = tmp_path / "spec.json"
+    spath.write_text(json.dumps({"families": ["random:n=30,seeds=1"]}))
+    assert main(["experiment", str(spath)]) == 2
+    assert capsys.readouterr().err == "error: random family spec lacks key 'p'\n"
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -13,7 +13,9 @@ neighbourhood was read through ``Graph.incidences``: ``exact --json
 --witness`` on a 6-vertex random graph, ``sweep`` over ``connected<=4``,
 ``lemma --slack 1`` on the same n=300 graph (three stage-one resampling
 rounds, so ``event_scope`` runs) and an exact-solver experiment over
-``complete:2..5`` and ``cycle:3..7``.
+``complete:2..5`` and ``cycle:3..7``. ``exact --json`` on K5 (1,023,901
+nodes) and ``sweep`` over ``connected<=5`` have digests recorded before the
+exact search became iterative.
 
 A change that moves any of these bytes has changed the colouring, the
 report or the file format; record new digests only for a change that means
@@ -48,6 +50,10 @@ DIGESTS = {
         "1aac655b32cb05b9177d3c35b76ae9d63d67219ad53625bd7f78e7dee9701a15",
     "exact experiment summary":
         "eb069abed49cb354fc29d62c62980aa2db10589c4c9fcce1d3f688473413dfd5",
+    "exact K5 --json stdout":
+        "489bf06792c65e93a266645f82e682e203069abb08319669d788a9f83ff38cfc",
+    "sweep connected<=5":
+        "f2ce290c2f7b1d79919391ef8252704074f344fb19fd2fc8049fa19dbaffdea3",
 }
 
 EXACT_SPEC = ('{"name": "exact-small", "seed": 0, "solver": "exact", '
@@ -61,6 +67,7 @@ def outputs(tmp_path_factory):
     greedy = d / "greedy.col"
     small, witness = d / "g6.graph", d / "g6.col"
     sweep, spec = d / "sweep.csv", d / "spec.json"
+    k5, sweep5 = d / "k5.graph", d / "sweep5.csv"
     csv, summary = d / "exp.csv", d / "exp.json"
     spec.write_text(EXACT_SPEC)
     got = {}
@@ -85,6 +92,9 @@ def outputs(tmp_path_factory):
     run(["exact", str(small), "--json", "--witness", str(witness)],
         "exact --json stdout")
     run(["sweep", "--family", "connected<=4", "-o", str(sweep)])
+    run(["gen", "--kind", "complete", "--n", "5", "-o", str(k5)])
+    run(["exact", str(k5), "--json"], "exact K5 --json stdout")
+    run(["sweep", "--family", "connected<=5", "-o", str(sweep5)])
     run(["lemma", "--delta", "45", "--graph", str(graph), "--slack", "1"],
         "lemma stdout")
     run(["experiment", str(spec), "--csv", str(csv), "--summary", str(summary)])
@@ -93,6 +103,7 @@ def outputs(tmp_path_factory):
     got["greedy colouring"] = greedy.read_bytes()
     got["exact witness"] = witness.read_bytes()
     got["sweep connected<=4"] = sweep.read_bytes()
+    got["sweep connected<=5"] = sweep5.read_bytes()
     got["exact experiment csv"] = csv.read_bytes()
     got["exact experiment summary"] = summary.read_bytes()
     return got

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -69,6 +70,15 @@ def test_disconnected_solved_per_component():
     assert is_valid(g, res.witness)
 
 
+def test_long_path_needs_no_recursion():
+    # a path of n vertices has 2n - 1 search levels, far past Python's
+    # recursion limit of 1000
+    g = path_graph(2000)
+    res = solve_exact(g)
+    assert res.chi_sum_total == 4
+    assert is_valid(g, res.witness)
+
+
 def test_enumeration_guard_trips():
     with pytest.raises(EnumerationGuardError):
         brute_force_chi(complete_graph(6))
@@ -103,9 +113,12 @@ def seeded_graphs(n, count, seed, p=0.4, connected=False):
 
 def test_solver_matches_reference_search():
     # every labelled graph with n <= 5 plus seeded 6-vertex graphs, with room
-    # to spare (max degree + 8) and with a budget that often runs out (+1)
+    # to spare (max degree + 8) and with a budget that often runs out (+1);
+    # then K6, and K5 + K3, whose K3 is searched after K5 failed at k = 5, 6
     graphs = [g for n in range(6) for g in enumerate_labelled_graphs(n)]
     graphs += seeded_graphs(6, 30, seed=5)
+    graphs += [complete_graph(6),
+               Graph(8, [*complete_graph(5).edges, (5, 6), (5, 7), (6, 7)])]
     for g in graphs:
         viewed = ViewGraph(g)
         for k_max in (g.max_degree + 8, g.max_degree + 1):
@@ -275,6 +288,24 @@ def test_each_sweep_searches_each_class_once():
         searched = [r["graph_id"] for r in rows if r["nodes"] > 0]
         assert searched == list(first_of_class.values())
         assert len(searched) == 31
+
+
+def test_connected_six_sweep():
+    # the recorded connected<=6 run: no graph on at most 6 vertices reaches
+    # max degree + 3, and the search totals stay as recorded
+    rows = run_sweep(["connected<=6"])
+    six = [r for r in rows if r["n"] == 6]
+    searched = [r for r in rows if r["nodes"] > 0]
+    assert (len(rows), len(six)) == (27476, 26704)
+    assert all(r["verdict"] == "pass" for r in rows)
+    assert (len(searched), sum(r["n"] == 6 for r in searched)) == (143, 112)
+    assert sum(r["nodes"] for r in rows) == 45249016
+
+    def excess(rs):
+        return Counter(r["chi_sum_total"] - r["max_degree"] for r in rs)
+
+    assert excess(r for r in searched if r["n"] == 6) == {1: 54, 2: 58}
+    assert excess(six) == {1: 14808, 2: 11896}
 
 
 def test_class_table_shares_an_unsolved_result():

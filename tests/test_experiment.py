@@ -37,7 +37,7 @@ def test_parse_family_random_and_regular():
 def test_parse_family_rejects_malformed():
     for bad in ("random:n=10", "unknown:3..4", "complete", "cycle:x..y",
                 "random:n=10,p=0.5"):
-        with pytest.raises((ValueError, KeyError)):
+        with pytest.raises(ValueError):
             parse_family(bad)
 
 
