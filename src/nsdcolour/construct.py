@@ -7,15 +7,16 @@ Phases, in order:
                    and resolve clashes inside each band (greedy edge colouring
                    with one alternating-path swap attempt per overflow, then
                    vertex slots); raises ClassWidthError when B is too narrow
-  compute_risky    per large vertex, the large neighbours whose idealized
-                   scores sit within a drift window, so only those pairs need
-                   active separation later
+  compute_risky    a mask of the risky edges: those joining two large
+                   vertices whose idealized scores sit within a drift window,
+                   so only those pairs need active separation later
   select_H         every large vertex picks two incident edges; the union is
                    resampled until no vertex exceeds the pick-degree cap
   recolour_H       the picked edges move to a reserve of fresh colours above
                    the current span, chosen to dodge the current sums of each
-                   endpoint's risky set; both endpoint sums shift equally, and
-                   the last pick incident to a risky pair separates it
+                   endpoint's risky neighbours, looked up in an index from
+                   sum to holders; both endpoint sums shift equally, and the
+                   last pick incident to a risky pair separates it
   repair_small     small-degree vertices with a sum clash get a new vertex
                    colour avoiding neighbour colours, incident edge colours,
                    and all neighbour sums (a vertex colour only moves its own
@@ -38,7 +39,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .colouring import TotalColouring, check_nsd, check_proper, vertex_sums
-from .graph import Graph
+from .graph import Graph, sorted_unique
 from .lemma import LemmaParams, LemmaState, resample_until_valid, stage_two
 
 
@@ -235,25 +236,71 @@ class RiskParams:
 
 
 def compute_risky(g: Graph, st: LemmaState, p: LemmaParams,
-                  risk: RiskParams) -> list[list[int]]:
-    """risky[v]: sorted large neighbours of large v within the score window."""
+                  risk: RiskParams) -> np.ndarray:
+    """The risky-edge mask, one bool per edge id: the edges joining two large
+    vertices whose doubled scores lie within the window."""
     deg = g.degrees
     large = 3 * deg >= p.delta
     s2 = p.score2_array(deg, st.c1)
     eu, ev = g.edge_u, g.edge_v
-    risky_edge = large[eu] & large[ev] & (np.abs(s2[eu] - s2[ev]) <= risk.threshold)
-    # the doubled edge list in vertex order lists each vertex's neighbours
-    # ascending (see Graph._vertex_order)
-    order = g._vertex_order
-    order = order[np.tile(risky_edge, 2)[order]]
-    far = np.concatenate([eu, ev])[order].tolist()
-    bounds = np.cumsum(np.bincount(np.concatenate([ev, eu])[order],
-                                   minlength=g.n)).tolist()
-    return [far[a:b] for a, b in zip([0] + bounds, bounds)]
+    return large[eu] & large[ev] & (np.abs(s2[eu] - s2[ev]) <= risk.threshold)
+
+
+def _endpoint_counts(g: Graph, edges) -> np.ndarray:
+    """How many of edges (an edge mask or edge ids) meet each vertex."""
+    return np.bincount(np.concatenate([g.edge_u[edges], g.edge_v[edges]]),
+                       minlength=g.n)
 
 
 # ---------------------------------------------------------------------------
 # pick-two edge selection
+
+# 64-bit words per read of select_H's raw stream
+_RAW_BLOCK = 1 << 10
+
+
+class PickTwo:
+    """Generator.choice(n, size=min(2, n), replace=False) on a PCG64 seeded
+    with SeedSequence(seed), draw for draw, read from the raw 64-bit stream.
+
+    numpy 2.4 draws such a pick by Floyd's algorithm: a in [0, n-2], then b
+    in [0, n-1], which becomes n-1 if it equals a; then one draw in [0, 1]
+    shuffles the pair, swapping it on 0. A draw over one value takes no
+    word, so n = 1 draws nothing. Each draw is Lemire's bounded product of a
+    32-bit word, with numpy's rejection. The words are the raw words' low
+    then high halves, as PCG64's next_uint32 buffers them. n must be below
+    2^32, which every vertex degree is.
+    """
+
+    def __init__(self, seed: int):
+        self._bits = np.random.PCG64(np.random.SeedSequence(seed))
+        self._words: list[int] = []
+        self._at = 0
+
+    def _below(self, bound: int) -> int:
+        # numpy tests the threshold only when the low half is below bound;
+        # the threshold is below bound, so the outcome is the same
+        threshold = (1 << 32) % bound
+        while True:
+            if self._at == len(self._words):
+                raw = self._bits.random_raw(_RAW_BLOCK)
+                self._words = raw.astype("<u8").view("<u4").tolist()
+                self._at = 0
+            m = self._words[self._at] * bound
+            self._at += 1
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+    def pick(self, n: int) -> tuple[int, int]:
+        """The two picked positions in choice's order; (0, 0) when n is 1."""
+        if n == 1:
+            return 0, 0
+        a = self._below(n - 1) if n > 2 else 0
+        b = self._below(n)
+        if b == a:
+            b = n - 1
+        return (b, a) if self._below(2) == 0 else (a, b)
+
 
 @dataclass
 class HSelection:
@@ -268,38 +315,43 @@ def select_H(g: Graph, p: LemmaParams, seed: int,
     """Each large vertex (3*degree >= max_degree) picks two distinct incident
     edges (one if its degree is one); the union is resampled until every
     vertex touches at most cap picked edges.
+
+    The picks are those of one Generator.choice(run, size=min(2, degree),
+    replace=False) per picker and redrawn picker, in ascending vertex order
+    each, on one generator seeded with SeedSequence(seed); PickTwo makes
+    them from the raw stream. A pick is two positions in the flat run of
+    the pickers' incident edge ids.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     deg = g.degrees
-    pickers = np.nonzero((3 * deg >= p.delta) & (deg > 0))[0]
+    pickers = np.flatnonzero((3 * deg >= p.delta) & (deg > 0))
     cap = p.caps["dH"]
 
     _, inc, ends = g.incidences(pickers)
-    runs = dict(zip(pickers.tolist(), np.split(inc, ends[:-1])))
-    picks = {v: rng.choice(run, size=min(2, run.size), replace=False)
-             for v, run in runs.items()}
+    sizes = deg[pickers].tolist()
+    starts = [end - size for end, size in zip(ends.tolist(), sizes)]
+    slot = {v: i for i, v in enumerate(pickers.tolist())}
+    draw = PickTwo(seed).pick
+    picked = []
+    for start, size in zip(starts, sizes):
+        a, b = draw(size)
+        picked += (start + a, start + b)
 
     rounds = 0
     valid = True
     while True:
-        if picks:
-            h = np.unique(np.concatenate(list(picks.values())))
-        else:
-            h = np.array([], dtype=np.int64)
-        dh = np.bincount(
-            np.concatenate([g.edge_u[h], g.edge_v[h]]) if h.size else
-            np.array([], dtype=np.int64), minlength=g.n)
-        over = np.nonzero(dh > cap)[0]
+        h = sorted_unique(inc[np.array(picked, dtype=np.int64)])
+        over = np.flatnonzero(_endpoint_counts(g, h) > cap)
         if over.size == 0:
             break
         if rounds >= max_rounds:
             valid = False
             break
-        v = int(over[0])
         nbrs = g.incidences(over[:1])[0].tolist()
-        for w in sorted(w for w in [v, *nbrs] if w in runs):
-            picks[w] = rng.choice(runs[w], size=min(2, runs[w].size),
-                                  replace=False)
+        for w in sorted([int(over[0]), *nbrs]):
+            i = slot.get(w)
+            if i is not None:
+                a, b = draw(sizes[i])
+                picked[2 * i:2 * i + 2] = starts[i] + a, starts[i] + b
         rounds += 1
     return HSelection(h, rounds, valid, cap)
 
@@ -312,65 +364,82 @@ class ReserveInfo:
     base: int
     planned: int
     used: int
-    grew: bool
+    grew: bool = False  # the planned reserve always suffices; kept for reports
 
 
 def recolour_H(g: Graph, state: ConstructionState, h_edge_ids,
-               risky: list[list[int]]) -> tuple[ConstructionState, ReserveInfo]:
+               risky: np.ndarray) -> tuple[ConstructionState, ReserveInfo]:
     """Move the picked edges onto fresh reserve colours above the span.
 
-    Edges are processed in ascending id. Each pick avoids reserve colours
-    already used at either endpoint and any colour that would land an
-    endpoint's new sum on the current sum of a risky neighbour. Both endpoint
+    risky is compute_risky's edge mask. Edges are processed in ascending id.
+    Each pick takes the lowest reserve colour not already used at either
+    endpoint and not landing an endpoint's new sum on the current sum of
+    one of its risky neighbours other than the far endpoint. Both endpoint
     sums shift by the same amount, so previously separated pairs stay
-    separated; the reserve grows (and records that it grew) if the planned
-    size ever runs out. The scan is deterministic.
+    separated. The scan is deterministic.
+
+    A pick at (u, v) finds at most dh[u]-1 + dh[v]-1 used colours and
+    risky[u] + risky[v] neighbour sums in its way, where dh and risky count
+    picked and risky edges at a vertex: planned-4 offsets at most. So the
+    chosen offset is at most planned-3, and the planned reserve never grows.
+
+    A candidate's sums are looked up in an index from each sum to the
+    vertices on risky edges that hold it, and a holder's edge to the
+    endpoint in the sorted risky edge keys, so a pick costs the candidates
+    it tries, not the endpoints' risky degrees.
     """
     st = state.copy()
     h_ids = sorted(np.asarray(h_edge_ids, dtype=np.int64).tolist())
-    sums = vertex_sums(g, st.vertex_colours, st.edge_colours).tolist()
     base = st.span
+    if not h_ids:
+        return st, ReserveInfo(base, 0, 0)
+    sums = vertex_sums(g, st.vertex_colours, st.edge_colours).tolist()
     us, vs = g.edge_u[h_ids].tolist(), g.edge_v[h_ids].tolist()
-    if h_ids:
-        dh = np.bincount(np.concatenate(
-            [g.edge_u[h_ids], g.edge_v[h_ids]]), minlength=g.n)
-        maxpair = max(len(risky[u]) + len(risky[v]) for u, v in zip(us, vs))
-        planned = maxpair + 2 * int(dh.max(initial=0)) + 2
-    else:
-        planned = 0
-    size = planned
+    rdeg = _endpoint_counts(g, risky)
+    planned = (int((rdeg[us] + rdeg[vs]).max())
+               + 2 * int(_endpoint_counts(g, h_ids).max()) + 2)
+
+    n = g.n
+    risky_keys = g._keys[risky]     # sorted, as g._keys is
+    holders: dict[int, set[int]] = {}
+    on_risky = rdeg.astype(bool).tolist()
+    for w in np.flatnonzero(rdeg).tolist():
+        holders.setdefault(sums[w], set()).add(w)
+
+    def blocked(x: int, y: int, s: int) -> bool:
+        # a risky neighbour of x other than y holds sum s
+        for w in holders.get(s, ()):
+            if w != y:
+                key = x * n + w if x < w else w * n + x
+                i = risky_keys.searchsorted(key)
+                if i < risky_keys.size and risky_keys[i] == key:
+                    return True
+        return False
+
     colours = dict(zip(h_ids, st.edge_colours[h_ids].tolist()))
-    used_at: dict[int, set[int]] = {}
-    grew = False
+    used_at: dict[int, int] = {}   # bitmask of the reserve offsets at a vertex
     top_used = 0
     for eid, u, v in zip(h_ids, us, vs):
         old = colours[eid]
-        taken = used_at.get(u, set()) | used_at.get(v, set())
-        forbid_u = {sums[w] for w in risky[u] if w != v}
-        forbid_v = {sums[w] for w in risky[v] if w != u}
-        rest_u, rest_v = sums[u] - old, sums[v] - old
-        chosen = None
-        offset = 1
-        while chosen is None:
-            if offset > size:
-                size += max(planned, 4)
-                grew = True
-            c = base + offset
-            if (c not in taken
-                    and rest_u + c not in forbid_u
-                    and rest_v + c not in forbid_v):
-                chosen = c
-            offset += 1
+        # bit 0 set: offsets start at 1
+        taken = used_at.get(u, 1) | used_at.get(v, 1)
+        rest_u, rest_v = sums[u] - old + base, sums[v] - old + base
+        offset = _lowest_free(taken)
+        while blocked(u, v, rest_u + offset) or blocked(v, u, rest_v + offset):
+            taken |= 1 << offset
+            offset = _lowest_free(taken)
+        chosen = base + offset
         colours[eid] = chosen
         shift = chosen - old
-        sums[u] += shift
-        sums[v] += shift
-        used_at.setdefault(u, set()).add(chosen)
-        used_at.setdefault(v, set()).add(chosen)
-        top_used = max(top_used, chosen - base)
-    if h_ids:
-        st.edge_colours[list(colours)] = list(colours.values())
-    return st, ReserveInfo(base, planned, top_used, grew)
+        for x in (u, v):
+            if on_risky[x]:
+                holders[sums[x]].discard(x)
+                holders.setdefault(sums[x] + shift, set()).add(x)
+            sums[x] += shift
+            used_at[x] = used_at.get(x, 1) | 1 << offset
+        top_used = max(top_used, offset)
+    st.edge_colours[list(colours)] = list(colours.values())
+    return st, ReserveInfo(base, planned, top_used)
 
 
 def _clear_sum_ties(g: Graph, vc: list[int], ec: np.ndarray, sums: np.ndarray,
@@ -559,7 +628,7 @@ def _attempt_pipeline(g: Graph, p: LemmaParams, slack: float,
 
     risk = RiskParams(p, scale=slack)
     risky = compute_risky(g, r2.state, p, risk)
-    info["risky_max"] = max((len(r) for r in risky), default=0)
+    info["risky_max"] = int(_endpoint_counts(g, risky).max(initial=0))
     info["risky_allowed"] = risk.allowed_max
 
     hsel = select_H(g, p, s_hsel, cfg.rounds)

@@ -57,13 +57,18 @@ def _parse_range(token: str) -> range:
 
 
 def _parse_kv(kind: str, body: str, keys: tuple[str, ...]) -> list[str]:
-    """The values of keys, in order, from a family body of key=value pairs."""
+    """The values of keys, in order, from a family body of key=value pairs.
+    Every key must be given once, and no other key may be."""
     out = {}
     for part in body.split(","):
         if "=" not in part:
             raise ValueError(f"expected key=value, got {part!r}")
-        k, v = part.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (x.strip() for x in part.split("=", 1))
+        if k not in keys:
+            raise ValueError(f"{kind} family spec has unknown key {k!r}")
+        if k in out:
+            raise ValueError(f"{kind} family spec repeats key {k!r}")
+        out[k] = v
     for key in keys:
         if key not in out:
             raise ValueError(f"{kind} family spec lacks key {key!r}")

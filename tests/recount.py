@@ -165,6 +165,17 @@ def recount_proper_and_distinct(g, vertex_colours, edge_colours):
     return True, True
 
 
+def risky_lists(g, mask):
+    """Each vertex's neighbours across the edges of an edge mask, ascending,
+    by direct loops: the per-vertex lists compute_risky once returned."""
+    out = [[] for _ in range(g.n)]
+    for a, b, hit in zip(g.edge_u.tolist(), g.edge_v.tolist(), mask.tolist()):
+        if hit:
+            out[a].append(b)
+            out[b].append(a)
+    return [sorted(row) for row in out]
+
+
 # ---------------------------------------------------------------------------
 # the scalar score path: one vertex's exact score and its interval
 

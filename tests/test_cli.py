@@ -158,6 +158,17 @@ def test_sweep_family_missing_key_is_usage_error(family, key, capsys):
         f"error: {kind} family spec lacks key {key!r}\n")
 
 
+@pytest.mark.parametrize("family, error", [
+    ("random:n=5,p=0.3,seeds=1,sead=9", "has unknown key 'sead'"),
+    ("regular:n=6,d=2,seeds=1,seeds=2", "repeats key 'seeds'"),
+])
+def test_sweep_family_unknown_or_repeated_key_is_usage_error(family, error,
+                                                             capsys):
+    assert main(["sweep", "--family", family]) == 2
+    kind = family.split(":")[0]
+    assert capsys.readouterr().err == f"error: {kind} family spec {error}\n"
+
+
 def test_lemma_parameter_dump(capsys):
     rc = main(["lemma", "--delta", "4096"])
     assert rc == 0
@@ -263,6 +274,15 @@ def test_experiment_family_missing_key_is_usage_error(tmp_path, capsys):
     spath.write_text(json.dumps({"families": ["random:n=30,seeds=1"]}))
     assert main(["experiment", str(spath)]) == 2
     assert capsys.readouterr().err == "error: random family spec lacks key 'p'\n"
+
+
+def test_experiment_family_unknown_key_is_usage_error(tmp_path, capsys):
+    spath = tmp_path / "spec.json"
+    spath.write_text(json.dumps(
+        {"families": ["random:n=5,p=0.3,seeds=1,sead=9"]}))
+    assert main(["experiment", str(spath)]) == 2
+    assert capsys.readouterr().err == (
+        "error: random family spec has unknown key 'sead'\n")
 
 
 def test_missing_file_is_usage_error(capsys):

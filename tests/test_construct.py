@@ -2,7 +2,7 @@ import importlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from nsdcolour import (ClassWidthError, ConstructConfig, Graph,
@@ -13,7 +13,7 @@ from nsdcolour import (ClassWidthError, ConstructConfig, Graph,
                        random_graph, recolour_H, repair_small_degree,
                        resample_until_valid, select_H, stage_two,
                        reference_span_bound, weighted_degrees)
-from recount import recount_proper_and_distinct
+from recount import recount_proper_and_distinct, risky_lists
 
 # the package re-exports the function construct(), which shadows the module
 construct_mod = importlib.import_module("nsdcolour.construct")
@@ -98,7 +98,9 @@ def test_risky_symmetric_and_large_only():
     p = LemmaParams(g.max_degree, slack=2.0)
     st = resample_until_valid(g, p, 60, 200).state
     risk = RiskParams(p, scale=2.0)
-    risky = compute_risky(g, st, p, risk)
+    mask = compute_risky(g, st, p, risk)
+    assert mask.dtype == bool and mask.shape == (g.m,) and mask.any()
+    risky = risky_lists(g, mask)
     deg = g.degrees
     for v in range(g.n):
         for u in risky[v]:
@@ -116,7 +118,7 @@ def test_risky_respects_window():
     # shrink the window to zero: only identical doubled scores stay risky
     risk = RiskParams(p, scale=1.0)
     risk.threshold = 0
-    risky = compute_risky(g, st, p, risk)
+    risky = risky_lists(g, compute_risky(g, st, p, risk))
     s2 = p.score2_array(g.degrees, st.c1)
     for v in range(6):
         nbrs = g.incidences([v])[0].tolist()
@@ -149,6 +151,21 @@ def test_select_h_every_picker_covered_twice():
         if 3 * g.degree(v) >= p.delta:
             assert deg_h[v] >= min(2, g.degree(v))
         assert deg_h[v] <= sel.cap
+
+
+def test_pick_two_matches_generator_choice():
+    # one stream per seed, shared by every pick, so the buffered 32-bit half
+    # carries across picks; n = 3*10^9 rejects about 30% of its draws, which
+    # runs the rejection loop
+    sizes = ([*range(1, 601), 10001, 50000, *[3 * 10**9] * 20]
+             + list(range(600, 0, -7)))
+    for seed in (0, 1, 7, 2**32 + 5, 2**63):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        pick = construct_mod.PickTwo(seed).pick
+        for n in sizes:
+            want = rng.choice(n, size=min(2, n), replace=False).tolist()
+            got = list(pick(n))
+            assert got == (want if n > 1 else want * 2), (seed, n)
 
 
 def test_select_h_deterministic():
@@ -186,6 +203,29 @@ def test_recolour_moves_only_picked_edges_above_span():
     assert check_proper(g, c) == []
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=hst.integers(2, 40), p_edge=hst.sampled_from([0.1, 0.3, 0.7, 1.0]),
+       seed=hst.integers(0, 2**32 - 1),
+       scale=hst.sampled_from([0.0, 1.0, 8.0]))
+@example(n=8, p_edge=0.7, seed=31213, scale=0.0)   # uses planned - 4
+def test_reserve_stays_inside_the_plan(n, p_edge, seed, scale):
+    # a pick at (u, v) meets at most dh[u]-1 + dh[v]-1 used colours and
+    # risky[u] + risky[v] neighbour sums, planned - 4 in all, so the reserve
+    # never grows past planned - 3
+    g = random_graph(n, p_edge, seed=seed)
+    p = LemmaParams(max(g.max_degree, 1), slack=2.0)
+    res = pipeline_state(g, p, seed=seed)
+    cs = properize(g, res.state, None)
+    risky = compute_risky(g, res.state, p, RiskParams(p, scale=scale))
+    sel = select_H(g, p, seed=seed + 1)
+    _, reserve = recolour_H(g, cs, sel.edge_ids, risky)
+    assert not reserve.grew
+    if sel.edge_ids.size:
+        assert reserve.used <= reserve.planned - 3
+    else:
+        assert (reserve.planned, reserve.used) == (0, 0)
+
+
 def test_recolour_separates_all_risky_pairs():
     # complete graph: every pair adjacent, equal degrees keep every pair
     # inside the window, so afterwards all sums must be pairwise distinct
@@ -195,8 +235,9 @@ def test_recolour_separates_all_risky_pairs():
     cs = properize(g, res.state, p.b_unit)
     risk = RiskParams(p, scale=2.0)
     risky = compute_risky(g, res.state, p, risk)
+    lists = risky_lists(g, risky)
     for v in range(5):
-        assert risky[v] == [u for u in range(5) if u != v]
+        assert lists[v] == [u for u in range(5) if u != v]
     sel = select_H(g, p, seed=81)
     out, _ = recolour_H(g, cs, sel.edge_ids, risky)
     c = TotalColouring(out.vertex_colours, out.edge_colours, out.span)

@@ -8,7 +8,11 @@ pipeline phases on those with n <= 500. Class assignments for properize are
 drawn with few classes and narrow fixed widths, so the alternating-path swap
 and ClassWidthError paths both run; fixed small cases pin a swap that moves
 a slot and one whose path ends at the other endpoint. select_H also runs
-under lowered pick-degree caps, so its redraw rounds and the round limit run.
+under lowered pick-degree caps, so its redraw rounds and the round limit run,
+and on K_{2,10001}, whose hubs pick from runs of 10,001 edges. compute_risky
+returns an edge mask, read back into the reference's per-vertex lists;
+recolour_H on that mask is compared with the reference on those lists, also
+on drawn colourings whose many equal sums block many candidates.
 """
 
 import numpy as np
@@ -17,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_construct as ref
+from recount import risky_lists
 from reference_graph import ViewGraph
 from nsdcolour import (ClassWidthError, ConstructionState, Graph, LemmaParams,
                        LemmaState, RiskParams, complete_graph, compute_risky,
@@ -57,8 +62,11 @@ def assert_same_properize(g, state, width):
 
 
 def assert_same_risky(g, state, p, scale):
+    """The mask, read back as per-vertex lists, is the reference's lists."""
     risk = RiskParams(p, scale=scale)
-    new = compute_risky(g, state, p, risk)
+    mask = compute_risky(g, state, p, risk)
+    assert mask.dtype == bool and mask.shape == (g.m,)
+    new = risky_lists(g, mask)
     assert new == ref.compute_risky(g, state, p, risk)
     assert all(type(w) is int for row in new for w in row)
 
@@ -69,6 +77,17 @@ def assert_same_select(g, p, seed, max_rounds=100):
     assert same_array(new.edge_ids, old.edge_ids)
     assert (new.rounds, new.valid, new.cap) == (old.rounds, old.valid, old.cap)
     return new
+
+
+def assert_same_recolour(g, cs, h_ids, state, p, risk):
+    """recolour_H on compute_risky's mask gives what the reference gives on
+    the reference's risky lists."""
+    mask = compute_risky(g, state, p, risk)
+    new, new_info = recolour_H(g, cs, h_ids, mask)
+    old, old_info = ref.recolour_H(g, cs, h_ids,
+                                   ref.compute_risky(g, state, p, risk))
+    assert new_info == old_info
+    assert_same_state(new, old)
 
 
 def capped_params(g, cap):
@@ -170,6 +189,15 @@ def test_select_matches_reference(g, seed, cap, max_rounds):
     assert_same_select(g, p, seed, max_rounds)
 
 
+def test_select_on_a_large_star_matches_reference():
+    # K_{2,10001}: the two hubs pick from runs of 10,001 edges
+    g = Graph(10003, [(hub, leaf) for hub in (0, 1) for leaf in range(2, 10003)])
+    assert g.max_degree == 10001
+    for seed in range(3):
+        assert assert_same_select(g, LemmaParams(g.max_degree, slack=2.0),
+                                  seed).edge_ids.size == 4
+
+
 def test_select_redraws_match_reference():
     g = random_graph(100, 0.2, seed=4)
     h = assert_same_select(g, capped_params(g, 6), seed=5)
@@ -227,12 +255,26 @@ def test_recolour_matches_reference(n, mean, scale):
     r1 = resample_until_valid(g, p, seed=1, max_rounds=200)
     r2 = stage_two(g, r1.state, p, seed=2, max_rounds=200)
     cs = properize(g, r2.state, None)
-    risky = compute_risky(g, r2.state, p, RiskParams(p, scale=scale))
+    risk = RiskParams(p, scale=scale)
     h_ids = select_H(g, p, seed=3).edge_ids
-    new, new_info = recolour_H(g, cs, h_ids, risky)
-    old, old_info = ref.recolour_H(g, cs, h_ids, risky)
-    assert new_info == old_info
-    assert_same_state(new, old)
+    assert_same_recolour(g, cs, h_ids, r2.state, p, risk)
+
+
+@settings(max_examples=150)
+@given(g=hub_graphs(), seed=st.integers(0, 2**32 - 1),
+       top=st.integers(1, 4), share=st.sampled_from([0.2, 0.6, 1.0]),
+       scale=st.sampled_from([0.0, 1.0, 8.0]))
+def test_recolour_matches_reference_on_drawn_graphs(g, seed, top, share,
+                                                    scale):
+    # colours from 1..top make many equal sums, so the sum index has
+    # buckets of several holders and many candidates are blocked
+    rng = np.random.default_rng(seed)
+    cs = construction_state(g, rng, top)
+    p = LemmaParams(g.max_degree, slack=2.0)
+    state = lemma_state(g, rng, 3)
+    state.c1 = rng.integers(1, p.r1 + 1, size=g.n, dtype=np.int64)
+    h_ids = np.flatnonzero(rng.random(g.m) < share)
+    assert_same_recolour(g, cs, h_ids, state, p, RiskParams(p, scale=scale))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,18 @@ def test_parse_family_rejects_malformed():
             parse_family(bad)
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("random:n=5,p=0.3,seeds=1,sead=9", "random family spec has unknown key 'sead'"),
+    ("regular:n=6,d=2,seeds=1,p=0.5", "regular family spec has unknown key 'p'"),
+    ("random:n=5,p=0.3,seeds=1,n=6", "random family spec repeats key 'n'"),
+    ("regular: d=2,n=6,d =2,seeds=1", "regular family spec repeats key 'd'"),
+])
+def test_parse_family_rejects_unknown_and_repeated_keys(spec, message):
+    with pytest.raises(ValueError) as exc:
+        parse_family(spec)
+    assert str(exc.value) == message
+
+
 def test_split_seed_stable_and_distinct():
     a = split_seed(7, 0)
     assert a == split_seed(7, 0)
