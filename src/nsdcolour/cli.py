@@ -14,7 +14,8 @@ import sys
 
 from . import experiment as expmod
 from .colouring import (ColouringParseError, check_nsd, check_proper,
-                        parse_colouring, weighted_degrees, write_colouring)
+                        is_valid, parse_colouring, weighted_degrees,
+                        write_colouring)
 from .construct import ConstructConfig, construct, greedy_nsd
 from .exact import EnumerationGuardError, solve_exact
 from .graph import GenerationError, GraphParseError, generate, parse_graph, write_graph
@@ -92,9 +93,7 @@ def cmd_exact(args) -> int:
 def cmd_sweep(args) -> int:
     rows = expmod.run_sweep(args.family, k_max_extra=args.k_max_extra)
     _write_out(expmod.sweep_to_csv(rows), args.output)
-    bad = [r for r in rows if r["verdict"] == "fail"
-           or str(r["verdict"]).startswith("error")]
-    return 1 if bad else 0
+    return 0 if all(r["verdict"] == "pass" for r in rows) else 1
 
 
 def cmd_lemma(args) -> int:
@@ -141,7 +140,7 @@ def cmd_construct(args) -> int:
         col = greedy_nsd(g)
         report = {"mode": "greedy", "span": col.span,
                   "max_degree": g.max_degree,
-                  "valid": not (check_proper(g, col) or check_nsd(g, col))}
+                  "valid": is_valid(g, col)}
         valid = report["valid"]
         rep_json = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:

@@ -38,7 +38,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .colouring import TotalColouring, check_nsd, check_proper, vertex_sums
+from .colouring import (TotalColouring, check_nsd, check_proper, is_valid,
+                        vertex_sums)
 from .graph import Graph, sorted_unique
 from .lemma import LemmaParams, LemmaState, resample_until_valid, stage_two
 
@@ -214,25 +215,22 @@ class RiskParams:
     A vertex's final sum is assumed to stay within scale*(fault_cap +
     repair_slack) of its idealized score, so two scores closer than twice
     that window are treated as collision-risky. threshold is the integer
-    comparison bound on doubled scores. covered_intervals bounds how many
-    score intervals the window spans, which together with the interval
-    occupancy cap bounds the risky set size.
+    comparison bound on doubled scores. The number of score intervals the
+    window covers, times the interval occupancy cap, bounds the risky set
+    size: allowed_max.
     """
 
     def __init__(self, p: LemmaParams, scale: float = 1.0):
         x = float(max(p.delta, 0))
         L = p.ln_floor
-        self.fault_cap = 5.5 * x ** (5 / 3) * L ** (1 / 3)
-        self.repair_slack = 16.0 * x * L
-        self.scale = float(scale)
-        self.window = 2.0 * self.scale * (self.fault_cap + self.repair_slack)
-        self.threshold = int(math.floor(2.0 * self.window))
+        fault_cap = 5.5 * x ** (5 / 3) * L ** (1 / 3)
+        repair_slack = 16.0 * x * L
+        window = 2.0 * float(scale) * (fault_cap + repair_slack)
+        self.threshold = int(math.floor(2.0 * window))
+        covered_intervals = 0
         if p.interval_len > 0:
-            ratio = 2.0 * self.window / float(p.interval_len)
-            self.covered_intervals = int(math.ceil(ratio)) + 1
-        else:
-            self.covered_intervals = 0
-        self.allowed_max = self.covered_intervals * p.caps["VI"]
+            covered_intervals = math.ceil(2.0 * window / float(p.interval_len)) + 1
+        self.allowed_max = covered_intervals * p.caps["VI"]
 
 
 def compute_risky(g: Graph, st: LemmaState, p: LemmaParams,
@@ -244,12 +242,6 @@ def compute_risky(g: Graph, st: LemmaState, p: LemmaParams,
     s2 = p.score2_array(deg, st.c1)
     eu, ev = g.edge_u, g.edge_v
     return large[eu] & large[ev] & (np.abs(s2[eu] - s2[ev]) <= risk.threshold)
-
-
-def _endpoint_counts(g: Graph, edges) -> np.ndarray:
-    """How many of edges (an edge mask or edge ids) meet each vertex."""
-    return np.bincount(np.concatenate([g.edge_u[edges], g.edge_v[edges]]),
-                       minlength=g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +332,7 @@ def select_H(g: Graph, p: LemmaParams, seed: int,
     valid = True
     while True:
         h = sorted_unique(inc[np.array(picked, dtype=np.int64)])
-        over = np.flatnonzero(_endpoint_counts(g, h) > cap)
+        over = np.flatnonzero(g.endpoint_counts(h) > cap)
         if over.size == 0:
             break
         if rounds >= max_rounds:
@@ -395,9 +387,9 @@ def recolour_H(g: Graph, state: ConstructionState, h_edge_ids,
         return st, ReserveInfo(base, 0, 0)
     sums = vertex_sums(g, st.vertex_colours, st.edge_colours).tolist()
     us, vs = g.edge_u[h_ids].tolist(), g.edge_v[h_ids].tolist()
-    rdeg = _endpoint_counts(g, risky)
+    rdeg = g.endpoint_counts(risky)
     planned = (int((rdeg[us] + rdeg[vs]).max())
-               + 2 * int(_endpoint_counts(g, h_ids).max()) + 2)
+               + 2 * int(g.endpoint_counts(h_ids).max()) + 2)
 
     n = g.n
     risky_keys = g._keys[risky]     # sorted, as g._keys is
@@ -628,7 +620,7 @@ def _attempt_pipeline(g: Graph, p: LemmaParams, slack: float,
 
     risk = RiskParams(p, scale=slack)
     risky = compute_risky(g, r2.state, p, risk)
-    info["risky_max"] = int(_endpoint_counts(g, risky).max(initial=0))
+    info["risky_max"] = int(g.endpoint_counts(risky).max(initial=0))
     info["risky_allowed"] = risk.allowed_max
 
     hsel = select_H(g, p, s_hsel, cfg.rounds)
@@ -720,7 +712,7 @@ def construct(g: Graph, config: ConstructConfig | None = None) -> tuple[TotalCol
                                   else "no-valid-attempt")
         if cap is not None and best.span > cap:
             report.span_capped = True
-        report.valid = not check_proper(g, best) and not check_nsd(g, best)
+        report.valid = is_valid(g, best)
 
     report.span = best.span
     return best, report

@@ -53,7 +53,7 @@ from itertools import accumulate, permutations, product
 import numpy as np
 
 from .graph import Graph, connected_components
-from .colouring import TotalColouring, check_proper, check_nsd
+from .colouring import TotalColouring, is_valid
 
 
 class EnumerationGuardError(ValueError):
@@ -432,8 +432,7 @@ def conjecture_sweep(graphs, k_max_extra: int = 5) -> list[dict]:
             else:
                 row["chi_sum_total"] = res.chi_sum_total
                 row["verdict"] = "pass" if res.chi_sum_total <= bound else "fail"
-                w = res.witness
-                if check_proper(g, w) or check_nsd(g, w):
+                if not is_valid(g, res.witness):
                     row["verdict"] = "error:invalid-witness"
         except Exception as exc:  # keep sweeping; record the failure
             row["verdict"] = f"error:{type(exc).__name__}"

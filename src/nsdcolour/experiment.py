@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -101,6 +102,35 @@ def parse_family(spec: str) -> list[tuple[str, Graph]]:
     raise ValueError(f"unknown family kind {kind!r}")
 
 
+def _count(v, least: int) -> bool:
+    """v is a JSON integer (not a boolean) of at least least."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+_NON_NEGATIVE = (lambda v: _count(v, 0), "a non-negative integer")
+
+# field -> (accepts the JSON value, what it must be)
+_SPEC_FIELDS = {
+    "name": (lambda v: isinstance(v, str), "a string"),
+    "seed": _NON_NEGATIVE,
+    "families": (lambda v: isinstance(v, list) and v != []
+                 and all(isinstance(f, str) for f in v),
+                 "a non-empty list of family spec strings"),
+    "solver": (lambda v: v in ("construct", "exact"), '"construct" or "exact"'),
+    "mode": (lambda v: v in ("permissive", "strict"), '"permissive" or "strict"'),
+    "slack": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+              and 1 <= v <= sys.float_info.max, "a finite number of at least 1"),
+    "rounds": _NON_NEGATIVE,
+    "retries": _NON_NEGATIVE,
+    "span_cap": (lambda v: v is None or v == "auto" or _count(v, 0),
+                 '"auto", null or a non-negative integer'),
+    "k_max_extra": _NON_NEGATIVE,
+    "workers": (lambda v: _count(v, 1), "a positive integer"),
+    "schema": (lambda v: _count(v, 0) and v == SCHEMA_VERSION,
+               f"the integer {SCHEMA_VERSION}"),
+}
+
+
 @dataclass
 class ExperimentSpec:
     """Declarative experiment description, loadable from JSON."""
@@ -122,19 +152,17 @@ class ExperimentSpec:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("experiment spec must be a JSON object")
-        schema = data.get("schema", SCHEMA_VERSION)
-        if schema != SCHEMA_VERSION:
-            raise ValueError(f"unsupported spec schema {schema}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown spec fields: {sorted(unknown)}")
-        spec = cls(**data)
-        if spec.solver not in ("construct", "exact"):
-            raise ValueError(f"unknown solver {spec.solver!r}")
-        if not spec.families:
+        for key, value in data.items():
+            ok, want = _SPEC_FIELDS[key]
+            if not ok(value):
+                raise ValueError(
+                    f"spec field {key!r} must be {want}, got {json.dumps(value)}")
+        if "families" not in data:
             raise ValueError("spec lists no graph families")
-        return spec
+        return cls(**data)
 
     def to_json(self) -> str:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}

@@ -94,11 +94,16 @@ class Graph:
         self._keys = sorted_unique(lo * n + hi)
         self.m = len(self._keys)
         self.edge_u, self.edge_v = np.divmod(self._keys, max(n, 1))
-        self.degrees = np.bincount(np.concatenate([self.edge_u, self.edge_v]),
-                                   minlength=n).astype(np.int64, copy=False)
+        self.degrees = self.endpoint_counts(slice(None))
         self.max_degree = int(self.degrees.max()) if n else 0
         for arr in (self._keys, self.edge_u, self.edge_v, self.degrees):
             arr.flags.writeable = False
+
+    def endpoint_counts(self, edges) -> np.ndarray:
+        """How many of the edges (an edge mask, edge ids or a slice) meet
+        each vertex, as int64."""
+        ends = np.concatenate([self.edge_u[edges], self.edge_v[edges]])
+        return np.bincount(ends, minlength=self.n).astype(np.int64, copy=False)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:

@@ -38,6 +38,11 @@ Checked per vertex v (d = degree, "large" means 3d >= D):
   4°   the uniformly redrawn edges carry no colour more than
        2 D^{1/3} ln^{2/3} D times per vertex
 
+The checker runs on three kernels: a (vertex, value) tally and its list of
+over-cap cells (1°a, 2°, IV, VI, 3°, 4°); a spread test for I and II, on a
+tally r + 1 wide, since a colour seen zero times can stray too; and
+Graph.endpoint_counts, the per-vertex count of an edge mask (III, 1°b).
+
 Resampling follows the usual algorithmic local-lemma discipline: sweep
 vertices in index order, find the first violated event, redraw exactly the
 random variables in that event's scope, repeat under a round budget.
@@ -55,16 +60,12 @@ from .graph import Graph
 
 STAGE_ONE_PROPERTIES = ("I", "II", "VI", "1°", "2°")
 ALL_PROPERTIES = ("I", "II", "III", "IV", "V", "VI", "1°", "2°", "3°", "4°")
+# the property ids whose violators are reported under more than one key
+_PARTS = {"1°": ("1°a", "1°b")}
 
 
 class InfeasibleStrictError(ValueError):
     """Strict mode refused: the max degree fails the feasibility predicate."""
-
-
-def _ln_floor(delta: int) -> float:
-    if delta < 1:
-        return 1.0
-    return max(math.log(delta), 1.0)
 
 
 class LemmaParams:
@@ -92,7 +93,7 @@ class LemmaParams:
         self.delta = int(delta)
         self.strict = bool(strict)
         self.slack = float(slack)
-        self.ln_floor = _ln_floor(delta)
+        self.ln_floor = max(math.log(max(delta, 1)), 1.0)
 
         try:
             x = float(max(delta, 0))
@@ -197,33 +198,64 @@ def sample_stage_one(g: Graph, p: LemmaParams, seed: int) -> LemmaState:
 class PropertyReport:
     """Outcome of a property check pass.
 
-    verdicts: property id -> pass/fail for every evaluated property.
-    violators: finer-grained lists of (vertex, value) pairs; "1°" splits into
-    "1°a"/"1°b", III reports (vertex, exception count), V reports
-    (smaller endpoint, shared target colour).
+    violators: for every evaluated property, its lists of (vertex, value)
+    pairs in vertex order; "1°" splits into "1°a"/"1°b", III and 1°b report
+    (vertex, edge count), V reports (smaller endpoint, shared target colour).
+    verdicts derives property id -> pass/fail from them.
     """
-    verdicts: dict[str, bool] = field(default_factory=dict)
     violators: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
 
+    @property
+    def verdicts(self) -> dict[str, bool]:
+        ids = dict.fromkeys("1°" if k in _PARTS["1°"] else k
+                            for k in self.violators)
+        return {q: not self.violation_total([q]) for q in ids}
+
     def all_pass(self, properties=None) -> bool:
-        ids = self.verdicts if properties is None else properties
-        return all(self.verdicts.get(q, False) for q in ids)
+        verdicts = self.verdicts
+        ids = verdicts if properties is None else properties
+        return all(verdicts.get(q, False) for q in ids)
 
     def violation_total(self, properties=None) -> int:
         if properties is None:
             return sum(len(v) for v in self.violators.values())
-        keys = []
-        for q in properties:
-            keys.extend(("1°a", "1°b") if q == "1°" else (q,))
-        return sum(len(self.violators.get(k, ())) for k in keys)
+        return sum(len(self.violators.get(k, ()))
+                   for q in properties for k in _PARTS.get(q, (q,)))
 
     def violator_counts(self) -> dict[str, int]:
         return {k: len(v) for k, v in self.violators.items()}
 
 
-def _pair_counts(n: int, centers: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
-    key = centers * width + values
-    return np.bincount(key, minlength=n * width).reshape(n, width)
+# ---------------------------------------------------------------------------
+# tally kernels
+
+def _tally(n: int, centers: np.ndarray, values: np.ndarray,
+           width: int | None = None) -> np.ndarray:
+    """Count table of (centre, value) pairs: row v, column x-1 counts the
+    pairs (v, x) for x in 1..width-1; width defaults to the largest x + 1."""
+    if width is None:
+        width = int(values.max(initial=0)) + 1
+    return np.bincount(centers * width + values,
+                       minlength=n * width).reshape(n, width)[:, 1:]
+
+
+def _cells(bad: np.ndarray) -> list[tuple[int, int]]:
+    """The (vertex, value) cells set in a mask over a tally, row-major."""
+    rows, cols = np.nonzero(bad)
+    return list(zip(rows.tolist(), (cols + 1).tolist()))
+
+
+def _spread(n: int, centers, values, r: int, deg, large, cap: int):
+    """Large-vertex cells whose count strays from d/r, as |r*count - d| > cap,
+    over all r colours: a colour seen zero times strays too."""
+    off = np.abs(r * _tally(n, centers, values, r + 1) - deg[:, None]) > cap
+    return _cells(off & large[:, None])
+
+
+def _heavy(counts: np.ndarray, cap: int) -> list[tuple[int, int]]:
+    """(vertex, count) for every vertex whose count is over cap."""
+    over = np.flatnonzero(counts > cap)
+    return list(zip(over.tolist(), counts[over].tolist()))
 
 
 def _alphas(g: Graph, st: LemmaState, p: LemmaParams, large: np.ndarray) -> np.ndarray:
@@ -255,92 +287,48 @@ def check_properties(g: Graph, st: LemmaState, p: LemmaParams,
         if ("3°" in properties or "4°" in properties) and h3_edge_ids is None:
             raise ValueError("3°/4° need the redrawn edge set")
 
-    n = g.n
-    caps = p.caps
-    deg = g.degrees
+    n, caps, deg = g.n, p.caps, g.degrees
     large = 3 * deg >= p.delta
     eu, ev = g.edge_u, g.edge_v
+    # every edge twice, once seen from each end
     centers = np.concatenate([eu, ev])
     others = np.concatenate([ev, eu])
     svals = _sum_colours(g, st)
-    rep = PropertyReport()
-
-    def record(cap_key, bad_pairs):
-        rep.violators[cap_key] = bad_pairs
-        base = "1°" if cap_key in ("1°a", "1°b") else cap_key
-        ok = not bad_pairs
-        rep.verdicts[base] = rep.verdicts.get(base, True) and ok
-
-    def over_cap_pairs(cnt: np.ndarray, cap: int, row_mask=None, col_lo=1):
-        bad = cnt[:, col_lo:] > cap
-        if row_mask is not None:
-            bad &= row_mask[:, None]
-        return [(int(v), int(c) + col_lo) for v, c in np.argwhere(bad)]
+    viol: dict[str, list[tuple[int, int]]] = {}
 
     for q in properties:
-        if q == "I":
-            cnt = _pair_counts(n, centers, st.c1[others], p.r1 + 1)
-            dev = np.abs(p.r1 * cnt[:, 1:] - deg[:, None]) > caps["I"]
-            dev &= large[:, None]
-            record("I", [(int(v), int(c) + 1) for v, c in np.argwhere(dev)])
-        elif q == "II":
-            vals = np.concatenate([st.c2, st.c2])
-            cnt = _pair_counts(n, centers, vals, p.r2 + 1)
-            dev = np.abs(p.r2 * cnt[:, 1:] - deg[:, None]) > caps["II"]
-            dev &= large[:, None]
-            record("II", [(int(v), int(c) + 1) for v, c in np.argwhere(dev)])
+        if q in ("I", "II"):
+            r, vals = ((p.r1, st.c1[others]) if q == "I"
+                       else (p.r2, np.tile(st.c2, 2)))
+            viol[q] = _spread(n, centers, vals, r, deg, large, caps[q])
         elif q == "VI":
-            bad_pairs: list[tuple[int, int]] = []
-            if g.m:
-                alpha = _alphas(g, st, p, large)
-                mask = large[centers] & large[others]
-                if mask.any():
-                    ctr = centers[mask]
-                    av = alpha[others[mask]]
-                    width = int(av.max()) + 1
-                    cnt = _pair_counts(n, ctr, av, width)
-                    over = cnt > caps["VI"]
-                    over &= large[:, None]
-                    bad_pairs = [(int(v), int(c)) for v, c in np.argwhere(over)]
-            record("VI", bad_pairs)
+            alpha = _alphas(g, st, p, large)
+            mask = large[centers] & large[others]
+            cnt = _tally(n, centers[mask], alpha[others[mask]])
+            viol[q] = _cells(cnt > caps[q])
         elif q == "1°":
-            vals = np.concatenate([svals, svals])
-            cnt = _pair_counts(n, centers, vals, p.r3 + 1)
-            record("1°a", over_cap_pairs(cnt, caps["1°a"]))
+            cnt = _tally(n, centers, np.tile(svals, 2))
+            viol["1°a"] = _cells(cnt > caps["1°a"])
             hit = (svals == st.c3v[eu]) | (svals == st.c3v[ev])
-            per_v = np.bincount(np.concatenate([eu[hit], ev[hit]]), minlength=n)
-            bad = np.nonzero(per_v > caps["1°b"])[0]
-            record("1°b", [(int(v), int(per_v[v])) for v in bad])
+            viol["1°b"] = _heavy(g.endpoint_counts(hit), caps["1°b"])
         elif q == "2°":
-            vals = np.concatenate([st.c3v[ev], st.c3v[eu]])
-            cnt = _pair_counts(n, centers, vals, p.r3 + 1)
-            record("2°", over_cap_pairs(cnt, caps["2°"]))
+            viol[q] = _cells(_tally(n, centers, st.c3v[others]) > caps[q])
         elif q == "III":
-            ex = st.c3e != svals
-            per_v = np.bincount(np.concatenate([eu[ex], ev[ex]]), minlength=n)
-            bad = np.nonzero(per_v > caps["III"])[0]
-            record("III", [(int(v), int(per_v[v])) for v in bad])
-        elif q == "IV":
-            width = max(int(st.c3e.max(initial=0)), p.r3) + 1
-            vals = np.concatenate([st.c3e, st.c3e])
-            cnt = _pair_counts(n, centers, vals, width)
-            record("IV", over_cap_pairs(cnt, caps["IV"]))
+            viol[q] = _heavy(g.endpoint_counts(st.c3e != svals), caps[q])
+        elif q in ("IV", "3°", "4°"):
+            sel = slice(None)
+            if q != "IV":
+                in_h3 = np.zeros(g.m, dtype=bool)
+                in_h3[np.asarray(h3_edge_ids, dtype=np.int64)] = True
+                sel = np.tile(in_h3 if q == "4°" else ~in_h3, 2)
+            cnt = _tally(n, centers[sel], np.tile(st.c3e, 2)[sel])
+            viol[q] = _cells(cnt > caps[q])
         elif q == "V":
-            mask = (st.c3v[eu] == st.c3v[ev]) & (st.c3e != st.c3v[eu])
-            record("V", [(int(eu[i]), int(st.c3v[eu[i]]))
-                         for i in np.nonzero(mask)[0]])
-        elif q in ("3°", "4°"):
-            in_h3 = np.zeros(g.m, dtype=bool)
-            in_h3[np.asarray(h3_edge_ids, dtype=np.int64)] = True
-            sel = in_h3 if q == "4°" else ~in_h3
-            width = max(int(st.c3e.max(initial=0)), p.r3) + 1
-            ctr = np.concatenate([eu[sel], ev[sel]])
-            vals = np.concatenate([st.c3e[sel], st.c3e[sel]])
-            cnt = _pair_counts(n, ctr, vals, width)
-            record(q, over_cap_pairs(cnt, caps[q]))
+            u = eu[(st.c3v[eu] == st.c3v[ev]) & (st.c3e != st.c3v[eu])]
+            viol[q] = list(zip(u.tolist(), st.c3v[u].tolist()))
         else:
             raise ValueError(f"unknown property id {q!r}")
-    return rep
+    return PropertyReport(viol)
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +357,10 @@ def resample_event(g: Graph, st: LemmaState, v: int, prop: str, rng,
                    p: LemmaParams) -> None:
     """Redraw exactly the variables in the event's scope, in index order,
     then refresh the derived edge targets."""
-    c1_ids, c2_ids, c3v_ids = event_scope(g, v, prop)
-    if c1_ids:
-        st.c1[np.array(c1_ids, dtype=np.int64)] = rng.integers(
-            1, p.r1 + 1, size=len(c1_ids), dtype=np.int64)
-    if c2_ids:
-        st.c2[np.array(c2_ids, dtype=np.int64)] = rng.integers(
-            1, p.r2 + 1, size=len(c2_ids), dtype=np.int64)
-    if c3v_ids:
-        st.c3v[np.array(c3v_ids, dtype=np.int64)] = rng.integers(
-            1, p.r2 + 1, size=len(c3v_ids), dtype=np.int64)
+    scope = event_scope(g, v, prop)
+    for arr, ids, top in zip((st.c1, st.c2, st.c3v), scope, (p.r1, p.r2, p.r2)):
+        arr[np.array(ids, dtype=np.int64)] = rng.integers(
+            1, top + 1, size=len(ids), dtype=np.int64)
     st.c3e = _sum_colours(g, st)
 
 
@@ -391,16 +373,16 @@ class ResampleResult:
 
 
 def _first_violation(report: PropertyReport):
-    best = None
-    for order, prop in enumerate(STAGE_ONE_PROPERTIES):
-        keys = ("1°a", "1°b") if prop == "1°" else (prop,)
-        for k in keys:
-            for v, _ in report.violators.get(k, ()):
-                if best is None or (v, order) < best[:2]:
-                    best = (v, order, prop)
-    if best is None:
+    """(vertex, property) of the least violating vertex, ties going to the
+    earlier stage-one property; each violator list is in vertex order."""
+    firsts = [(pairs[0][0], order, prop)
+              for order, prop in enumerate(STAGE_ONE_PROPERTIES)
+              for k in _PARTS.get(prop, (prop,))
+              if (pairs := report.violators.get(k))]
+    if not firsts:
         return None
-    return best[0], best[2]
+    v, _, prop = min(firsts)
+    return v, prop
 
 
 def resample_until_valid(g: Graph, p: LemmaParams, seed: int,
@@ -458,37 +440,30 @@ def stage_two(g: Graph, st: LemmaState, p: LemmaParams, seed: int,
     c3e = svals.copy()
     c3e[e1] = 0
     c3e[e2] = st2.c3v[g.edge_u][e2]
-    h3 = e1 & ~e2
-    h3_ids = np.nonzero(h3)[0].astype(np.int64)
+    h3_ids = np.flatnonzero(e1 & ~e2).astype(np.int64)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if h3_ids.size:
-        c3e[h3_ids] = rng.integers(1, p.r3 + 1, size=h3_ids.size, dtype=np.int64)
+    c3e[h3_ids] = rng.integers(1, p.r3 + 1, size=h3_ids.size, dtype=np.int64)
     st2.c3e = c3e
 
     cap4 = p.caps["4°"]
+    h3_u, h3_v = g.edge_u[h3_ids], g.edge_v[h3_ids]
+    h3_ends = np.concatenate([h3_u, h3_v])
     rounds = 0
     valid = True
     while h3_ids.size:
-        ctr = np.concatenate([g.edge_u[h3_ids], g.edge_v[h3_ids]])
-        vals = np.concatenate([c3e[h3_ids], c3e[h3_ids]])
-        width = p.r3 + 1
-        cnt = _pair_counts(g.n, ctr, vals, width)
-        over = np.nonzero((cnt[:, 1:] > cap4).any(axis=1))[0]
+        cnt = _tally(g.n, h3_ends, np.tile(c3e[h3_ids], 2), p.r3 + 1)
+        over = np.flatnonzero((cnt > cap4).any(axis=1))
         if over.size == 0:
             break
         if rounds >= max_rounds:
             valid = False
             break
         v = int(over[0])
-        mine = h3_ids[(g.edge_u[h3_ids] == v) | (g.edge_v[h3_ids] == v)]
+        mine = h3_ids[(h3_u == v) | (h3_v == v)]
         c3e[mine] = rng.integers(1, p.r3 + 1, size=mine.size, dtype=np.int64)
         rounds += 1
 
-    per_v_e1 = np.bincount(
-        np.concatenate([g.edge_u[e1], g.edge_v[e1]]), minlength=g.n)
-    per_v_e2 = np.bincount(
-        np.concatenate([g.edge_u[e2], g.edge_v[e2]]), minlength=g.n)
     report = check_properties(g, st2, p, h3_edge_ids=h3_ids)
     return Stage2Result(
         state=st2,
@@ -498,6 +473,6 @@ def stage_two(g: Graph, st: LemmaState, p: LemmaParams, seed: int,
         h3_edge_ids=h3_ids,
         e1_count=int(e1.sum()),
         e2_count=int(e2.sum()),
-        h1_max_degree=int(per_v_e1.max(initial=0)),
-        h2_max_degree=int(per_v_e2.max(initial=0)),
+        h1_max_degree=int(g.endpoint_counts(e1).max(initial=0)),
+        h2_max_degree=int(g.endpoint_counts(e2).max(initial=0)),
     )

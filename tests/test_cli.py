@@ -137,6 +137,15 @@ def test_sweep_csv(tmp_path, capsys):
     assert all(line.endswith("pass") for line in lines[1:])
 
 
+def test_sweep_with_unsolved_rows_exits_1(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--family", "complete:3..4", "--k-max-extra", "0",
+               "-o", str(out)])
+    assert rc == 1
+    rows = out.read_text().strip().split("\n")[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["unsolved<=+0"] * 2
+
+
 def test_exact_and_sweep_on_long_paths(tmp_path, capsys):
     # deeper than Python's recursion limit: 2n - 1 search levels
     gpath = tmp_path / "p600.graph"
@@ -356,3 +365,21 @@ def test_verify_rejects_wrong_shape_colouring(tmp_path, capsys):
     cpath.write_text(write_colouring(g2, col))
     rc = main(["verify", gpath, str(cpath)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("field,value", [
+    ("span_cap", "foo"), ("retries", 2.5), ("workers", "2"),
+    ("families", "complete:3"), ("families", [3]), ("seed", True),
+    ("seed", -1), ("rounds", False), ("rounds", -1), ("workers", 0),
+    ("k_max_extra", 1.0), ("slack", "2"), ("slack", 0.5), ("slack", True),
+    ("name", 7), ("mode", "lax"), ("solver", None), ("span_cap", -1),
+    ("schema", True), ("schema", 2)])
+def test_experiment_spec_bad_field_is_usage_error_naming_it(
+        tmp_path, capsys, field, value):
+    spath = tmp_path / "spec.json"
+    spath.write_text(json.dumps({"families": ["complete:3"], field: value}))
+    assert main(["experiment", str(spath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: spec field {field!r} must be ")
+    assert captured.err.endswith(f", got {json.dumps(value)}\n")
