@@ -13,14 +13,13 @@ import json
 import sys
 
 from . import experiment as expmod
-from .colouring import (ColouringParseError, check_nsd, check_proper,
-                        is_valid, parse_colouring, weighted_degrees,
-                        write_colouring)
+from .colouring import (check_nsd, check_proper, is_valid, parse_colouring,
+                        weighted_degrees, write_colouring)
 from .construct import ConstructConfig, construct, greedy_nsd
 from .exact import EnumerationGuardError, solve_exact
-from .graph import GenerationError, GraphParseError, generate, parse_graph, write_graph
-from .lemma import (InfeasibleStrictError, LemmaParams, resample_until_valid,
-                    stage_two)
+from .graph import generate, parse_graph, write_graph
+from .lemma import (InfeasibleStrictError, LemmaParams, check_properties,
+                    resample_until_valid, stage_two)
 
 
 def _read(path: str) -> str:
@@ -43,13 +42,8 @@ def _load_graph(path: str):
 
 
 def cmd_gen(args) -> int:
-    kwargs = {}
-    if args.p is not None:
-        kwargs["p"] = args.p
-    if args.d is not None:
-        kwargs["d"] = args.d
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
+    kwargs = {k: getattr(args, k) for k in ("p", "d", "seed")
+              if getattr(args, k) is not None}
     g = generate(args.kind, n=args.n, **kwargs)
     _write_out(write_graph(g), args.output)
     return 0
@@ -118,6 +112,8 @@ def cmd_lemma(args) -> int:
         p = LemmaParams(g.max_degree, strict=args.strict, slack=args.slack)
     r1 = resample_until_valid(g, p, args.seed, args.rounds)
     r2 = stage_two(g, r1.state, p, args.seed + 1, args.rounds)
+    # the ten-property certificate of the stage-two state
+    cert = check_properties(g, r2.state, p, h3_edge_ids=r2.h3_edge_ids)
     out = {
         "params": {"delta": p.delta, "r1": p.r1, "r2": p.r2, "r3": p.r3,
                    "slack": p.slack},
@@ -126,11 +122,11 @@ def cmd_lemma(args) -> int:
         "stage2": {"rounds": r2.rounds, "valid": r2.valid,
                    "e1_count": r2.e1_count, "e2_count": r2.e2_count,
                    "verdicts": {k: bool(v) for k, v in
-                                sorted(r2.report.verdicts.items())},
-                   "violations": r2.report.violator_counts()},
+                                sorted(cert.verdicts.items())},
+                   "violations": cert.violator_counts()},
     }
     sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
-    ok = r1.valid and r2.report.all_pass()
+    ok = r1.valid and cert.all_pass()
     return 0 if ok else 1
 
 
@@ -255,17 +251,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphParseError, ColouringParseError, GenerationError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (InfeasibleStrictError, EnumerationGuardError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # the parse, generation and JSON errors are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

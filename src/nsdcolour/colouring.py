@@ -73,12 +73,8 @@ class TotalColouring:
     @property
     def span(self) -> int:
         """Largest colour actually used (0 for the empty colouring)."""
-        top = 0
-        if self.vertex_colours.size:
-            top = int(self.vertex_colours.max())
-        if self.edge_colours.size:
-            top = max(top, int(self.edge_colours.max()))
-        return top
+        return max(int(self.vertex_colours.max(initial=0)),
+                   int(self.edge_colours.max(initial=0)))
 
     def __eq__(self, other) -> bool:
         return (

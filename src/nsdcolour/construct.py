@@ -3,7 +3,7 @@ whose adjacent vertices get distinct weighted sums.
 
 Phases, in order:
 
-  lift/properize   map each engine target class onto its own band of width B
+  properize        map each engine target class onto its own band of width B
                    and resolve clashes inside each band (greedy edge colouring
                    with one alternating-path swap attempt per overflow, then
                    vertex slots); raises ClassWidthError when B is too narrow
@@ -62,26 +62,19 @@ class ClassWidthError(ValueError):
 
 @dataclass
 class ConstructionState:
-    """Mutable total colouring plus the engine classes it was lifted from."""
+    """Mutable total colouring and the band width it was lifted at."""
     vertex_colours: np.ndarray
     edge_colours: np.ndarray
     width: int
-    class_of_vertex: np.ndarray
-    class_of_edge: np.ndarray
 
     @property
     def span(self) -> int:
-        hi = 1
-        if self.vertex_colours.size:
-            hi = max(hi, int(self.vertex_colours.max()))
-        if self.edge_colours.size:
-            hi = max(hi, int(self.edge_colours.max()))
-        return hi
+        return max(int(self.vertex_colours.max(initial=1)),
+                   int(self.edge_colours.max(initial=1)))
 
     def copy(self) -> "ConstructionState":
         return ConstructionState(self.vertex_colours.copy(),
-                                 self.edge_colours.copy(), self.width,
-                                 self.class_of_vertex, self.class_of_edge)
+                                 self.edge_colours.copy(), self.width)
 
 
 def _lowest_free(used: int) -> int:
@@ -150,6 +143,23 @@ def _colour_class_edges(g: Graph, edge_u: list[int], edge_v: list[int],
         used[v] |= 1 << s
 
 
+def _first_fit(g: Graph, ids: np.ndarray, forbid: list[int]) -> list[int]:
+    """Each vertex, in ascending order, takes the lowest bit clear in
+    forbid[v] and in the bits its lower neighbours took over the edges ids.
+    ids is grouped by larger endpoint, as a stable argsort of edge_v is."""
+    lower = g.edge_u[ids].tolist()
+    bounds = np.cumsum(np.bincount(g.edge_v[ids], minlength=g.n)).tolist()
+    slot = [0] * g.n
+    start = 0
+    for v, end in enumerate(bounds):
+        f = forbid[v]
+        for w in lower[start:end]:
+            f |= 1 << slot[w]
+        slot[v] = ((f + 1) & ~f).bit_length() - 1
+        start = end
+    return slot
+
+
 def _vertex_slots(g: Graph, st: LemmaState, e_slot: list[int]) -> list[int]:
     """Each vertex's lowest slot free of the slots of its incident edges and
     of its lower neighbours in its own class, in ascending vertex order.
@@ -162,21 +172,9 @@ def _vertex_slots(g: Graph, st: LemmaState, e_slot: list[int]) -> list[int]:
     forbid = [0] * g.n
     for x, eid in zip(ends[at].tolist(), (at % max(g.m, 1)).tolist()):
         forbid[x] |= 1 << e_slot[eid]
-    # same-class neighbour pairs (lo, hi) grouped by hi, whose slot needs
-    # every lo slot first; lo < hi, so ascending order provides them
     same = np.flatnonzero(st.c3v[g.edge_u] == st.c3v[g.edge_v])
-    same = same[np.argsort(g.edge_v[same], kind="stable")]
-    lower = g.edge_u[same].tolist()
-    bounds = np.cumsum(np.bincount(g.edge_v[same], minlength=g.n)).tolist()
-    v_slot = [0] * g.n
-    start = 0
-    for v, end in enumerate(bounds):
-        f = forbid[v]
-        for w in lower[start:end]:
-            f |= 1 << v_slot[w]
-        start = end
-        v_slot[v] = ((f + 1) & ~f).bit_length() - 1
-    return v_slot
+    return _first_fit(g, same[np.argsort(g.edge_v[same], kind="stable")],
+                      forbid)
 
 
 def properize(g: Graph, st: LemmaState, width: int | None) -> ConstructionState:
@@ -202,8 +200,7 @@ def properize(g: Graph, st: LemmaState, width: int | None) -> ConstructionState:
         raise ClassWidthError(needed)
     vc = width * (st.c3v - 1) + 1 + np.array(v_slot, dtype=np.int64)
     ec = width * (st.c3e - 1) + 1 + np.array(e_slot, dtype=np.int64)
-    return ConstructionState(vc.astype(np.int64), ec.astype(np.int64),
-                             width, st.c3v.copy(), st.c3e.copy())
+    return ConstructionState(vc.astype(np.int64), ec.astype(np.int64), width)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +353,6 @@ class ReserveInfo:
     base: int
     planned: int
     used: int
-    grew: bool = False  # the planned reserve always suffices; kept for reports
 
 
 def recolour_H(g: Graph, state: ConstructionState, h_edge_ids,
@@ -511,15 +507,7 @@ def greedy_nsd(g: Graph) -> TotalColouring:
     # the entries of Graph._vertex_order below m, the edges (w, v), w < v, met
     # at v, are a stable argsort of edge_v: grouped by v with w ascending
     order = g._vertex_order
-    lower = g.edge_u[order[order < g.m]].tolist()
-    vc = [0] * n
-    start = 0
-    for v, end in enumerate(np.cumsum(np.bincount(g.edge_v, minlength=n)).tolist()):
-        used = 1
-        for w in lower[start:end]:
-            used |= 1 << vc[w]
-        vc[v] = ((used + 1) & ~used).bit_length() - 1
-        start = end
+    vc = _first_fit(g, order[order < g.m], [1] * n)   # bit 0: colours from 1
     used = [1 | (1 << c) for c in vc]
     higher = g.edge_v.tolist()
     ec = []
@@ -629,8 +617,10 @@ def _attempt_pipeline(g: Graph, p: LemmaParams, slack: float,
     info["h_valid"] = hsel.valid
 
     cs, reserve = recolour_H(g, cs, hsel.edge_ids, risky)
+    # the planned reserve always suffices (see recolour_H), so it never grows;
+    # the key stays in the report
     info.update(reserve_base=reserve.base, reserve_planned=reserve.planned,
-                reserve_used=reserve.used, reserve_grew=reserve.grew)
+                reserve_used=reserve.used, reserve_grew=False)
 
     cs, repaired = repair_small_degree(g, cs)
     info["repaired"] = repaired
@@ -676,8 +666,10 @@ def construct(g: Graph, config: ConstructConfig | None = None) -> tuple[TotalCol
         report.chosen_attempt = 0
         return colouring, report
 
+    strict = None
     if cfg.mode == "strict":
-        LemmaParams(delta, strict=True)  # refuses infeasible degrees up front
+        # built once, before the ladder: it refuses infeasible degrees
+        strict = LemmaParams(delta, strict=True)
         ladder = [1.0]
     elif cfg.mode == "permissive":
         ladder = [cfg.slack * 2.0 ** i for i in range(max(cfg.retries, 1))]
@@ -687,10 +679,7 @@ def construct(g: Graph, config: ConstructConfig | None = None) -> tuple[TotalCol
     cap = cfg.span_cap
     best: TotalColouring | None = None
     for attempt, slack in enumerate(ladder):
-        if cfg.mode == "strict":
-            p = LemmaParams(delta, strict=True)
-        else:
-            p = LemmaParams(delta, slack=slack)
+        p = strict or LemmaParams(delta, slack=slack)
         colouring, info = _attempt_pipeline(g, p, slack, cfg, attempt)
         report.attempts.append(info)
         if colouring is None:  # band floor above the cap

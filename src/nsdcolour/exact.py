@@ -77,10 +77,6 @@ class SolveResult:
         }
 
 
-def _lower_bound(g: Graph) -> int:
-    return g.max_degree + 1
-
-
 def _neighbourhoods(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
     """Each vertex's neighbours, ascending, and its aligned incident edge
     ids, as Python lists cut from g.incidences()."""
@@ -157,7 +153,7 @@ def brute_force_chi(g: Graph, k_max: int | None = None) -> SolveResult:
     if t == 0:
         return SolveResult(1, TotalColouring([], [], 1), 0)
     nodes = 0
-    for k in range(_lower_bound(g), k_max + 1):
+    for k in range(g.max_degree + 1, k_max + 1):
         witness, examined = _brute_search_k(g, k)
         nodes += examined
         if witness is not None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -29,9 +30,8 @@ import numpy as np
 
 from .construct import ConstructConfig, construct, reference_span_bound
 from .exact import conjecture_sweep
-from .graph import (GenerationError, Graph, complete_graph, cycle_graph,
-                    enumerate_connected_graphs, path_graph, random_graph,
-                    regular_graph)
+from .graph import (GenerationError, Graph, enumerate_connected_graphs,
+                    generate, random_graph, regular_graph)
 
 SCHEMA_VERSION = 1
 
@@ -87,9 +87,7 @@ def parse_family(spec: str) -> list[tuple[str, Graph]]:
     kind, body = spec.split(":", 1)
     kind = kind.strip()
     if kind in ("complete", "cycle", "path"):
-        maker = {"complete": complete_graph, "cycle": cycle_graph,
-                 "path": path_graph}[kind]
-        return [(f"{kind}-{n}", maker(n)) for n in _parse_range(body)]
+        return [(f"{kind}-{n}", generate(kind, n=n)) for n in _parse_range(body)]
     if kind == "random":
         n, p, seeds = _parse_kv(kind, body, ("n", "p", "seeds"))
         n, seeds = int(n), int(seeds)
@@ -213,34 +211,23 @@ def _solve_one(graph: Graph, graph_id: str, run_index: int,
         cfg = ConstructConfig(seed=seed, mode=spec.mode, slack=spec.slack,
                               rounds=spec.rounds, retries=spec.retries,
                               span_cap=spec.resolve_span_cap(delta))
-        colouring, report = construct(graph, cfg)
-        rec = RunRecord(
-            run_index=run_index, graph_id=graph_id, seed=seed,
-            n=graph.n, m=graph.m, max_degree=delta, mode=spec.mode,
-            slack=f"{spec.slack:g}", span=colouring.span,
-            delta_plus_3=delta + 3,
-            reference_bound=reference_span_bound(delta),
-            span_over_delta=colouring.span / max(delta, 1),
-            fallback=report.fallback_used,
-            verdict="ok" if report.valid else "invalid",
-            report=report.to_dict())
+        colouring, rep = construct(graph, cfg)
+        mode, slack, span = spec.mode, f"{spec.slack:g}", colouring.span
+        fallback, verdict = rep.fallback_used, "ok" if rep.valid else "invalid"
+        report = rep.to_dict()
     else:
         [row] = conjecture_sweep([(graph_id, graph)],
                                  k_max_extra=3 + spec.k_max_extra)
         unsolved = row["verdict"].startswith("unsolved")
-        verdict = "unsolved" if unsolved else row["verdict"]
-        span = row["chi_sum_total"] or 0
-        rec = RunRecord(
-            run_index=run_index, graph_id=graph_id, seed=seed,
-            n=graph.n, m=graph.m, max_degree=delta, mode="exact",
-            slack="", span=span, delta_plus_3=delta + 3,
-            reference_bound=reference_span_bound(delta),
-            span_over_delta=span / max(delta, 1),
-            fallback=False, verdict=verdict,
-            report={"nodes_explored": row["nodes"],
-                    "exceeded_k_max": unsolved})
-    rec.wall_time_s = time.perf_counter() - t0
-    return rec
+        mode, slack, span = "exact", "", row["chi_sum_total"] or 0
+        fallback, verdict = False, "unsolved" if unsolved else row["verdict"]
+        report = {"nodes_explored": row["nodes"], "exceeded_k_max": unsolved}
+    return RunRecord(
+        run_index=run_index, graph_id=graph_id, seed=seed, n=graph.n,
+        m=graph.m, max_degree=delta, mode=mode, slack=slack, span=span,
+        delta_plus_3=delta + 3, reference_bound=reference_span_bound(delta),
+        span_over_delta=span / max(delta, 1), fallback=fallback,
+        verdict=verdict, wall_time_s=time.perf_counter() - t0, report=report)
 
 
 def _solve_one_star(args) -> RunRecord:
@@ -251,19 +238,17 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None
                    ) -> tuple[list[RunRecord], dict]:
     """Run every (family graph, run) and aggregate. Output order follows run
     index regardless of worker count."""
-    jobs = []
-    idx = 0
-    for fam in spec.families:
-        for graph_id, graph in parse_family(fam):
-            jobs.append((graph, graph_id, idx, spec))
-            idx += 1
-    nworkers = workers if workers is not None else spec.workers
-    if nworkers > 1 and len(jobs) > 1:
+    graphs = [pair for fam in spec.families for pair in parse_family(fam)]
+    jobs = [(graph, graph_id, idx, spec)
+            for idx, (graph_id, graph) in enumerate(graphs)]
+    # with fork, a pool starts all max_workers processes at the first submit
+    nworkers = min(workers if workers is not None else spec.workers,
+                   len(jobs), os.cpu_count() or 1)
+    if nworkers > 1:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             records = list(pool.map(_solve_one_star, jobs))
     else:
         records = [_solve_one_star(j) for j in jobs]
-    records.sort(key=lambda r: r.run_index)
     summary = summarize(spec, records)
     return records, summary
 

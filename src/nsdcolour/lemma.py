@@ -400,10 +400,11 @@ def resample_until_valid(g: Graph, p: LemmaParams, seed: int,
     while True:
         report = check_properties(g, st, p, properties=STAGE_ONE_PROPERTIES)
         total = report.violation_total(STAGE_ONE_PROPERTIES)
-        if best is None or total < best[0]:
-            best = (total, st.copy(), report)
         if total == 0:
             return ResampleResult(st, report, rounds, True)
+        if best is None or total < best[0]:
+            # a state no further round redraws needs no copy
+            best = (total, st if rounds >= max_rounds else st.copy(), report)
         if rounds >= max_rounds:
             return ResampleResult(best[1], best[2], rounds, False)
         v, prop = _first_violation(report)
@@ -414,7 +415,6 @@ def resample_until_valid(g: Graph, p: LemmaParams, seed: int,
 @dataclass
 class Stage2Result:
     state: LemmaState
-    report: PropertyReport
     rounds: int
     valid: bool
     h3_edge_ids: np.ndarray
@@ -430,8 +430,8 @@ def stage_two(g: Graph, st: LemmaState, p: LemmaParams, seed: int,
     target, give equal-target pairs their shared target, uniformly redraw the
     rest of the uncoloured edges under the 4° cap with local resampling.
 
-    Never touches c1, c2, or c3v. The returned report evaluates all ten
-    properties; valid means 4° held within the round budget.
+    Never touches c1, c2, or c3v. valid means 4° held within the round
+    budget: the loop exits on the same tally check_properties runs for 4°.
     """
     st2 = st.copy()
     svals = _sum_colours(g, st2)
@@ -464,12 +464,10 @@ def stage_two(g: Graph, st: LemmaState, p: LemmaParams, seed: int,
         c3e[mine] = rng.integers(1, p.r3 + 1, size=mine.size, dtype=np.int64)
         rounds += 1
 
-    report = check_properties(g, st2, p, h3_edge_ids=h3_ids)
     return Stage2Result(
         state=st2,
-        report=report,
         rounds=rounds,
-        valid=valid and report.verdicts.get("4°", True),
+        valid=valid,
         h3_edge_ids=h3_ids,
         e1_count=int(e1.sum()),
         e2_count=int(e2.sum()),

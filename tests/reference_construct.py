@@ -6,19 +6,54 @@ as it was when it read the per-vertex incident-edge and adjacency views.
 
 The functions below are kept verbatim (only the imports differ) so that
 tests/test_equivalence.py can check that the optimised versions in
-nsdcolour.construct return byte-identical colourings. They are test oracles,
-not part of the package.
+nsdcolour.construct return byte-identical colourings. ``ConstructionState``
+and ``ReserveInfo`` are the old definitions, with the class arrays and the
+``grew`` flag that the package no longer keeps. They are test oracles, not
+part of the package.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from nsdcolour.colouring import TotalColouring, vertex_sums
-from nsdcolour.construct import (ClassWidthError, ConstructionState,
-                                 HSelection, ReserveInfo, RiskParams)
+from nsdcolour.construct import ClassWidthError, HSelection, RiskParams
 from nsdcolour.graph import Graph
 from nsdcolour.lemma import LemmaParams, LemmaState
+
+
+@dataclass
+class ConstructionState:
+    """Mutable total colouring plus the engine classes it was lifted from."""
+    vertex_colours: np.ndarray
+    edge_colours: np.ndarray
+    width: int
+    class_of_vertex: np.ndarray
+    class_of_edge: np.ndarray
+
+    @property
+    def span(self) -> int:
+        hi = 1
+        if self.vertex_colours.size:
+            hi = max(hi, int(self.vertex_colours.max()))
+        if self.edge_colours.size:
+            hi = max(hi, int(self.edge_colours.max()))
+        return hi
+
+    def copy(self) -> "ConstructionState":
+        return ConstructionState(self.vertex_colours.copy(),
+                                 self.edge_colours.copy(), self.width,
+                                 self.class_of_vertex, self.class_of_edge)
+
+
+@dataclass
+class ReserveInfo:
+    base: int
+    planned: int
+    used: int
+    grew: bool = False  # the planned reserve always suffices; kept for reports
 
 
 def _vertex_sums(g: Graph, vc: np.ndarray, ec: np.ndarray) -> np.ndarray:

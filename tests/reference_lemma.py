@@ -6,8 +6,10 @@ rebuilt on shared tally kernels and PropertyReport stopped storing verdicts.
 ``_first_violation``, ``resample_event``, ``resample_until_valid`` and
 ``stage_two`` below are kept verbatim (only the imports differ) so that
 tests/test_lemma_equivalence.py can check that nsdcolour.lemma returns the
-same violators, verdicts, rounds and states. They are test oracles, not part
-of the package.
+same violators, verdicts, rounds and states. ``Stage2Result`` is the old
+definition, with the ten-property report that stage two built before the
+package stopped building it. They are test oracles, not part of the
+package.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from nsdcolour.graph import Graph
 from nsdcolour.lemma import (ALL_PROPERTIES, STAGE_ONE_PROPERTIES, LemmaParams,
-                             LemmaState, ResampleResult, Stage2Result, _alphas,
+                             LemmaState, ResampleResult, _alphas,
                              _sample_with_rng, _sum_colours, event_scope)
 
 
@@ -212,6 +214,20 @@ def resample_until_valid(g: Graph, p: LemmaParams, seed: int,
         v, prop = _first_violation(report)
         resample_event(g, st, v, prop, rng, p)
         rounds += 1
+
+
+@dataclass
+class Stage2Result:
+    """Stage two's result as it was when it carried the ten-property report."""
+    state: LemmaState
+    report: PropertyReport
+    rounds: int
+    valid: bool
+    h3_edge_ids: np.ndarray
+    e1_count: int
+    e2_count: int
+    h1_max_degree: int
+    h2_max_degree: int
 
 
 def stage_two(g: Graph, st: LemmaState, p: LemmaParams, seed: int,

@@ -7,9 +7,9 @@ from hypothesis import strategies as hst
 
 from nsdcolour import (ClassWidthError, ConstructConfig, Graph,
                        InfeasibleStrictError, LemmaParams, LemmaState,
-                       RiskParams, TotalColouring, check_nsd,
-                       check_proper, complete_graph, compute_risky, construct,
-                       greedy_nsd, is_valid, path_graph, properize,
+                       RiskParams, STAGE_ONE_PROPERTIES, TotalColouring,
+                       check_nsd, check_proper, complete_graph, compute_risky,
+                       construct, greedy_nsd, is_valid, path_graph, properize,
                        random_graph, recolour_H, repair_small_degree,
                        resample_until_valid, select_H, stage_two,
                        reference_span_bound, weighted_degrees)
@@ -17,6 +17,7 @@ from recount import recount_proper_and_distinct, risky_lists
 
 # the package re-exports the function construct(), which shadows the module
 construct_mod = importlib.import_module("nsdcolour.construct")
+lemma_mod = importlib.import_module("nsdcolour.lemma")
 
 
 def triangle_state():
@@ -219,7 +220,6 @@ def test_reserve_stays_inside_the_plan(n, p_edge, seed, scale):
     risky = compute_risky(g, res.state, p, RiskParams(p, scale=scale))
     sel = select_H(g, p, seed=seed + 1)
     _, reserve = recolour_H(g, cs, sel.edge_ids, risky)
-    assert not reserve.grew
     if sel.edge_ids.size:
         assert reserve.used <= reserve.planned - 3
     else:
@@ -256,14 +256,13 @@ def test_repair_fixes_small_vertex_clash():
     from nsdcolour import ConstructionState
     vc = np.array([2, 1, 1, 1, 1, 3], dtype=np.int64)
     ec = np.array([3, 4, 5, 6, 1], dtype=np.int64)
-    cs = ConstructionState(vc, ec, 1, np.zeros(6, dtype=np.int64),
-                           np.zeros(5, dtype=np.int64))
+    cs = ConstructionState(vc, ec, 1)
     g_sums = weighted_degrees(g, TotalColouring(vc, ec, 20))
     # vertex 5 (degree 1) collides with vertex 4: 3+1 = 4 = 1+6-3... build
     # the clash explicitly instead of trusting arithmetic in a comment
     assert int(g_sums[5]) == 4
     vc[5] = int(g_sums[4]) - 1  # force sums[5] == sums[4]
-    cs = ConstructionState(vc, ec, 1, cs.class_of_vertex, cs.class_of_edge)
+    cs = ConstructionState(vc, ec, 1)
     out, repaired = repair_small_degree(g, cs)
     assert repaired >= 1
     sums = weighted_degrees(g, TotalColouring(out.vertex_colours,
@@ -282,8 +281,7 @@ def test_repair_leaves_clean_states_alone():
     col = greedy_nsd(g)
     from nsdcolour import ConstructionState
     cs = ConstructionState(col.vertex_colours.copy(), col.edge_colours.copy(),
-                           1, np.zeros(g.n, dtype=np.int64),
-                           np.zeros(g.m, dtype=np.int64))
+                           1)
     out, repaired = repair_small_degree(g, cs)
     assert repaired == 0
     assert np.array_equal(out.vertex_colours, col.vertex_colours)
@@ -372,6 +370,27 @@ def test_construct_builds_no_tuple_views(n, p, seed, capped):
     # neighbourhood is read from; not the edges tuple view
     assert set(vars(g)) == {"n", "m", "_keys", "edge_u", "edge_v", "degrees",
                             "max_degree", "_vertex_order"}
+
+
+@pytest.mark.parametrize("n,p,seed,capped", [
+    (2000, float(f"{150 / 1999:.6f}"), 0, True), (500, 0.05, 1, False)])
+def test_construct_builds_no_certificate(monkeypatch, n, p, seed, capped):
+    # stage one checks its state once per round and once more at the end;
+    # stage two's ten-property certificate is built by no one
+    calls = []
+    real = lemma_mod.check_properties
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("properties"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lemma_mod, "check_properties", counted)
+    g = random_graph(n, p, seed=seed)
+    cap = 3 * g.max_degree + 10 if capped else None
+    _, rep = construct(g, ConstructConfig(span_cap=cap))
+    assert rep.valid and rep.fallback_used == capped
+    rounds = sum(a["stage1_rounds"] + 1 for a in rep.attempts)
+    assert calls == [STAGE_ONE_PROPERTIES] * rounds
 
 
 def test_construct_span_cap_substitutes_fallback():

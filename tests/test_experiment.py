@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import nsdcolour.experiment as expmod
 from nsdcolour import ExperimentSpec, parse_family, run_experiment, run_sweep, split_seed
 from nsdcolour.experiment import (CSV_COLUMNS, records_to_csv, summarize,
                                   summary_to_json, sweep_to_csv)
@@ -145,6 +146,35 @@ def test_workers_preserve_order_and_content():
     seq_records, _ = run_experiment(spec, workers=1)
     par_records, _ = run_experiment(spec, workers=2)
     assert records_to_csv(seq_records) == records_to_csv(par_records)
+
+
+def test_pool_starts_no_more_workers_than_jobs(monkeypatch):
+    # with fork, a pool starts all max_workers processes at the first
+    # submit; the stand-in records the size asked for and maps in-process
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(expmod, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(expmod.os, "cpu_count", lambda: 64)
+    spec = ExperimentSpec(name="w", seed=4, workers=500,
+                          families=["random:n=30,p=0.2,seeds=2"])
+    par_records, _ = run_experiment(spec)
+    assert asked == [2]
+    seq_records, _ = run_experiment(spec, workers=1)
+    assert asked == [2]
+    assert records_to_csv(par_records) == records_to_csv(seq_records)
 
 
 def test_run_sweep_families():

@@ -165,12 +165,10 @@ def test_properize_band_confinement(g, seed):
     cs = properize(g, res.state, None)
     B = cs.width
     for v in range(g.n):
-        beta = int(cs.class_of_vertex[v])
-        assert beta == int(res.state.c3v[v])
+        beta = int(res.state.c3v[v])
         assert B * (beta - 1) < int(cs.vertex_colours[v]) <= B * beta
     for i in range(g.m):
-        beta = int(cs.class_of_edge[i])
-        assert beta == int(res.state.c3e[i])
+        beta = int(res.state.c3e[i])
         assert B * (beta - 1) < int(cs.edge_colours[i]) <= B * beta
     col = TotalColouring(cs.vertex_colours, cs.edge_colours, cs.span)
     assert check_proper(g, col) == []
