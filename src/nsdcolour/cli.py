@@ -74,11 +74,10 @@ def cmd_exact(args) -> int:
     res = solve_exact(g, k_max=args.k_max)
     if args.json:
         sys.stdout.write(json.dumps(res.to_dict(), indent=2, sort_keys=True) + "\n")
+    elif res.exceeded_k_max:
+        sys.stdout.write(f"unsolved k_max={res.k_max}\n")
     else:
-        if res.exceeded_k_max:
-            sys.stdout.write(f"unsolved k_max={res.k_max}\n")
-        else:
-            sys.stdout.write(f"chi_sum_total {res.chi_sum_total}\n")
+        sys.stdout.write(f"chi_sum_total {res.chi_sum_total}\n")
     if args.witness and res.witness is not None:
         _write_out(write_colouring(g, res.witness), args.witness)
     return 1 if res.exceeded_k_max else 0
@@ -91,25 +90,24 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_lemma(args) -> int:
-    p = LemmaParams(args.delta, strict=args.strict, slack=args.slack)
-    info = {
-        "delta": p.delta,
-        "ln_floor": round(p.ln_floor, 9),
-        "r1": p.r1, "r2": p.r2, "r3": p.r3,
-        "b_unit": p.b_unit,
-        "caps": {k: p.caps[k] for k in sorted(p.caps)},
-        "interval_len": float(p.interval_len),
-        "strict": p.strict,
-        "slack": p.slack,
-        "feasible_strict": p.feasible_strict,
-        "feasibility_reasons": p.feasibility_reasons,
-    }
     if args.graph is None:
+        p = LemmaParams(args.delta, strict=args.strict, slack=args.slack)
+        info = {
+            "delta": p.delta,
+            "ln_floor": round(p.ln_floor, 9),
+            "r1": p.r1, "r2": p.r2, "r3": p.r3,
+            "b_unit": p.b_unit,
+            "caps": p.caps,
+            "interval_len": float(p.interval_len),
+            "strict": p.strict,
+            "slack": p.slack,
+            "feasible_strict": p.feasible_strict,
+            "feasibility_reasons": p.feasibility_reasons,
+        }
         sys.stdout.write(json.dumps(info, indent=2, sort_keys=True) + "\n")
         return 0
     g = _load_graph(args.graph)
-    if g.max_degree != p.delta:
-        p = LemmaParams(g.max_degree, strict=args.strict, slack=args.slack)
+    p = LemmaParams(g.max_degree, strict=args.strict, slack=args.slack)
     r1 = resample_until_valid(g, p, args.seed, args.rounds)
     r2 = stage_two(g, r1.state, p, args.seed + 1, args.rounds)
     # the ten-property certificate of the stage-two state

@@ -373,8 +373,8 @@ def recolour_H(g: Graph, state: ConstructionState, h_edge_ids,
 
     A candidate's sums are looked up in an index from each sum to the
     vertices on risky edges that hold it, and a holder's edge to the
-    endpoint in the sorted risky edge keys, so a pick costs the candidates
-    it tries, not the endpoints' risky degrees.
+    endpoint by its edge id in the risky mask, so a pick costs the
+    candidates it tries, not the endpoints' risky degrees.
     """
     st = state.copy()
     h_ids = sorted(np.asarray(h_edge_ids, dtype=np.int64).tolist())
@@ -387,8 +387,6 @@ def recolour_H(g: Graph, state: ConstructionState, h_edge_ids,
     planned = (int((rdeg[us] + rdeg[vs]).max())
                + 2 * int(g.endpoint_counts(h_ids).max()) + 2)
 
-    n = g.n
-    risky_keys = g._keys[risky]     # sorted, as g._keys is
     holders: dict[int, set[int]] = {}
     on_risky = rdeg.astype(bool).tolist()
     for w in np.flatnonzero(rdeg).tolist():
@@ -398,9 +396,8 @@ def recolour_H(g: Graph, state: ConstructionState, h_edge_ids,
         # a risky neighbour of x other than y holds sum s
         for w in holders.get(s, ()):
             if w != y:
-                key = x * n + w if x < w else w * n + x
-                i = risky_keys.searchsorted(key)
-                if i < risky_keys.size and risky_keys[i] == key:
+                i = g._edge_index(x, w)
+                if i >= 0 and risky[i]:
                     return True
         return False
 

@@ -33,22 +33,23 @@ pairwise constrained to distinct colours.
 
 ``solve_exact`` can share work between isomorphic graphs through a class
 table that the caller owns and passes in (``conjecture_sweep`` makes a fresh
-one per call). A graph is looked up by ``canonical_labelling``: colour
-refinement from the degrees, then the least sorted edge list over every
-labelling that keeps the refined cells in order. The first graph of a class
-is searched as without the table, and its chi and witness are stored in
-canonical labels; every later member gets that witness mapped back through
-its own labelling, without a search. Isomorphic graphs have the same chi and
-a relabelled witness stays valid, so no answer changes. A graph whose cells
-allow more than MAX_LABELLINGS (6!) labellings gets no key and is always
-searched, which keeps paths, cycles and large graphs off a factorial path.
+one per call). A graph is looked up by ``canonical_labelling``: the least
+sorted edge list over all n! labellings, found as one numpy maximum of bit
+weights. The first graph of a class is searched as without the table, and
+its chi and witness are stored in canonical labels; every later member gets
+that witness mapped back through its own labelling, without a search.
+Isomorphic graphs have the same chi and a relabelled witness stays valid, so
+no answer changes. A graph on more than 6 vertices (more than
+MAX_LABELLINGS = 6! labellings) gets no key and is always searched, which
+keeps paths, cycles and large graphs off a factorial path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, permutations, product
+from functools import cache
+from itertools import permutations
 
 import numpy as np
 
@@ -337,54 +338,40 @@ def solve_exact(g: Graph, k_max: int | None = None,
 # ---------------------------------------------------------------------------
 # canonical form
 
-# The most labellings canonical_labelling tries for one graph (6!).
+# canonical_labelling keys a graph with at most this many labellings (6!).
 MAX_LABELLINGS = 720
+
+
+@cache
+def _labelling_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n!, n) array of every labelling of n vertices, and the (n, n)
+    table giving the pair {i, j} the weight 1 << (C(n, 2) - 1 - rank), where
+    rank is the pair's lexicographic rank among the pairs i < j."""
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    lo, hi = np.triu_indices(n, 1)
+    weight = np.zeros((n, n), dtype=np.int64)
+    weight[lo, hi] = weight[hi, lo] = 1 << np.arange(lo.size)[::-1]
+    return perms, weight
 
 
 def canonical_labelling(g: Graph) -> tuple[tuple, list[int]] | None:
     """Canonical key of g's isomorphism class and a labelling reaching it.
 
-    The vertex partition is refined from the degrees: each vertex's colour
-    becomes the rank of (own colour, sorted neighbour colours) among all
-    such pairs, until the number of cells stops growing. The ranks order the
-    cells, and are invariant under relabelling. The key is (n, edges), where
-    edges is the lexicographically least sorted (lo, hi) edge list over every
-    labelling that maps the k-th cell onto the k-th block of labels. It is
-    the edge list itself, not a hash, so equal keys mean isomorphic graphs.
-    labelling[v] is v's canonical label; relabelling g's edges by it gives
-    the key's edges. None when the cells allow more than MAX_LABELLINGS
-    labellings.
+    The key is (n, edges), where edges is the lexicographically least sorted
+    (lo, hi) edge list over all n! labellings. It is the edge list itself,
+    not a hash, so equal keys mean isomorphic graphs. A labelling's edges
+    sum to the bit weights of their pairs, the least pair the highest bit,
+    so the least edge list is the one with the largest sum; the first
+    labelling that reaches it is taken. labelling[v] is v's canonical label;
+    relabelling g's edges by it gives the key's edges. None when g has more
+    than 6 vertices, so more than MAX_LABELLINGS labellings.
     """
-    n = g.n
-    ends = list(zip(g.edge_u.tolist(), g.edge_v.tolist()))
-    nbrs = _neighbourhoods(g)[0]
-    colour = [len(row) for row in nbrs]
-    cells = len(set(colour))
-    while True:
-        sig = [(colour[v], tuple(sorted(colour[w] for w in nbrs[v])))
-               for v in range(n)]
-        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
-        colour = [rank[s] for s in sig]
-        if len(rank) == cells:
-            break
-        cells = len(rank)
-    members: list[list[int]] = [[] for _ in range(cells)]
-    for v in range(n):
-        members[colour[v]].append(v)
-    if math.prod(math.factorial(len(cell)) for cell in members) > MAX_LABELLINGS:
+    if g.n > 6:
         return None
-    starts = list(accumulate((len(cell) for cell in members), initial=0))
-    label = [0] * n
-    best, best_label = None, label
-    for choice in product(*(permutations(cell) for cell in members)):
-        for start, cell in zip(starts, choice):
-            for i, v in enumerate(cell):
-                label[v] = start + i
-        keys = sorted(a * n + b if a < b else b * n + a
-                      for a, b in ((label[u], label[v]) for u, v in ends))
-        if best is None or keys < best:
-            best, best_label = keys, label.copy()
-    return (n, tuple(divmod(x, n) for x in best)), best_label
+    perms, weight = _labelling_tables(g.n)
+    label = perms[weight[perms[:, g.edge_u], perms[:, g.edge_v]].sum(1).argmax()]
+    ends = np.sort([label[g.edge_u], label[g.edge_v]], axis=0).tolist()
+    return (g.n, tuple(sorted(zip(*ends)))), label.tolist()
 
 
 def _canonical_edge_ids(g: Graph, vid: np.ndarray) -> np.ndarray:

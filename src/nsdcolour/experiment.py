@@ -303,9 +303,7 @@ def summary_to_json(summary: dict) -> str:
 def run_sweep(family_specs: list[str], k_max_extra: int = 5):
     """Exactly solve every graph in the families and compare against
     max_degree + 3. Returns the row dicts from the sweep."""
-    graphs = []
-    for fam in family_specs:
-        graphs.extend(parse_family(fam))
+    graphs = [pair for fam in family_specs for pair in parse_family(fam)]
     return conjecture_sweep(graphs, k_max_extra=k_max_extra)
 
 

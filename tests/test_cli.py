@@ -193,6 +193,16 @@ def test_lemma_strict_refusal(capsys):
     assert "refused" in capsys.readouterr().err
 
 
+def test_lemma_reads_the_graph_before_judging_feasibility(tmp_path, capsys):
+    missing = str(tmp_path / "missing.graph")
+    rc = main(["lemma", "--delta", "10", "--strict", "--graph", missing])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "missing.graph" in captured.err
+
+
 def test_lemma_huge_degree_is_usage_error(capsys):
     delta = "1" + "0" * 200
     rc = main(["lemma", "--delta", delta])

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -239,6 +240,7 @@ def test_canonical_keys_match_brute_force_classes():
     for g in graphs:
         key, _ = canonical_labelling(g)
         brute = g.n, canonical_form(g)
+        assert key == brute, g.edges
         assert brute_of_key.setdefault(key, brute) == brute, g.edges
         assert key_of_brute.setdefault(brute, key) == key, g.edges
     assert len(key_of_brute) == 1 + 2 + 4 + 11 + 34 + len(
@@ -320,15 +322,22 @@ def test_class_table_shares_an_unsolved_result():
 
 
 def test_paths_and_cycles_stay_off_the_factorial_path():
-    # a path's refined cells are mirror pairs (2^(n//2) labellings), a
-    # cycle's one cell of n (n! labellings)
-    for n in range(2, 61):
-        assert (canonical_labelling(path_graph(n)) is None) == (
-            2 ** (n // 2) > MAX_LABELLINGS), n
+    # only graphs on at most 6 vertices (at most 6! labellings) get a key
+    assert math.factorial(6) <= MAX_LABELLINGS < math.factorial(7)
+    for n in [*range(2, 61), *range(590, 601)]:
+        assert (canonical_labelling(path_graph(n)) is None) == (n > 6), n
     for n in range(3, 41):
-        assert (canonical_labelling(cycle_graph(n)) is None) == (n >= 7), n
+        assert (canonical_labelling(cycle_graph(n)) is None) == (n > 6), n
     t0 = time.perf_counter()
-    rows = run_sweep(["path:2..60", "cycle:3..40"])
-    assert time.perf_counter() - t0 < 2.0
-    assert len(rows) == 59 + 38
+    rows = run_sweep(["path:2..60", "cycle:3..40", "path:590..600"])
+    assert time.perf_counter() - t0 < 1.5
+    assert len(rows) == 59 + 38 + 11
     assert all(r["verdict"] == "pass" for r in rows)
+
+
+def test_isomorphic_graphs_on_seven_vertices_are_both_searched():
+    classes = {}
+    path = path_graph(7)
+    for g in (path, relabelled(path, [3, 0, 6, 1, 5, 2, 4])):
+        assert solve_exact(g, classes=classes).nodes_explored > 0
+    assert classes == {}
