@@ -16,7 +16,7 @@ from . import experiment as expmod
 from .colouring import (check_nsd, check_proper, is_valid, parse_colouring,
                         weighted_degrees, write_colouring)
 from .construct import ConstructConfig, construct, greedy_nsd
-from .exact import EnumerationGuardError, solve_exact
+from .exact import solve_exact
 from .graph import generate, parse_graph, write_graph
 from .lemma import (InfeasibleStrictError, LemmaParams, check_properties,
                     resample_until_valid, stage_two)
@@ -170,6 +170,20 @@ def cmd_experiment(args) -> int:
     return 0 if summary["invalid_runs"] == 0 else 1
 
 
+def _at_least(least: int):
+    """An argparse type for integers of at least least; argparse names the
+    flag in its message and exits 2 on a bad value."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+    # argparse names the type in its message for a non-integer
+    parse.__name__ = "int"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nsdcolour",
@@ -204,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="exact solve whole families, compare "
                                      "spans against max_degree+3")
     p.add_argument("--family", action="append", required=True)
-    p.add_argument("--k-max-extra", type=int, default=5)
+    p.add_argument("--k-max-extra", type=_at_least(0), default=5)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_sweep)
 
@@ -215,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slack", type=float, default=1.0)
     p.add_argument("--graph", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rounds", type=int, default=200)
+    p.add_argument("--rounds", type=_at_least(0), default=200)
     p.set_defaults(func=cmd_lemma)
 
     p = sub.add_parser("construct", help="build a verified colouring")
@@ -224,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["permissive", "strict"],
                    default="permissive")
     p.add_argument("--slack", type=float, default=2.0)
-    p.add_argument("--rounds", type=int, default=200)
-    p.add_argument("--retries", type=int, default=3)
-    p.add_argument("--span-cap", type=int, default=None)
+    p.add_argument("--rounds", type=_at_least(0), default=200)
+    p.add_argument("--retries", type=_at_least(0), default=3)
+    p.add_argument("--span-cap", type=_at_least(0), default=None)
     p.add_argument("--greedy", action="store_true",
                    help="skip the pipeline, use the deterministic fallback")
     p.add_argument("-o", "--output", default=None)
@@ -239,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
     p.add_argument("--summary", default=None)
     p.add_argument("--timings", action="store_true")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_at_least(1), default=None)
     p.set_defaults(func=cmd_experiment)
     return ap
 
@@ -249,7 +263,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (InfeasibleStrictError, EnumerationGuardError) as exc:
+    except InfeasibleStrictError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
     except (ValueError, FileNotFoundError) as exc:

@@ -244,51 +244,22 @@ def compute_risky(g: Graph, st: LemmaState, p: LemmaParams,
 # ---------------------------------------------------------------------------
 # pick-two edge selection
 
-# 64-bit words per read of select_H's raw stream
-_RAW_BLOCK = 1 << 10
+def _pick_two(rng: np.random.Generator, sizes) -> np.ndarray:
+    """The positions Generator.choice(n, size=min(2, n), replace=False) picks
+    on rng for each n of sizes in turn, one row each; (0, 0) where n is 1.
 
-
-class PickTwo:
-    """Generator.choice(n, size=min(2, n), replace=False) on a PCG64 seeded
-    with SeedSequence(seed), draw for draw, read from the raw 64-bit stream.
-
-    numpy 2.4 draws such a pick by Floyd's algorithm: a in [0, n-2], then b
-    in [0, n-1], which becomes n-1 if it equals a; then one draw in [0, 1]
-    shuffles the pair, swapping it on 0. A draw over one value takes no
-    word, so n = 1 draws nothing. Each draw is Lemire's bounded product of a
-    32-bit word, with numpy's rejection. The words are the raw words' low
-    then high halves, as PCG64's next_uint32 buffers them. n must be below
-    2^32, which every vertex degree is.
+    choice draws such a pick by Floyd's algorithm: a in [0, n-2], then b in
+    [0, n-1], which becomes n-1 if it equals a; then one draw in [0, 1]
+    swaps the pair on 0. A draw over one value takes nothing from the
+    stream, so one Generator.integers call over every bound makes the same
+    draws. Each n must be below 2^32, which every vertex degree is.
     """
-
-    def __init__(self, seed: int):
-        self._bits = np.random.PCG64(np.random.SeedSequence(seed))
-        self._words: list[int] = []
-        self._at = 0
-
-    def _below(self, bound: int) -> int:
-        # numpy tests the threshold only when the low half is below bound;
-        # the threshold is below bound, so the outcome is the same
-        threshold = (1 << 32) % bound
-        while True:
-            if self._at == len(self._words):
-                raw = self._bits.random_raw(_RAW_BLOCK)
-                self._words = raw.astype("<u8").view("<u4").tolist()
-                self._at = 0
-            m = self._words[self._at] * bound
-            self._at += 1
-            if m & 0xFFFFFFFF >= threshold:
-                return m >> 32
-
-    def pick(self, n: int) -> tuple[int, int]:
-        """The two picked positions in choice's order; (0, 0) when n is 1."""
-        if n == 1:
-            return 0, 0
-        a = self._below(n - 1) if n > 2 else 0
-        b = self._below(n)
-        if b == a:
-            b = n - 1
-        return (b, a) if self._below(2) == 0 else (a, b)
+    n = np.asarray(sizes, dtype=np.int64)
+    bounds = np.stack([np.maximum(n - 1, 1), n, np.minimum(n, 2)], axis=1)
+    a, b, swap = rng.integers(0, bounds, dtype=np.uint32).astype(np.int64).T
+    b = np.where(b == a, n - 1, b)
+    return np.where((swap == 0)[:, None], np.stack([b, a], axis=1),
+                    np.stack([a, b], axis=1))
 
 
 @dataclass
@@ -307,40 +278,32 @@ def select_H(g: Graph, p: LemmaParams, seed: int,
 
     The picks are those of one Generator.choice(run, size=min(2, degree),
     replace=False) per picker and redrawn picker, in ascending vertex order
-    each, on one generator seeded with SeedSequence(seed); PickTwo makes
-    them from the raw stream. A pick is two positions in the flat run of
-    the pickers' incident edge ids.
+    each, on one generator seeded with SeedSequence(seed); _pick_two makes
+    each round's picks with one Generator.integers call. A pick is two
+    positions in the flat run of the pickers' incident edge ids.
     """
     deg = g.degrees
     pickers = np.flatnonzero((3 * deg >= p.delta) & (deg > 0))
     cap = p.caps["dH"]
-
     _, inc, ends = g.incidences(pickers)
-    sizes = deg[pickers].tolist()
-    starts = [end - size for end, size in zip(ends.tolist(), sizes)]
-    slot = {v: i for i, v in enumerate(pickers.tolist())}
-    draw = PickTwo(seed).pick
-    picked = []
-    for start, size in zip(starts, sizes):
-        a, b = draw(size)
-        picked += (start + a, start + b)
+    sizes = deg[pickers]
+    starts = (ends - sizes)[:, None]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
 
+    picked = _pick_two(rng, sizes) + starts
     rounds = 0
     valid = True
     while True:
-        h = sorted_unique(inc[np.array(picked, dtype=np.int64)])
+        h = sorted_unique(inc[picked.ravel()])
         over = np.flatnonzero(g.endpoint_counts(h) > cap)
         if over.size == 0:
             break
         if rounds >= max_rounds:
             valid = False
             break
-        nbrs = g.incidences(over[:1])[0].tolist()
-        for w in sorted([int(over[0]), *nbrs]):
-            i = slot.get(w)
-            if i is not None:
-                a, b = draw(sizes[i])
-                picked[2 * i:2 * i + 2] = starts[i] + a, starts[i] + b
+        near = np.append(g.incidences(over[:1])[0], over[0])
+        at = np.flatnonzero(np.isin(pickers, near))
+        picked[at] = _pick_two(rng, sizes[at]) + starts[at]
         rounds += 1
     return HSelection(h, rounds, valid, cap)
 

@@ -76,11 +76,18 @@ def _parse_kv(kind: str, body: str, keys: tuple[str, ...]) -> list[str]:
     return [out[key] for key in keys]
 
 
+# connected<=8 would walk 2^28 edge subsets and hold 251,548,592 graphs
+_CONNECTED_MAX_N = 7
+
+
 def parse_family(spec: str) -> list[tuple[str, Graph]]:
     """Expand one family spec string into (graph_id, graph) pairs."""
     spec = spec.strip()
     if spec.startswith("connected<="):
         max_n = int(spec[len("connected<="):])
+        if max_n > _CONNECTED_MAX_N:
+            raise ValueError(f"connected<=N takes N up to {_CONNECTED_MAX_N}, "
+                             f"got {max_n}")
         return list(enumerate_connected_graphs(max_n))
     if ":" not in spec:
         raise ValueError(f"malformed family spec {spec!r}")

@@ -146,6 +146,15 @@ def test_sweep_with_unsolved_rows_exits_1(tmp_path, capsys):
     assert [row.rsplit(",", 1)[1] for row in rows] == ["unsolved<=+0"] * 2
 
 
+def test_sweep_refuses_connected_past_seven_at_once(capsys):
+    # connected<=8 would walk 2^28 edge subsets and never return
+    t0 = time.perf_counter()
+    assert main(["sweep", "--family", "connected<=8"]) == 2
+    assert time.perf_counter() - t0 < 5
+    assert capsys.readouterr().err == (
+        "error: connected<=N takes N up to 7, got 8\n")
+
+
 def test_exact_and_sweep_on_long_paths(tmp_path, capsys):
     # deeper than Python's recursion limit: 2n - 1 search levels
     gpath = tmp_path / "p600.graph"
@@ -286,6 +295,42 @@ def test_experiment_command(tmp_path, capsys):
     lines = csv_path.read_text().strip().split("\n")
     assert len(lines) == 4
     assert "wall_time_s" not in lines[0]
+
+
+@pytest.mark.parametrize("argv, flag, least, value", [
+    (["construct", "GRAPH", "--span-cap", "-1"], "--span-cap", 0, -1),
+    (["construct", "GRAPH", "--rounds", "-2", "--retries", "-4"],
+     "--rounds", 0, -2),
+    (["construct", "GRAPH", "--retries", "-4"], "--retries", 0, -4),
+    (["lemma", "--delta", "3", "--rounds", "-1"], "--rounds", 0, -1),
+    (["sweep", "--family", "complete:3", "--k-max-extra", "-9"],
+     "--k-max-extra", 0, -9),
+    (["experiment", "SPEC", "--workers", "0"], "--workers", 1, 0),
+    (["experiment", "SPEC", "--workers", "-5"], "--workers", 1, -5),
+])
+def test_integer_flag_below_its_least_is_usage_error_naming_it(
+        tmp_path, capsys, argv, flag, least, value):
+    spath = tmp_path / "spec.json"
+    spath.write_text(json.dumps({"families": ["complete:3"]}))
+    names = {"GRAPH": write_k3(tmp_path), "SPEC": str(spath)}
+    with pytest.raises(SystemExit) as exc:
+        main([names.get(a, a) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument {flag}: must be at least {least}, got {value}\n")
+
+
+def test_integer_flags_accept_their_least(tmp_path, capsys):
+    k3 = write_k3(tmp_path)
+    assert main(["construct", k3, "--span-cap", "0", "--rounds", "0",
+                 "--retries", "0"]) == 0
+    assert capsys.readouterr().out.endswith(" valid true\n")
+    assert main(["sweep", "--family", "complete:3", "--k-max-extra", "0"]) == 1
+    spath = tmp_path / "spec.json"
+    spath.write_text(json.dumps({"families": ["complete:3"]}))
+    assert main(["experiment", str(spath), "--workers", "1"]) == 0
 
 
 def test_experiment_family_missing_key_is_usage_error(tmp_path, capsys):

@@ -162,11 +162,18 @@ def test_pick_two_matches_generator_choice():
              + list(range(600, 0, -7)))
     for seed in (0, 1, 7, 2**32 + 5, 2**63):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        pick = construct_mod.PickTwo(seed).pick
-        for n in sizes:
-            want = rng.choice(n, size=min(2, n), replace=False).tolist()
-            got = list(pick(n))
-            assert got == (want if n > 1 else want * 2), (seed, n)
+        want = [rng.choice(n, size=min(2, n), replace=False).tolist()
+                for n in sizes]
+        want = [w if len(w) == 2 else w * 2 for w in want]
+        # the first three sizes take five 32-bit draws, so a cut there leaves
+        # a buffered half for the next call; an empty call draws nothing
+        for cut in (3, 300, len(sizes)):
+            mine = np.random.default_rng(np.random.SeedSequence(seed))
+            parts = [construct_mod._pick_two(mine, sizes[:cut]),
+                     construct_mod._pick_two(mine, []),
+                     construct_mod._pick_two(mine, sizes[cut:])]
+            assert parts[1].shape == (0, 2)
+            assert np.concatenate(parts).tolist() == want, (seed, cut)
 
 
 def test_select_h_deterministic():

@@ -216,6 +216,7 @@ def test_named_graphs_match_reference(g):
         for width in (None, 2, 4):
             assert_same_properize(g, lemma_state(g, rng, classes), width)
     assert_same_repair(g, construction_state(g, rng, 3))
+    assert_same_select(g, LemmaParams(g.max_degree, slack=2.0), seed=g.n)
 
 
 # ---------------------------------------------------------------------------
