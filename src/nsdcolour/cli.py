@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="minimum span by exact search")
     p.add_argument("graph")
-    p.add_argument("--k-max", type=int, default=None)
+    p.add_argument("--k-max", type=_at_least(0), default=None)
     p.add_argument("--witness", default=None,
                    help="write an optimal colouring here")
     p.add_argument("--json", action="store_true")

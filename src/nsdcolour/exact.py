@@ -27,9 +27,12 @@ Two independent routes on purpose:
   included, by arithmetic: a visit that ends holding colour c adds c, one
   that runs out adds k, or 1 at the pinned root.
 
-Both iterate the palette bound k upwards from max degree + 1, which is a
-valid lower bound: a maximum-degree vertex and its incident edges are
-pairwise constrained to distinct colours.
+Both iterate the palette bound k upwards. The oracle starts at
+max degree + 1, which is a valid lower bound: a maximum-degree vertex and
+its incident edges are pairwise constrained to distinct colours. The
+backtracker starts each component at ``_lower_bound``, which adds two proved
+bounds above that one; each k is searched afresh, so starting higher changes
+nodes_explored and nothing else.
 
 ``solve_exact`` can share work between isomorphic graphs through a class
 table that the caller owns and passes in (``conjecture_sweep`` makes a fresh
@@ -275,6 +278,40 @@ def _solve_component(plan: list[tuple], k: int, vc: list[int],
     return True, nodes
 
 
+def _lower_bound(nbrs: list[list[int]], comp: list[int]) -> int:
+    """A proved lower bound on the palette of one connected component.
+
+    With D the component's maximum degree, it is D + 3 for a clique on an
+    odd number n >= 3 of vertices, D + 2 when two adjacent vertices both
+    have degree D, and D + 1 otherwise (a degree-D vertex and its D edges
+    need distinct colours).
+
+    * Adjacent degree-D vertices rule out k = D + 1. A degree-D vertex and
+      its D edges carry D + 1 distinct colours, so with k = D + 1 they carry
+      every colour and its sum is (D + 1)(D + 2) / 2. Two adjacent degree-D
+      vertices would tie.
+    * An odd clique K_n, n >= 3, rules out k = D + 2 = n + 1 as well. Each
+      vertex sees n of the n + 1 colours, so its sum is the total less the
+      one colour it misses, and the n missed colours are distinct. So one
+      colour c0 is missed by no vertex and every other colour c by exactly
+      one vertex x_c. If some vertex y had colour c != c0, then y != x_c
+      (x_c does not see c), and the edges of colour c, which avoid x_c and
+      y, would perfectly match the other n - 2 vertices, an odd number.
+      So every vertex has colour c0, which is impossible since they are
+      pairwise adjacent.
+
+    K1 is no odd clique here: it has no edges, and its palette is 1.
+    """
+    delta = max(len(nbrs[v]) for v in comp)
+    n = len(comp)
+    if n >= 3 and n % 2 and all(len(nbrs[v]) == n - 1 for v in comp):
+        return delta + 3
+    if any(len(nbrs[u]) == delta for v in comp if len(nbrs[v]) == delta
+           for u in nbrs[v]):
+        return delta + 2
+    return delta + 1
+
+
 def _search(g: Graph, k_max: int) -> SolveResult:
     if g.n == 0:
         return SolveResult(1, TotalColouring([], [], 1), 0)
@@ -283,8 +320,7 @@ def _search(g: Graph, k_max: int) -> SolveResult:
     nodes, chi = 0, 1
     for comp in connected_components(g):
         plan = _component_plan(nbrs, inc, comp)
-        comp_delta = max(len(nbrs[v]) for v in comp)
-        for k in range(comp_delta + 1, k_max + 1):
+        for k in range(_lower_bound(nbrs, comp), k_max + 1):
             found, tried = _solve_component(plan, k, vc, ec, used, sums)
             nodes += tried
             if found:
@@ -301,7 +337,8 @@ def solve_exact(g: Graph, k_max: int | None = None,
 
     Components are solved independently (their optima are independent) and
     the answer is the maximum over components. nodes_explored counts every
-    candidate colour placement tried across all components and k values.
+    candidate colour placement tried across all components and every k
+    searched, which starts at each component's _lower_bound.
     k_max defaults to max_degree + 8.
 
     classes is an optional class table owned by the caller, keyed by

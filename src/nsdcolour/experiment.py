@@ -81,30 +81,37 @@ _CONNECTED_MAX_N = 7
 
 
 def parse_family(spec: str) -> list[tuple[str, Graph]]:
-    """Expand one family spec string into (graph_id, graph) pairs."""
+    """Expand one family spec string into (graph_id, graph) pairs. A spec
+    that expands to no graphs is a ValueError naming it."""
     spec = spec.strip()
     if spec.startswith("connected<="):
         max_n = int(spec[len("connected<="):])
         if max_n > _CONNECTED_MAX_N:
             raise ValueError(f"connected<=N takes N up to {_CONNECTED_MAX_N}, "
                              f"got {max_n}")
-        return list(enumerate_connected_graphs(max_n))
-    if ":" not in spec:
+        graphs = list(enumerate_connected_graphs(max_n))
+    elif ":" not in spec:
         raise ValueError(f"malformed family spec {spec!r}")
-    kind, body = spec.split(":", 1)
-    kind = kind.strip()
-    if kind in ("complete", "cycle", "path"):
-        return [(f"{kind}-{n}", generate(kind, n=n)) for n in _parse_range(body)]
-    if kind == "random":
-        n, p, seeds = _parse_kv(kind, body, ("n", "p", "seeds"))
-        n, seeds = int(n), int(seeds)
-        return [(f"random-n{n}-p{p}-s{s}", random_graph(n, float(p), seed=s))
-                for s in range(seeds)]
-    if kind == "regular":
-        n, d, seeds = map(int, _parse_kv(kind, body, ("n", "d", "seeds")))
-        return [(f"regular-n{n}-d{d}-s{s}", regular_graph(n, d, seed=s))
-                for s in range(seeds)]
-    raise ValueError(f"unknown family kind {kind!r}")
+    else:
+        kind, body = spec.split(":", 1)
+        kind = kind.strip()
+        if kind in ("complete", "cycle", "path"):
+            graphs = [(f"{kind}-{n}", generate(kind, n=n))
+                      for n in _parse_range(body)]
+        elif kind == "random":
+            n, p, seeds = _parse_kv(kind, body, ("n", "p", "seeds"))
+            n, seeds = int(n), int(seeds)
+            graphs = [(f"random-n{n}-p{p}-s{s}",
+                       random_graph(n, float(p), seed=s)) for s in range(seeds)]
+        elif kind == "regular":
+            n, d, seeds = map(int, _parse_kv(kind, body, ("n", "d", "seeds")))
+            graphs = [(f"regular-n{n}-d{d}-s{s}", regular_graph(n, d, seed=s))
+                      for s in range(seeds)]
+        else:
+            raise ValueError(f"unknown family kind {kind!r}")
+    if not graphs:
+        raise ValueError(f"family spec {spec!r} expands to no graphs")
+    return graphs
 
 
 def _count(v, least: int) -> bool:

@@ -155,6 +155,29 @@ def test_sweep_refuses_connected_past_seven_at_once(capsys):
         "error: connected<=N takes N up to 7, got 8\n")
 
 
+@pytest.mark.parametrize("family", [
+    "connected<=0", "complete:5..3", "random:n=5,p=0.3,seeds=0"])
+def test_family_with_no_graphs_is_usage_error_naming_it(
+        tmp_path, capsys, family):
+    out = tmp_path / "empty.csv"
+    assert main(["sweep", "--family", family, "-o", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: family spec {family!r} expands to no graphs\n")
+
+
+def test_experiment_family_with_no_graphs_is_usage_error(tmp_path, capsys):
+    spath = tmp_path / "spec.json"
+    spath.write_text(json.dumps({"families": ["complete:3", "path:9..2"]}))
+    assert main(["experiment", str(spath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: family spec 'path:9..2' expands to no graphs\n")
+
+
 def test_exact_and_sweep_on_long_paths(tmp_path, capsys):
     # deeper than Python's recursion limit: 2n - 1 search levels
     gpath = tmp_path / "p600.graph"
@@ -307,6 +330,7 @@ def test_experiment_command(tmp_path, capsys):
      "--k-max-extra", 0, -9),
     (["experiment", "SPEC", "--workers", "0"], "--workers", 1, 0),
     (["experiment", "SPEC", "--workers", "-5"], "--workers", 1, -5),
+    (["exact", "GRAPH", "--k-max", "-5", "--json"], "--k-max", 0, -5),
 ])
 def test_integer_flag_below_its_least_is_usage_error_naming_it(
         tmp_path, capsys, argv, flag, least, value):
@@ -328,6 +352,8 @@ def test_integer_flags_accept_their_least(tmp_path, capsys):
                  "--retries", "0"]) == 0
     assert capsys.readouterr().out.endswith(" valid true\n")
     assert main(["sweep", "--family", "complete:3", "--k-max-extra", "0"]) == 1
+    assert main(["exact", k3, "--k-max", "0"]) == 1
+    assert capsys.readouterr().out.endswith("\nunsolved k_max=0\n")
     spath = tmp_path / "spec.json"
     spath.write_text(json.dumps({"families": ["complete:3"]}))
     assert main(["experiment", str(spath), "--workers", "1"]) == 0

@@ -13,9 +13,12 @@ neighbourhood was read through ``Graph.incidences``: ``exact --json
 --witness`` on a 6-vertex random graph, ``sweep`` over ``connected<=4``,
 ``lemma --slack 1`` on the same n=300 graph (three stage-one resampling
 rounds, so ``event_scope`` runs) and an exact-solver experiment over
-``complete:2..5`` and ``cycle:3..7``. ``exact --json`` on K5 (1,023,901
-nodes) and ``sweep`` over ``connected<=5`` have digests recorded before the
-exact search became iterative.
+``complete:2..5`` and ``cycle:3..7``. ``sweep`` over ``connected<=5`` has
+a digest recorded before the exact search became iterative. ``exact --json``
+on the 6-vertex graph (46 nodes) and on K5 (4,318 nodes) print the node
+count, so their digests were recorded again when the search began at each
+component's proved lower bound; the witness, the sweeps and the experiment
+kept theirs.
 
 A change that moves any of these bytes has changed the colouring, the
 report or the file format; record new digests only for a change that means
@@ -39,7 +42,7 @@ DIGESTS = {
     "greedy colouring": "3a952b667817b151589de61675a811985abe25e8798679aca0bec489757cc690",
     "construct --greedy stdout": "75ceda62b3df18ee9676104fe3aa2ed04b69c5a850030350fee99fd640a3c2f3",
     "exact --json stdout":
-        "8f71863f0e00771bb9b0de3168040c411ea888dd1520087d9c730b3152c39bfa",
+        "c3370883a2cb7be18f84675413d41f619c0abbba1664f65ed021c7c958a52f80",
     "exact witness":
         "be38da3348ec9a5e407e708217164a988d9c1c7dbaa0699a8744ef36c998deb9",
     "sweep connected<=4":
@@ -51,7 +54,7 @@ DIGESTS = {
     "exact experiment summary":
         "eb069abed49cb354fc29d62c62980aa2db10589c4c9fcce1d3f688473413dfd5",
     "exact K5 --json stdout":
-        "489bf06792c65e93a266645f82e682e203069abb08319669d788a9f83ff38cfc",
+        "e630074c545141adb2da2c456435cbf0f75c88e10e33bf41e6fb5792fb284834",
     "sweep connected<=5":
         "f2ce290c2f7b1d79919391ef8252704074f344fb19fd2fc8049fa19dbaffdea3",
 }

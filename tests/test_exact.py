@@ -15,7 +15,8 @@ from nsdcolour import (EnumerationGuardError, Graph, brute_force_chi,
                        enumerate_connected_graphs, enumerate_labelled_graphs,
                        is_connected, is_valid, path_graph, run_sweep,
                        solve_exact)
-from nsdcolour.exact import MAX_LABELLINGS, canonical_labelling
+from nsdcolour.exact import (MAX_LABELLINGS, _lower_bound, _neighbourhoods,
+                             canonical_labelling)
 
 
 # minimum spans pinned by independent exhaustive enumeration
@@ -48,9 +49,10 @@ def test_brute_matches_backtracker(name):
 
 
 def test_k3_at_four_colours_impossible():
+    # K3's bound is 5, so k_max = 4 leaves no palette to search
     res = solve_exact(complete_graph(3), k_max=4)
-    assert res.exceeded_k_max
-    assert res.chi_sum_total is None
+    assert res.exceeded_k_max and res.k_max == 4
+    assert res.chi_sum_total is None and res.nodes_explored == 0
 
 
 def test_empty_and_tiny_graphs():
@@ -115,25 +117,87 @@ def seeded_graphs(n, count, seed, p=0.4, connected=False):
 def test_solver_matches_reference_search():
     # every labelled graph with n <= 5 plus seeded 6-vertex graphs, with room
     # to spare (max degree + 8) and with a budget that often runs out (+1);
-    # then K6, and K5 + K3, whose K3 is searched after K5 failed at k = 5, 6
+    # then K6, K5 + K3, and K5 with a pendant edge + K3, whose K3 is searched
+    # after the first component failed at k = 6. The frozen search is driven
+    # one palette at a time from max degree + 1, as its solve_exact drives
+    # it: it must find nothing below each component's _lower_bound, so the
+    # bound never exceeds chi on these graphs, and the solver's nodes must be
+    # its nodes from that bound on.
     graphs = [g for n in range(6) for g in enumerate_labelled_graphs(n)]
     graphs += seeded_graphs(6, 30, seed=5)
     graphs += [complete_graph(6),
-               Graph(8, [*complete_graph(5).edges, (5, 6), (5, 7), (6, 7)])]
+               Graph(8, [*complete_graph(5).edges, (5, 6), (5, 7), (6, 7)]),
+               Graph(9, [*complete_graph(5).edges, (4, 5), (6, 7), (6, 8),
+                         (7, 8)])]
     for g in graphs:
         viewed = ViewGraph(g)
+        nbrs = _neighbourhoods(g)[0]
         for k_max in (g.max_degree + 8, g.max_degree + 1):
-            new, old = solve_exact(g, k_max), ref.solve_exact(viewed, k_max)
+            chi, nodes, witness = 1, 0, (np.zeros(g.n, dtype=np.int64),
+                                         np.zeros(g.m, dtype=np.int64))
+            for comp in connected_components(g):
+                bound = _lower_bound(nbrs, comp)
+                delta = max(viewed.degree(v) for v in comp)
+                for k in range(delta + 1, k_max + 1):
+                    counter = [0]
+                    found = ref._solve_component(viewed, comp, k, counter)
+                    if k < bound:
+                        assert found is None, (g.edges, k)
+                    else:
+                        nodes += counter[0]
+                    if found is not None:
+                        break
+                if found is None:
+                    chi = witness = None
+                    break
+                chi = max(chi, k)
+                for colours, placed in zip(witness, found):
+                    for i, c in placed.items():
+                        colours[i] = c
+            new = solve_exact(g, k_max)
             assert (new.chi_sum_total, new.nodes_explored, new.exceeded_k_max,
-                    new.k_max) == (old.chi_sum_total, old.nodes_explored,
-                                   old.exceeded_k_max, old.k_max), g.edges
-            if old.witness is None:
+                    new.k_max) == (chi, nodes, chi is None,
+                                   k_max if chi is None else None), g.edges
+            if witness is None:
                 assert new.witness is None
                 continue
-            for name in ("vertex_colours", "edge_colours"):
-                a, b = getattr(new.witness, name), getattr(old.witness, name)
+            assert new.witness.k == chi
+            for a, b in zip((new.witness.vertex_colours,
+                             new.witness.edge_colours), witness):
                 assert a.dtype == b.dtype and np.array_equal(a, b), g.edges
-            assert new.witness.k == old.witness.k
+
+
+K5_PENDANT = Graph(6, [*complete_graph(5).edges, (4, 5)])
+
+
+def component_bounds(g):
+    nbrs = _neighbourhoods(g)[0]
+    return [_lower_bound(nbrs, comp) for comp in connected_components(g)]
+
+
+@pytest.mark.parametrize("n, chi", [(1, 1), (2, 3), (3, 5), (4, 5), (5, 7)])
+def test_lower_bound_is_tight_on_small_cliques(n, chi):
+    g = complete_graph(n) if n > 1 else Graph(1, [])
+    assert component_bounds(g) == [chi]
+    assert solve_exact(g).chi_sum_total == chi
+
+
+def test_lower_bound_falls_short_on_k5_with_a_pendant():
+    # the one connected class on at most 6 vertices whose chi exceeds its
+    # bound (test_connected_six_sweep checks that it is the only one)
+    assert component_bounds(K5_PENDANT) == [6]
+    res = solve_exact(K5_PENDANT)
+    assert res.chi_sum_total == 7 and is_valid(K5_PENDANT, res.witness)
+
+
+def test_seven_clique_is_solved_at_its_bound():
+    # the odd-clique bound skips k = 7 and 8, so only k = 9 is searched
+    g = complete_graph(7)
+    t0 = time.perf_counter()
+    res = solve_exact(g)
+    assert time.perf_counter() - t0 < 1.0
+    assert component_bounds(g) == [9]
+    assert res.chi_sum_total == 9 and is_valid(g, res.witness)
 
 
 def unpinned_colourable(g, k):
@@ -294,31 +358,38 @@ def test_each_sweep_searches_each_class_once():
 
 def test_connected_six_sweep():
     # the recorded connected<=6 run: no graph on at most 6 vertices reaches
-    # max degree + 3, and the search totals stay as recorded
-    rows = run_sweep(["connected<=6"])
+    # max degree + 3, the search totals stay as recorded, and every class
+    # but K5 with a pendant edge meets its _lower_bound
+    graphs = list(enumerate_connected_graphs(6))
+    rows = conjecture_sweep(graphs)
     six = [r for r in rows if r["n"] == 6]
-    searched = [r for r in rows if r["nodes"] > 0]
+    searched = [(r, g) for r, (_, g) in zip(rows, graphs) if r["nodes"] > 0]
     assert (len(rows), len(six)) == (27476, 26704)
     assert all(r["verdict"] == "pass" for r in rows)
-    assert (len(searched), sum(r["n"] == 6 for r in searched)) == (143, 112)
-    assert sum(r["nodes"] for r in rows) == 45249016
+    assert (len(searched), sum(r["n"] == 6 for r, _ in searched)) == (143, 112)
+    assert sum(r["nodes"] for r in rows) == 1223622
+    short = [g for r, g in searched
+             if r["chi_sum_total"] > component_bounds(g)[0]]
+    assert [canonical_labelling(g)[0] for g in short] == [
+        canonical_labelling(K5_PENDANT)[0]]
 
     def excess(rs):
         return Counter(r["chi_sum_total"] - r["max_degree"] for r in rs)
 
-    assert excess(r for r in searched if r["n"] == 6) == {1: 54, 2: 58}
+    assert excess(r for r, _ in searched if r["n"] == 6) == {1: 54, 2: 58}
     assert excess(six) == {1: 14808, 2: 11896}
 
 
 def test_class_table_shares_an_unsolved_result():
-    # K3 needs 5 colours; the table is keyed by k_max too
+    # K5 with a pendant edge needs 7 colours and is searched, and fails, at
+    # its bound 6; the table is keyed by k_max too
     classes = {}
-    first = solve_exact(complete_graph(3), k_max=4, classes=classes)
-    second = solve_exact(complete_graph(3), k_max=4, classes=classes)
+    first = solve_exact(K5_PENDANT, k_max=6, classes=classes)
+    second = solve_exact(K5_PENDANT, k_max=6, classes=classes)
     assert first.exceeded_k_max and first.nodes_explored > 0
     assert second.exceeded_k_max and second.nodes_explored == 0
-    wider = solve_exact(complete_graph(3), k_max=5, classes=classes)
-    assert wider.chi_sum_total == 5 and wider.nodes_explored > 0
+    wider = solve_exact(K5_PENDANT, k_max=7, classes=classes)
+    assert wider.chi_sum_total == 7 and wider.nodes_explored > 0
 
 
 def test_paths_and_cycles_stay_off_the_factorial_path():
