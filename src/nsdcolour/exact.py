@@ -36,15 +36,15 @@ nodes_explored and nothing else.
 
 ``solve_exact`` can share work between isomorphic graphs through a class
 table that the caller owns and passes in (``conjecture_sweep`` makes a fresh
-one per call). A graph is looked up by ``canonical_labelling``: the least
-sorted edge list over all n! labellings, found as one numpy maximum of bit
-weights. The first graph of a class is searched as without the table, and
-its chi and witness are stored in canonical labels; every later member gets
-that witness mapped back through its own labelling, without a search.
-Isomorphic graphs have the same chi and a relabelled witness stays valid, so
-no answer changes. A graph on more than 6 vertices (more than
-MAX_LABELLINGS = 6! labellings) gets no key and is always searched, which
-keeps paths, cycles and large graphs off a factorial path.
+one per call). A graph's class is read from the orbit table of its vertex
+count, built on first use, which gives each edge mask its orbit's largest
+mask (the least sorted edge list) and a labelling onto it. The first graph
+of a class is searched as without the table, and its chi and witness are
+stored in canonical labels; every later member gets that witness mapped
+back through its own labelling, without a search. Isomorphic graphs have the
+same chi and a relabelled witness stays valid, so no answer changes. A graph
+on more than 6 vertices (more than MAX_LABELLINGS = 6! labellings) gets no
+key and is always searched, which keeps large graphs off a factorial path.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from itertools import permutations
 import numpy as np
 
 from .graph import Graph, connected_components
-from .colouring import TotalColouring, is_valid
+from .colouring import TotalColouring, _check_shapes, check_nsd, check_proper
 
 
 class EnumerationGuardError(ValueError):
@@ -341,35 +341,33 @@ def solve_exact(g: Graph, k_max: int | None = None,
     searched, which starts at each component's _lower_bound.
     k_max defaults to max_degree + 8.
 
-    classes is an optional class table owned by the caller, keyed by
-    canonical form and k_max. When g's class is in it, g is not searched:
-    the stored result is mapped through g's canonical labelling and
-    returned with nodes_explored 0. Otherwise g is searched and the result
-    is stored. A graph with no canonical key is always searched.
+    classes is an optional class table owned by the caller, keyed by n, the
+    canonical mask of g's class (see _orbit_table) and k_max. When g's class
+    is in it, g is not searched: the stored result is mapped through g's
+    canonical labelling and returned with nodes_explored 0. Otherwise g is
+    searched and the result is stored. A graph with no canonical key is
+    always searched.
     """
     if k_max is None:
         k_max = g.max_degree + 8
-    canon = canonical_labelling(g) if classes is not None and g.n else None
-    if canon is None:
+    if classes is None or not 0 < g.n <= 6:
         return _search(g, k_max)
-    key, labelling = canon
-    vid = np.asarray(labelling, dtype=np.int64)
-    eid = _canonical_edge_ids(g, vid)
-    entry = classes.get((key, k_max))
+    mask, vid = _orbit(g)
+    a, b = vid[g.edge_u], vid[g.edge_v]
+    entry = classes.get((g.n, mask, k_max))
     if entry is None:
         res = _search(g, k_max)
         cv = ce = None
         if res.witness is not None:
-            cv = np.empty(g.n, dtype=np.int64)
-            ce = np.empty(g.m, dtype=np.int64)
-            cv[vid] = res.witness.vertex_colours
-            ce[eid] = res.witness.edge_colours
-        classes[key, k_max] = (res.chi_sum_total, cv, ce)
+            cv = res.witness.vertex_colours[np.argsort(vid)]
+            ce = np.zeros((g.n, g.n), dtype=np.int64)
+            ce[a, b] = ce[b, a] = res.witness.edge_colours
+        classes[g.n, mask, k_max] = (res.chi_sum_total, cv, ce)
         return res
     chi, cv, ce = entry
     if chi is None:
         return SolveResult(None, None, 0, exceeded_k_max=True, k_max=k_max)
-    return SolveResult(chi, TotalColouring(cv[vid], ce[eid], chi), 0)
+    return SolveResult(chi, TotalColouring(cv[vid], ce[a, b], chi), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -380,15 +378,35 @@ MAX_LABELLINGS = 720
 
 
 @cache
-def _labelling_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (n!, n) array of every labelling of n vertices, and the (n, n)
-    table giving the pair {i, j} the weight 1 << (C(n, 2) - 1 - rank), where
-    rank is the pair's lexicographic rank among the pairs i < j."""
+def _orbit_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (n, n) weights of the pairs, {i, j} weighing 1 << (C(n, 2) - 1 -
+    its lexicographic rank), and for each edge mask (a sum of weights) its
+    orbit's largest mask and a labelling onto that. Each pass takes the
+    least mask not yet seen, applies all n! labellings p to it and records
+    every image p(mask) with the labelling q after p's inverse, q(mask) the
+    largest image."""
     perms = np.array(list(permutations(range(n))), dtype=np.int64)
     lo, hi = np.triu_indices(n, 1)
     weight = np.zeros((n, n), dtype=np.int64)
     weight[lo, hi] = weight[hi, lo] = 1 << np.arange(lo.size)[::-1]
-    return perms, weight
+    canon = np.full(1 << lo.size, -1, dtype=np.int64)
+    labelling = np.empty((canon.size, n), dtype=np.int64)
+    while canon[mask := int(canon.argmin())] < 0:
+        has = (mask & weight[lo, hi]) != 0
+        images = weight[perms[:, lo[has]], perms[:, hi[has]]].sum(1)
+        members, first = np.unique(images, return_index=True)
+        canon[members] = members[-1]
+        labelling[members] = perms[first[-1]][np.argsort(perms[first], axis=1)]
+    for arr in (weight, canon, labelling):
+        arr.flags.writeable = False
+    return weight, canon, labelling
+
+
+def _orbit(g: Graph) -> tuple[int, np.ndarray]:
+    """The canonical mask of g's class (n <= 6) and a labelling onto it."""
+    weight, canon, labelling = _orbit_table(g.n)
+    mask = int(weight[g.edge_u, g.edge_v].sum())
+    return int(canon[mask]), labelling[mask]
 
 
 def canonical_labelling(g: Graph) -> tuple[tuple, list[int]] | None:
@@ -396,29 +414,36 @@ def canonical_labelling(g: Graph) -> tuple[tuple, list[int]] | None:
 
     The key is (n, edges), where edges is the lexicographically least sorted
     (lo, hi) edge list over all n! labellings. It is the edge list itself,
-    not a hash, so equal keys mean isomorphic graphs. A labelling's edges
-    sum to the bit weights of their pairs, the least pair the highest bit,
-    so the least edge list is the one with the largest sum; the first
-    labelling that reaches it is taken. labelling[v] is v's canonical label;
-    relabelling g's edges by it gives the key's edges. None when g has more
-    than 6 vertices, so more than MAX_LABELLINGS labellings.
+    not a hash, so equal keys mean isomorphic graphs: the edges of the
+    largest mask of g's orbit in _orbit_table. labelling[v] is v's canonical
+    label; relabelling g's edges by it gives the key's edges. None when g
+    has more than 6 vertices, so more than MAX_LABELLINGS labellings.
     """
     if g.n > 6:
         return None
-    perms, weight = _labelling_tables(g.n)
-    label = perms[weight[perms[:, g.edge_u], perms[:, g.edge_v]].sum(1).argmax()]
-    ends = np.sort([label[g.edge_u], label[g.edge_v]], axis=0).tolist()
-    return (g.n, tuple(sorted(zip(*ends)))), label.tolist()
+    mask, label = _orbit(g)
+    lo, hi = np.triu_indices(g.n, 1)
+    has = (mask & _orbit_table(g.n)[0][lo, hi]) != 0
+    return (g.n, tuple(zip(lo[has].tolist(), hi[has].tolist()))), label.tolist()
 
 
-def _canonical_edge_ids(g: Graph, vid: np.ndarray) -> np.ndarray:
-    """Index of each edge of g in the canonical edge list of the labelling
-    vid, which is sorted."""
-    a, b = vid[g.edge_u], vid[g.edge_v]
-    keys = np.minimum(a, b) * g.n + np.maximum(a, b)
-    ids = np.empty(g.m, dtype=np.int64)
-    ids[np.argsort(keys)] = np.arange(g.m)
-    return ids
+def _invalid_witnesses(graphs: tuple[Graph, ...],
+                       ws: tuple[TotalColouring, ...]) -> set[int]:
+    """Indices of the witnesses ws that fail on their graphs, from one
+    check_proper and one check_nsd on the disjoint union. Its edge ids are
+    the graphs' in turn, as each graph's keys are sorted and shifts rise."""
+    offsets = np.cumsum([0] + [g.n for g in graphs])
+    shift = np.repeat(offsets[:-1], [g.m for g in graphs])
+    union = Graph(int(offsets[-1]), np.stack(
+        [np.concatenate([g.edge_u for g in graphs]) + shift,
+         np.concatenate([g.edge_v for g in graphs]) + shift], axis=1))
+    colouring = TotalColouring(np.concatenate([w.vertex_colours for w in ws]),
+                               np.concatenate([w.edge_colours for w in ws]),
+                               max(w.k for w in ws))
+    firsts = [v.witnesses[0] for v in check_proper(union, colouring)
+              + check_nsd(union, colouring)]
+    vertices = [x if isinstance(x, int) else x[0] for x in firsts]
+    return set((np.searchsorted(offsets, vertices, side="right") - 1).tolist())
 
 
 def conjecture_sweep(graphs, k_max_extra: int = 5) -> list[dict]:
@@ -428,10 +453,11 @@ def conjecture_sweep(graphs, k_max_extra: int = 5) -> list[dict]:
     and the sweep continues. k_max per graph is max_degree + k_max_extra so a
     bound violation would still report the true value. Isomorphic graphs
     share one search through a class table that lives for this call only;
-    every graph's witness is still verified on that graph.
+    every witness is verified on its graph, all in one verifier pass.
     """
     rows: list[dict] = []
     classes: dict = {}
+    solved: list[tuple[dict, Graph, TotalColouring]] = []
     for gid, g in graphs:
         bound = g.max_degree + 3
         row = {
@@ -452,9 +478,13 @@ def conjecture_sweep(graphs, k_max_extra: int = 5) -> list[dict]:
             else:
                 row["chi_sum_total"] = res.chi_sum_total
                 row["verdict"] = "pass" if res.chi_sum_total <= bound else "fail"
-                if not is_valid(g, res.witness):
-                    row["verdict"] = "error:invalid-witness"
+                _check_shapes(g, res.witness)
+                solved.append((row, g, res.witness))
         except Exception as exc:  # keep sweeping; record the failure
             row["verdict"] = f"error:{type(exc).__name__}"
         rows.append(row)
+    if solved:
+        checked, graphs, witnesses = zip(*solved)
+        for i in _invalid_witnesses(graphs, witnesses):
+            checked[i]["verdict"] = "error:invalid-witness"
     return rows

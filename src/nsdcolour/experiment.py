@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,6 +258,8 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None
     nworkers = min(workers if workers is not None else spec.workers,
                    len(jobs), os.cpu_count() or 1)
     if nworkers > 1:
+        # imported only here, so importing the package loads no process pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             records = list(pool.map(_solve_one_star, jobs))
     else:

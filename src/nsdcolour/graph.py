@@ -21,8 +21,8 @@ import numpy as np
 # still admits K_{2,Δ} at the Δ where the strict lemma first becomes feasible.
 MAX_VERTICES = 10 ** 7
 
-# doubles per draw of random_graph's stream
-_DRAW_BLOCK = 1 << 16
+_DRAW_BLOCK = 1 << 16   # doubles per draw of random_graph's stream
+_MASK_BLOCK = 1 << 20   # edge masks per block of _connected_masks
 
 
 class GraphError(ValueError):
@@ -429,22 +429,23 @@ def enumerate_labelled_graphs(n: int, max_edges: int | None = None) -> Iterator[
         yield Graph(n, chosen)
 
 
-def _mask_connected(n: int, pairs: list[tuple[int, int]], mask: int) -> bool:
-    """Whether the edges of pairs chosen by the bits of mask connect n >= 1
-    vertices, by a search over per-vertex neighbour bitmasks."""
-    nbr = [0] * n
-    for i, (u, v) in enumerate(pairs):
-        if mask >> i & 1:
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
-    seen = frontier = 1
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = nbr[low.bit_length() - 1] & ~seen
-        seen |= new
-        frontier |= new
-    return seen == (1 << n) - 1
+def _connected_masks(n: int, pairs: list[tuple[int, int]]) -> Iterator[int]:
+    """The masks, ascending, whose bits choose edges of pairs that connect
+    n >= 1 vertices: a search over per-vertex neighbour bitmasks, run on a
+    block of masks at once."""
+    word = np.min_scalar_type((1 << n) - 1)
+    for start in range(0, 1 << len(pairs), _MASK_BLOCK):
+        masks = np.arange(start, min(start + _MASK_BLOCK, 1 << len(pairs)))
+        nbr = np.zeros((n, masks.size), dtype=word)
+        for i, (u, v) in enumerate(pairs):
+            chosen = (masks >> i & 1).astype(word)
+            nbr[u] |= chosen << v
+            nbr[v] |= chosen << u
+        seen = np.ones(masks.size, dtype=word)
+        for _ in range(n - 1):    # each round reaches at least one more vertex
+            for v in range(n):
+                seen |= nbr[v] * (seen >> v & 1)
+        yield from (np.flatnonzero(seen == (1 << n) - 1) + start).tolist()
 
 
 def enumerate_connected_graphs(max_n: int) -> Iterator[tuple[str, Graph]]:
@@ -453,9 +454,6 @@ def enumerate_connected_graphs(max_n: int) -> Iterator[tuple[str, Graph]]:
     connected edge subsets."""
     for n in range(1, max_n + 1):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        idx = 0
-        for mask in range(1 << len(pairs)):
-            if _mask_connected(n, pairs, mask):
-                chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-                yield f"conn-n{n}-{idx}", Graph(n, chosen)
-                idx += 1
+        for idx, mask in enumerate(_connected_masks(n, pairs)):
+            chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+            yield f"conn-n{n}-{idx}", Graph(n, chosen)

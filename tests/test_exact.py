@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -9,14 +10,16 @@ import pytest
 
 import reference_exact as ref
 from reference_graph import ViewGraph
-from nsdcolour import (EnumerationGuardError, Graph, brute_force_chi,
-                       check_nsd, check_proper, complete_graph,
+import nsdcolour.exact as exact
+from nsdcolour import (EnumerationGuardError, Graph, TotalColouring,
+                       brute_force_chi, check_nsd, check_proper, complete_graph,
                        conjecture_sweep, connected_components, cycle_graph,
                        enumerate_connected_graphs, enumerate_labelled_graphs,
                        is_connected, is_valid, path_graph, run_sweep,
                        solve_exact)
 from nsdcolour.exact import (MAX_LABELLINGS, _lower_bound, _neighbourhoods,
-                             canonical_labelling)
+                             _orbit_table, canonical_labelling)
+from nsdcolour.experiment import sweep_to_csv
 
 
 # minimum spans pinned by independent exhaustive enumeration
@@ -324,6 +327,31 @@ def test_canonical_labelling_reaches_key_and_ignores_labels():
         assert canonical_labelling(relabelled(g, perm))[0] == key, g.edges
 
 
+@pytest.mark.parametrize("n, classes, connected", [
+    (0, 1, 1), (1, 1, 1), (2, 2, 1), (3, 4, 2), (4, 11, 6), (5, 34, 21),
+    (6, 156, 112)])
+def test_orbit_table_has_one_canonical_mask_per_class(n, classes, connected):
+    # classes per n are OEIS A000088 and connected ones A001349. Every
+    # mask's labelling carries its graph onto its canonical mask, which is
+    # at least the mask itself; with exactly `classes` distinct canonical
+    # masks, each orbit has one, its largest member
+    weight, canon, labelling = _orbit_table(n)
+    lo, hi = np.triu_indices(n, 1)
+    has = (np.arange(canon.size)[:, None] & weight[lo, hi]) != 0
+    assert (np.sort(labelling, axis=1) == np.arange(n)).all()
+    moved = (weight[labelling[:, lo], labelling[:, hi]] * has).sum(1)
+    assert np.array_equal(moved, canon)
+    assert (canon >= np.arange(canon.size)).all()
+    members = np.unique(canon)
+    assert members.size == classes
+    assert sum(is_connected(Graph(n, np.stack([lo[has[c]], hi[has[c]]], 1)))
+               for c in members) == connected
+    if n <= 5:
+        for g in enumerate_labelled_graphs(n):
+            key, label = canonical_labelling(g)
+            assert key == (n, relabelled(g, label).edges), g.edges
+
+
 def test_sweep_rows_match_uncached_solves():
     graphs = list(enumerate_connected_graphs(5))
     rows = conjecture_sweep(graphs)
@@ -356,12 +384,71 @@ def test_each_sweep_searches_each_class_once():
         assert len(searched) == 31
 
 
+def corrupted(g, w, kind):
+    """A colouring of g one colour away from the witness w whose violations
+    are all of the given kind; raises if no such colouring is found."""
+    vc, ec = w.vertex_colours, w.edge_colours
+    sums = vc + np.bincount(np.concatenate([g.edge_u, g.edge_v]),
+                            np.concatenate([ec, ec]), g.n).astype(np.int64)
+    changes = []   # (vertex or edge, index, new colour)
+    for e, (u, v) in enumerate(g.edges):
+        if kind == "vertex-vertex":
+            changes.append(("v", v, vc[u]))
+        elif kind == "vertex-edge":
+            changes.append(("e", e, vc[u]))
+        elif kind == "sum-conflict":
+            changes.append(("v", u, vc[u] + sums[v] - sums[u]))
+        else:
+            changes += [("e", f, ec[e]) for f, (a, b) in enumerate(g.edges)
+                        if f != e and {a, b} & {u, v}]
+    for what, i, c in changes:
+        if c < 1:
+            continue
+        nv, ne = vc.copy(), ec.copy()
+        (nv if what == "v" else ne)[i] = c
+        bad = TotalColouring(nv, ne, max(w.k, int(c)))
+        if {x.kind for x in check_proper(g, bad) + check_nsd(g, bad)} == {kind}:
+            return bad
+    raise AssertionError(f"no {kind} corruption of {g.edges}")
+
+
+def test_sweep_flags_exactly_the_invalid_witnesses(monkeypatch):
+    # the sweep verifies every witness it gets from solve_exact: corrupt one
+    # row per violation kind (a searched and a table-served row each, the
+    # first and the last row among them) and only those rows are flagged
+    graphs = list(enumerate_connected_graphs(5))[1:]   # from K2 on
+    kinds = {0: "vertex-edge", 2: "vertex-vertex", 300: "edge-edge",
+             len(graphs) - 1: "sum-conflict"}
+    clean = conjecture_sweep(graphs)
+    solve, nodes = exact.solve_exact, []
+
+    def corrupting(g, *args, **kwargs):
+        res = solve(g, *args, **kwargs)
+        if len(nodes) in kinds:
+            res.witness = corrupted(g, res.witness, kinds[len(nodes)])
+        nodes.append(res.nodes_explored)
+        return res
+
+    monkeypatch.setattr(exact, "solve_exact", corrupting)
+    rows = conjecture_sweep(graphs)
+    assert [nodes[i] > 0 for i in sorted(kinds)] == [True, False, False, True]
+    assert all(r["verdict"] == "pass" for r in clean)
+    assert [i for i, r in enumerate(rows)
+            if r["verdict"] == "error:invalid-witness"] == sorted(kinds)
+    for i, (row, ref_row) in enumerate(zip(rows, clean)):
+        if i not in kinds:
+            assert row == ref_row
+
+
 def test_connected_six_sweep():
     # the recorded connected<=6 run: no graph on at most 6 vertices reaches
-    # max degree + 3, the search totals stay as recorded, and every class
-    # but K5 with a pendant edge meets its _lower_bound
+    # max degree + 3, the search totals stay as recorded, every class but
+    # K5 with a pendant edge meets its _lower_bound, and the CSV (which the
+    # CLI writes too) keeps its recorded bytes
     graphs = list(enumerate_connected_graphs(6))
     rows = conjecture_sweep(graphs)
+    assert hashlib.sha256(sweep_to_csv(rows).encode()).hexdigest() == (
+        "0629b04884496a4ff885f7632b6d78bede3f780687fd1c9bf28c8c2b64aeb989")
     six = [r for r in rows if r["n"] == 6]
     searched = [(r, g) for r, (_, g) in zip(rows, graphs) if r["nodes"] > 0]
     assert (len(rows), len(six)) == (27476, 26704)

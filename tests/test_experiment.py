@@ -1,4 +1,8 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -166,7 +170,7 @@ def test_pool_starts_no_more_workers_than_jobs(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(expmod, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(expmod.os, "cpu_count", lambda: 64)
     spec = ExperimentSpec(name="w", seed=4, workers=500,
                           families=["random:n=30,p=0.2,seeds=2"])
@@ -175,6 +179,17 @@ def test_pool_starts_no_more_workers_than_jobs(monkeypatch):
     seq_records, _ = run_experiment(spec, workers=1)
     assert asked == [2]
     assert records_to_csv(par_records) == records_to_csv(seq_records)
+
+
+def test_package_import_leaves_the_process_pool_unloaded():
+    # run_experiment imports the pool only when it starts one
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys, nsdcolour; "
+            "print('concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out == "False\n"
 
 
 def test_run_sweep_families():

@@ -7,6 +7,8 @@ from nsdcolour import (Graph, GraphError, GraphParseError, GenerationError,
                        enumerate_connected_graphs, enumerate_labelled_graphs,
                        generate, is_connected, parse_graph, path_graph,
                        random_graph, regular_graph, write_graph)
+import nsdcolour.graph as graphmod
+from nsdcolour.graph import _connected_masks
 
 
 def test_basic_accessors():
@@ -152,6 +154,24 @@ def test_enumerate_connected_counts():
         counts[g.n] = counts.get(g.n, 0) + 1
         assert is_connected(g)
     assert counts == {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
+
+
+def test_enumerate_connected_filters_the_labelled_graphs(monkeypatch):
+    # the connected graphs of enumerate_labelled_graphs, in its order; the
+    # masks are tested in blocks, and where a block ends changes nothing
+    for n in range(1, 6):
+        want = [g for g in enumerate_labelled_graphs(n) if is_connected(g)]
+        assert [g for _, g in enumerate_connected_graphs(n) if g.n == n] == want
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        with monkeypatch.context() as patch:
+            patch.setattr(graphmod, "_MASK_BLOCK", 5)
+            assert list(_connected_masks(n, pairs)) == [
+                i for i, g in enumerate(enumerate_labelled_graphs(n))
+                if is_connected(g)]
+    # OEIS A001187 at n = 6 and 7; n = 7 spans two blocks
+    for n, count in ((6, 26704), (7, 1866256)):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        assert sum(1 for _ in _connected_masks(n, pairs)) == count
 
 
 def test_numpy_caches_frozen():
