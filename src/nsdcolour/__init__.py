@@ -60,10 +60,8 @@ from .lemma import (
 )
 from .construct import (
     ConstructConfig,
-    ConstructionState,
     RiskParams,
     RunReport,
-    ClassWidthError,
     HSelection,
     reference_span_bound,
     properize,

@@ -6,7 +6,7 @@ Phases, in order:
   properize        map each engine target class onto its own band of width B
                    and resolve clashes inside each band (greedy edge colouring
                    with one alternating-path swap attempt per overflow, then
-                   vertex slots); raises ClassWidthError when B is too narrow
+                   vertex slots); B widens to the slots the classes need
   compute_risky    a mask of the risky edges: those joining two large
                    vertices whose idealized scores sit within a drift window,
                    so only those pairs need active separation later
@@ -52,29 +52,11 @@ def reference_span_bound(delta: int) -> float:
     return delta + 139.0 * delta ** (5 / 6) * L ** (1 / 6)
 
 
-class ClassWidthError(ValueError):
-    """A target class needs more slots than the band width provides."""
-
-    def __init__(self, needed: int):
-        super().__init__(f"band width too small, need {needed}")
-        self.needed = needed
-
-
-@dataclass
-class ConstructionState:
-    """Mutable total colouring and the band width it was lifted at."""
-    vertex_colours: np.ndarray
-    edge_colours: np.ndarray
-    width: int
-
-    @property
-    def span(self) -> int:
-        return max(int(self.vertex_colours.max(initial=1)),
-                   int(self.edge_colours.max(initial=1)))
-
-    def copy(self) -> "ConstructionState":
-        return ConstructionState(self.vertex_colours.copy(),
-                                 self.edge_colours.copy(), self.width)
+def _spanned(vc, ec: np.ndarray) -> TotalColouring:
+    """vc and ec as a TotalColouring bounded by its span (1 when empty)."""
+    vc = np.asarray(vc, dtype=np.int64)
+    return TotalColouring(vc, ec, max(int(vc.max(initial=1)),
+                                      int(ec.max(initial=1))))
 
 
 def _lowest_free(used: int) -> int:
@@ -113,30 +95,27 @@ def _colour_class_edges(g: Graph, edge_u: list[int], edge_v: list[int],
             a = _lowest_free(used[u])
             b = _lowest_free(used[v])
             # walk the a/b alternating path from v; flipping it frees a at v
-            # unless the path ends at u
+            # unless the path ends at u. The slots are proper, so the path
+            # never meets a vertex twice
             path = []
             x, want = v, a
-            seen = {v}
             while True:
                 run = g.incidences([x])[1].tolist()
                 nxt = next((f for f in run if f < eid and c3e[f] == beta
                             and e_slot[f] == want), None)
                 if nxt is None:
                     break
-                y = edge_u[nxt] if edge_v[nxt] == x else edge_v[nxt]
                 path.append(nxt)
-                if y in seen:
-                    break
-                seen.add(y)
-                x, want = y, (b if want == a else a)
-            # a path that ends at u keeps the overflow slot
+                x = edge_u[nxt] if edge_v[nxt] == x else edge_v[nxt]
+                want ^= a ^ b
+            # a path that ends at u keeps the overflow slot; a flipped path
+            # changes which of a and b its two ends hold, and no other
+            # vertex's slots
             if x != u:
                 for fid in path:
-                    old = e_slot[fid]
-                    new = b if old == a else a
-                    e_slot[fid] = new
-                    for w in (edge_u[fid], edge_v[fid]):
-                        used[w] = (used[w] & ~(1 << old)) | (1 << new)
+                    e_slot[fid] ^= a ^ b
+                used[v] ^= (1 << a) | (1 << b)
+                used[x] ^= (1 << a) | (1 << b)
                 s = a
         e_slot[eid] = s
         used[u] |= 1 << s
@@ -177,13 +156,16 @@ def _vertex_slots(g: Graph, st: LemmaState, e_slot: list[int]) -> list[int]:
                       forbid)
 
 
-def properize(g: Graph, st: LemmaState, width: int | None) -> ConstructionState:
+def properize(g: Graph, st: LemmaState,
+              width: int | None) -> tuple[TotalColouring, int]:
     """Lift engine classes to colour bands and make the result proper.
 
     Band for class beta covers colours {B*(beta-1)+1 .. B*beta}. Each class
     is coloured on its own, edges first; no slot depends on another class.
-    With width=None the needed band width is learned and used. Raises
-    ClassWidthError when a fixed width is exceeded.
+    width is where the edge pass starts its alternating-path swaps, and B is
+    the larger of width and the slots the classes then need; with
+    width=None no swap runs and B is the needed width. Returns the colouring
+    and B.
     """
     if g.m and int(st.c3e.min(initial=1)) < 1:
         raise ValueError("edge classes must be fully assigned before lifting")
@@ -194,13 +176,10 @@ def properize(g: Graph, st: LemmaState, width: int | None) -> ConstructionState:
         _colour_class_edges(g, edge_u, edge_v, c3e, members, width, e_slot)
     v_slot = _vertex_slots(g, st, e_slot)
     needed = 1 + max(max(e_slot, default=0), max(v_slot, default=0))
-    if width is None:
-        width = needed
-    elif needed > width:
-        raise ClassWidthError(needed)
+    width = needed if width is None else max(width, needed)
     vc = width * (st.c3v - 1) + 1 + np.array(v_slot, dtype=np.int64)
     ec = width * (st.c3e - 1) + 1 + np.array(e_slot, dtype=np.int64)
-    return ConstructionState(vc.astype(np.int64), ec.astype(np.int64), width)
+    return _spanned(vc, ec), width
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +297,8 @@ class ReserveInfo:
     used: int
 
 
-def recolour_H(g: Graph, state: ConstructionState, h_edge_ids,
-               risky: np.ndarray) -> tuple[ConstructionState, ReserveInfo]:
+def recolour_H(g: Graph, state: TotalColouring, h_edge_ids,
+               risky: np.ndarray) -> tuple[TotalColouring, ReserveInfo]:
     """Move the picked edges onto fresh reserve colours above the span.
 
     risky is compute_risky's edge mask. Edges are processed in ascending id.
@@ -339,12 +318,12 @@ def recolour_H(g: Graph, state: ConstructionState, h_edge_ids,
     endpoint by its edge id in the risky mask, so a pick costs the
     candidates it tries, not the endpoints' risky degrees.
     """
-    st = state.copy()
     h_ids = sorted(np.asarray(h_edge_ids, dtype=np.int64).tolist())
-    base = st.span
+    base = max(state.span, 1)
+    ec = state.edge_colours.copy()
     if not h_ids:
-        return st, ReserveInfo(base, 0, 0)
-    sums = vertex_sums(g, st.vertex_colours, st.edge_colours).tolist()
+        return _spanned(state.vertex_colours, ec), ReserveInfo(base, 0, 0)
+    sums = vertex_sums(g, state.vertex_colours, state.edge_colours).tolist()
     us, vs = g.edge_u[h_ids].tolist(), g.edge_v[h_ids].tolist()
     rdeg = g.endpoint_counts(risky)
     planned = (int((rdeg[us] + rdeg[vs]).max())
@@ -364,7 +343,7 @@ def recolour_H(g: Graph, state: ConstructionState, h_edge_ids,
                     return True
         return False
 
-    colours = dict(zip(h_ids, st.edge_colours[h_ids].tolist()))
+    colours = dict(zip(h_ids, ec[h_ids].tolist()))
     used_at: dict[int, int] = {}   # bitmask of the reserve offsets at a vertex
     top_used = 0
     for eid, u, v in zip(h_ids, us, vs):
@@ -386,8 +365,9 @@ def recolour_H(g: Graph, state: ConstructionState, h_edge_ids,
             sums[x] += shift
             used_at[x] = used_at.get(x, 1) | 1 << offset
         top_used = max(top_used, offset)
-    st.edge_colours[list(colours)] = list(colours.values())
-    return st, ReserveInfo(base, planned, top_used)
+    ec[list(colours)] = list(colours.values())
+    return _spanned(state.vertex_colours, ec), ReserveInfo(base, planned,
+                                                           top_used)
 
 
 def _clear_sum_ties(g: Graph, vc: list[int], ec: np.ndarray, sums: np.ndarray,
@@ -428,7 +408,8 @@ def _clear_sum_ties(g: Graph, vc: list[int], ec: np.ndarray, sums: np.ndarray,
     return moved
 
 
-def repair_small_degree(g: Graph, state: ConstructionState) -> tuple[ConstructionState, int]:
+def repair_small_degree(g: Graph,
+                        state: TotalColouring) -> tuple[TotalColouring, int]:
     """Give clashing small-degree vertices a fresh vertex colour.
 
     Small means 3*degree < max_degree. Scanned in ascending order; a vertex
@@ -437,13 +418,11 @@ def repair_small_degree(g: Graph, state: ConstructionState) -> tuple[Constructio
     neighbour's current sum. A vertex colour appears in no other vertex's
     sum, so a repair never creates a new clash elsewhere.
     """
-    st = state.copy()
-    vc = st.vertex_colours.tolist()
-    sums = vertex_sums(g, st.vertex_colours, st.edge_colours)
-    repaired = _clear_sum_ties(g, vc, st.edge_colours, sums,
+    vc = state.vertex_colours.tolist()
+    sums = vertex_sums(g, state.vertex_colours, state.edge_colours)
+    repaired = _clear_sum_ties(g, vc, state.edge_colours, sums,
                                3 * g.degrees < g.max_degree)
-    st.vertex_colours[:] = vc
-    return st, repaired
+    return _spanned(vc, state.edge_colours), repaired
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +463,7 @@ def greedy_nsd(g: Graph) -> TotalColouring:
     ec = np.array(ec, dtype=np.int64)
     sums = vertex_sums(g, np.array(vc, dtype=np.int64), ec)
     _clear_sum_ties(g, vc, ec, sums, np.ones(n, dtype=bool))
-    return TotalColouring(vc, ec, max(1, *vc, int(ec.max(initial=1))))
+    return _spanned(vc, ec)
 
 
 # ---------------------------------------------------------------------------
@@ -541,30 +520,17 @@ def _attempt_pipeline(g: Graph, p: LemmaParams, slack: float,
                 h1_max_degree=r2.h1_max_degree, h2_max_degree=r2.h2_max_degree)
 
     # The band floor bounds this attempt's final span from below. properize
-    # puts an edge of class beta at width*(beta-1)+1 or above, and the width
-    # is never below b_unit: a relift follows a ClassWidthError at b_unit and
-    # either takes the larger width it asked for or learns one, and the
-    # learned run agrees with the b_unit run up to its first slot >= b_unit,
-    # which it keeps. recolour_H only moves edges above the current span and
-    # repair_small_degree only changes vertex colours, so no edge colour ever
-    # drops. A floor above the span cap means the pipeline's colouring would
-    # be replaced anyway, so the attempt stops here with no colouring.
+    # puts an edge of class beta at width*(beta-1)+1 or above, with a width
+    # of at least b_unit; recolour_H only moves edges above the current span
+    # and repair_small_degree only changes vertex colours, so no edge colour
+    # ever drops. A floor above the span cap means the pipeline's colouring
+    # would be replaced anyway, so the attempt stops here with no colouring.
     floor = p.b_unit * (int(r2.state.c3e.max()) - 1) + 1
     info["band_floor"] = floor
     if cfg.span_cap is not None and floor > cfg.span_cap:
         return None, info
 
-    relifts = 0
-    width = p.b_unit
-    cs = None
-    while cs is None:
-        try:
-            cs = properize(g, r2.state, width)
-        except ClassWidthError as exc:
-            relifts += 1
-            width = None if relifts >= 2 else exc.needed
-    info["b_width"] = cs.width
-    info["relifts"] = relifts
+    colouring, info["b_width"] = properize(g, r2.state, p.b_unit)
 
     risk = RiskParams(p, scale=slack)
     risky = compute_risky(g, r2.state, p, risk)
@@ -576,16 +542,12 @@ def _attempt_pipeline(g: Graph, p: LemmaParams, slack: float,
     info["h_rounds"] = hsel.rounds
     info["h_valid"] = hsel.valid
 
-    cs, reserve = recolour_H(g, cs, hsel.edge_ids, risky)
-    # the planned reserve always suffices (see recolour_H), so it never grows;
-    # the key stays in the report
+    colouring, reserve = recolour_H(g, colouring, hsel.edge_ids, risky)
     info.update(reserve_base=reserve.base, reserve_planned=reserve.planned,
-                reserve_used=reserve.used, reserve_grew=False)
+                reserve_used=reserve.used)
 
-    cs, repaired = repair_small_degree(g, cs)
-    info["repaired"] = repaired
+    colouring, info["repaired"] = repair_small_degree(g, colouring)
 
-    colouring = TotalColouring(cs.vertex_colours, cs.edge_colours, cs.span)
     proper = check_proper(g, colouring)
     nsd = check_nsd(g, colouring)
     info["proper_violations"] = len(proper)

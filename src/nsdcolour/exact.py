@@ -43,8 +43,8 @@ of a class is searched as without the table, and its chi and witness are
 stored in canonical labels; every later member gets that witness mapped
 back through its own labelling, without a search. Isomorphic graphs have the
 same chi and a relabelled witness stays valid, so no answer changes. A graph
-on more than 6 vertices (more than MAX_LABELLINGS = 6! labellings) gets no
-key and is always searched, which keeps large graphs off a factorial path.
+on more than 6 vertices (more than 6! labellings) gets no orbit table and is
+always searched, which keeps large graphs off a factorial path.
 """
 
 from __future__ import annotations
@@ -313,8 +313,6 @@ def _lower_bound(nbrs: list[list[int]], comp: list[int]) -> int:
 
 
 def _search(g: Graph, k_max: int) -> SolveResult:
-    if g.n == 0:
-        return SolveResult(1, TotalColouring([], [], 1), 0)
     vc, ec, used, sums = [0] * g.n, [0] * g.m, [0] * g.n, [0] * g.n
     nbrs, inc = _neighbourhoods(g)
     nodes, chi = 0, 1
@@ -344,8 +342,8 @@ def solve_exact(g: Graph, k_max: int | None = None,
     classes is an optional class table owned by the caller, keyed by n, the
     canonical mask of g's class (see _orbit_table) and k_max. When g's class
     is in it, g is not searched: the stored result is mapped through g's
-    canonical labelling and returned with nodes_explored 0. Otherwise g is
-    searched and the result is stored. A graph with no canonical key is
+    labelling onto that mask and returned with nodes_explored 0. Otherwise g
+    is searched and the result is stored. A graph on more than 6 vertices is
     always searched.
     """
     if k_max is None:
@@ -372,10 +370,6 @@ def solve_exact(g: Graph, k_max: int | None = None,
 
 # ---------------------------------------------------------------------------
 # canonical form
-
-# canonical_labelling keys a graph with at most this many labellings (6!).
-MAX_LABELLINGS = 720
-
 
 @cache
 def _orbit_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -407,24 +401,6 @@ def _orbit(g: Graph) -> tuple[int, np.ndarray]:
     weight, canon, labelling = _orbit_table(g.n)
     mask = int(weight[g.edge_u, g.edge_v].sum())
     return int(canon[mask]), labelling[mask]
-
-
-def canonical_labelling(g: Graph) -> tuple[tuple, list[int]] | None:
-    """Canonical key of g's isomorphism class and a labelling reaching it.
-
-    The key is (n, edges), where edges is the lexicographically least sorted
-    (lo, hi) edge list over all n! labellings. It is the edge list itself,
-    not a hash, so equal keys mean isomorphic graphs: the edges of the
-    largest mask of g's orbit in _orbit_table. labelling[v] is v's canonical
-    label; relabelling g's edges by it gives the key's edges. None when g
-    has more than 6 vertices, so more than MAX_LABELLINGS labellings.
-    """
-    if g.n > 6:
-        return None
-    mask, label = _orbit(g)
-    lo, hi = np.triu_indices(g.n, 1)
-    has = (mask & _orbit_table(g.n)[0][lo, hi]) != 0
-    return (g.n, tuple(zip(lo[has].tolist(), hi[has].tolist()))), label.tolist()
 
 
 def _invalid_witnesses(graphs: tuple[Graph, ...],

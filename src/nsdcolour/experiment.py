@@ -48,12 +48,18 @@ def split_seed(global_seed: int, run_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _parse_range(token: str) -> range:
-    if ".." in token:
-        lo, hi = token.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    v = int(token)
-    return range(v, v + 1)
+def _number(spec: str, cast, text: str):
+    """cast(text), or a ValueError naming the family spec."""
+    try:
+        return cast(text)
+    except ValueError as exc:
+        raise ValueError(f"family spec {spec!r}: {exc}") from None
+
+
+def _parse_range(spec: str, token: str) -> range:
+    lo, dots, hi = token.partition("..")
+    lo = _number(spec, int, lo)
+    return range(lo, (_number(spec, int, hi) if dots else lo) + 1)
 
 
 def _parse_kv(kind: str, body: str, keys: tuple[str, ...]) -> list[str]:
@@ -84,7 +90,7 @@ def parse_family(spec: str) -> list[tuple[str, Graph]]:
     that expands to no graphs is a ValueError naming it."""
     spec = spec.strip()
     if spec.startswith("connected<="):
-        max_n = int(spec[len("connected<="):])
+        max_n = _number(spec, int, spec[len("connected<="):])
         if max_n > _CONNECTED_MAX_N:
             raise ValueError(f"connected<=N takes N up to {_CONNECTED_MAX_N}, "
                              f"got {max_n}")
@@ -96,14 +102,16 @@ def parse_family(spec: str) -> list[tuple[str, Graph]]:
         kind = kind.strip()
         if kind in ("complete", "cycle", "path"):
             graphs = [(f"{kind}-{n}", generate(kind, n=n))
-                      for n in _parse_range(body)]
+                      for n in _parse_range(spec, body)]
         elif kind == "random":
             n, p, seeds = _parse_kv(kind, body, ("n", "p", "seeds"))
-            n, seeds = int(n), int(seeds)
+            n, seeds = _number(spec, int, n), _number(spec, int, seeds)
+            prob = _number(spec, float, p)
             graphs = [(f"random-n{n}-p{p}-s{s}",
-                       random_graph(n, float(p), seed=s)) for s in range(seeds)]
+                       random_graph(n, prob, seed=s)) for s in range(seeds)]
         elif kind == "regular":
-            n, d, seeds = map(int, _parse_kv(kind, body, ("n", "d", "seeds")))
+            n, d, seeds = (_number(spec, int, x) for x in
+                           _parse_kv(kind, body, ("n", "d", "seeds")))
             graphs = [(f"regular-n{n}-d{d}-s{s}", regular_graph(n, d, seed=s))
                       for s in range(seeds)]
         else:

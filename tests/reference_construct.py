@@ -19,9 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from nsdcolour.colouring import TotalColouring, vertex_sums
-from nsdcolour.construct import ClassWidthError, HSelection, RiskParams
+from nsdcolour.construct import HSelection, RiskParams
 from nsdcolour.graph import Graph
 from nsdcolour.lemma import LemmaParams, LemmaState
+
+
+class ClassWidthError(ValueError):
+    """A target class needs more slots than the band width provides."""
+
+    def __init__(self, needed: int):
+        super().__init__(f"band width too small, need {needed}")
+        self.needed = needed
 
 
 @dataclass

@@ -178,6 +178,28 @@ def test_experiment_family_with_no_graphs_is_usage_error(tmp_path, capsys):
         "error: family spec 'path:9..2' expands to no graphs\n")
 
 
+@pytest.mark.parametrize("family, bad", [
+    ("connected<=x", "'x'"), ("connected<=", "''"), ("complete:a", "'a'"),
+    ("complete:2..", "''"), ("cycle:3..x", "'x'"),
+    ("random:n=x,p=0.1,seeds=1", "'x'"), ("regular:n=10,d=q,seeds=1", "'q'"),
+    ("random:n=10,p=x,seeds=1", "float: 'x'")])
+@pytest.mark.parametrize("command", ["sweep", "experiment"])
+def test_non_numeric_family_is_usage_error_naming_it(tmp_path, capsys,
+                                                     command, family, bad):
+    if command == "sweep":
+        argv = ["sweep", "--family", family]
+    else:
+        spath = tmp_path / "spec.json"
+        spath.write_text(json.dumps({"families": ["complete:3", family]}))
+        argv = ["experiment", str(spath)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: family spec {family!r}: ")
+    assert captured.err.endswith(f"{bad}\n")
+    assert "Traceback" not in captured.err
+
+
 def test_exact_and_sweep_on_long_paths(tmp_path, capsys):
     # deeper than Python's recursion limit: 2n - 1 search levels
     gpath = tmp_path / "p600.graph"

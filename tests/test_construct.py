@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from nsdcolour import (ClassWidthError, ConstructConfig, Graph,
+import reference_construct as ref
+from nsdcolour import (ConstructConfig, Graph,
                        InfeasibleStrictError, LemmaParams, LemmaState,
                        RiskParams, STAGE_ONE_PROPERTIES, TotalColouring,
                        check_nsd, check_proper, complete_graph, compute_risky,
@@ -14,6 +15,7 @@ from nsdcolour import (ClassWidthError, ConstructConfig, Graph,
                        resample_until_valid, select_H, stage_two,
                        reference_span_bound, weighted_degrees)
 from recount import recount_proper_and_distinct, risky_lists
+from reference_graph import ViewGraph
 
 # the package re-exports the function construct(), which shadows the module
 construct_mod = importlib.import_module("nsdcolour.construct")
@@ -38,32 +40,32 @@ def pipeline_state(g, p, seed=0):
 
 def test_properize_triangle_layout():
     g, st = triangle_state()
-    cs = properize(g, st, 10)
+    cs, width = properize(g, st, 10)
+    assert width == 10
     # all edges in class 3: band {21..30}; triangle needs three edge slots
     assert sorted(int(c) for c in cs.edge_colours) == [21, 22, 23]
     # all vertices in class 1: band {1..10}, mutually adjacent
     assert sorted(int(c) for c in cs.vertex_colours) == [1, 2, 3]
-    assert check_proper(g, TotalColouring(cs.vertex_colours, cs.edge_colours,
-                                          cs.span)) == []
+    assert cs.k == cs.span == 23
+    assert check_proper(g, cs) == []
 
 
-def test_properize_width_errors():
+def test_properize_widens_narrow_bands():
+    # the triangle's edges need three slots, so width 2 becomes 3, as does
+    # a learned width
     g, st = triangle_state()
-    with pytest.raises(ClassWidthError) as exc:
-        properize(g, st, 2)
-    assert exc.value.needed == 3
-    # learned width mode never raises
-    cs = properize(g, st, None)
-    assert cs.width == 3
-    assert sorted(int(c) for c in cs.edge_colours) == [7, 8, 9]
+    for asked in (2, None):
+        cs, width = properize(g, st, asked)
+        assert width == 3
+        assert sorted(int(c) for c in cs.edge_colours) == [7, 8, 9]
+        assert check_proper(g, cs) == []
 
 
 def test_properize_class_confinement():
     g = random_graph(120, 0.1, seed=6)
     p = LemmaParams(g.max_degree, slack=2.0)
     res = pipeline_state(g, p, seed=40)
-    cs = properize(g, res.state, p.b_unit)
-    B = cs.width
+    cs, B = properize(g, res.state, p.b_unit)
     for v in range(g.n):
         beta = int(res.state.c3v[v])
         assert B * (beta - 1) + 1 <= int(cs.vertex_colours[v]) <= B * beta
@@ -77,9 +79,8 @@ def test_properize_output_is_proper():
         g = random_graph(150, 0.08, seed=seed)
         p = LemmaParams(g.max_degree, slack=2.0)
         res = pipeline_state(g, p, seed=50 + seed)
-        cs = properize(g, res.state, p.b_unit)
-        c = TotalColouring(cs.vertex_colours, cs.edge_colours, cs.span)
-        assert check_proper(g, c) == []
+        cs, _ = properize(g, res.state, p.b_unit)
+        assert check_proper(g, cs) == []
 
 
 def test_properize_rejects_uncoloured_edges():
@@ -192,7 +193,7 @@ def test_recolour_moves_only_picked_edges_above_span():
     g = random_graph(150, 0.1, seed=12)
     p = LemmaParams(g.max_degree, slack=2.0)
     res = pipeline_state(g, p, seed=70)
-    cs = properize(g, res.state, p.b_unit)
+    cs, _ = properize(g, res.state, p.b_unit)
     base = cs.span
     risk = RiskParams(p, scale=2.0)
     risky = compute_risky(g, res.state, p, risk)
@@ -207,8 +208,7 @@ def test_recolour_moves_only_picked_edges_above_span():
             assert int(out.edge_colours[e]) == int(cs.edge_colours[e])
     assert np.array_equal(out.vertex_colours, cs.vertex_colours)
     # properness survives: reserve colours clash with nothing below the base
-    c = TotalColouring(out.vertex_colours, out.edge_colours, out.span)
-    assert check_proper(g, c) == []
+    assert out.k == out.span and check_proper(g, out) == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -223,7 +223,7 @@ def test_reserve_stays_inside_the_plan(n, p_edge, seed, scale):
     g = random_graph(n, p_edge, seed=seed)
     p = LemmaParams(max(g.max_degree, 1), slack=2.0)
     res = pipeline_state(g, p, seed=seed)
-    cs = properize(g, res.state, None)
+    cs, _ = properize(g, res.state, None)
     risky = compute_risky(g, res.state, p, RiskParams(p, scale=scale))
     sel = select_H(g, p, seed=seed + 1)
     _, reserve = recolour_H(g, cs, sel.edge_ids, risky)
@@ -239,7 +239,7 @@ def test_recolour_separates_all_risky_pairs():
     g = complete_graph(5)
     p = LemmaParams(4, slack=2.0)
     res = pipeline_state(g, p, seed=80)
-    cs = properize(g, res.state, p.b_unit)
+    cs, _ = properize(g, res.state, p.b_unit)
     risk = RiskParams(p, scale=2.0)
     risky = compute_risky(g, res.state, p, risk)
     lists = risky_lists(g, risky)
@@ -247,10 +247,9 @@ def test_recolour_separates_all_risky_pairs():
         assert lists[v] == [u for u in range(5) if u != v]
     sel = select_H(g, p, seed=81)
     out, _ = recolour_H(g, cs, sel.edge_ids, risky)
-    c = TotalColouring(out.vertex_colours, out.edge_colours, out.span)
-    sums = weighted_degrees(g, c)
+    sums = weighted_degrees(g, out)
     assert len(set(int(s) for s in sums)) == 5
-    assert check_proper(g, c) == []
+    assert check_proper(g, out) == []
 
 
 # ---------------------------------------------------------------------------
@@ -260,20 +259,17 @@ def test_recolour_separates_all_risky_pairs():
 def test_repair_fixes_small_vertex_clash():
     # star plus pendant chain: leaves are small, centre is large
     g = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)])
-    from nsdcolour import ConstructionState
     vc = np.array([2, 1, 1, 1, 1, 3], dtype=np.int64)
     ec = np.array([3, 4, 5, 6, 1], dtype=np.int64)
-    cs = ConstructionState(vc, ec, 1)
     g_sums = weighted_degrees(g, TotalColouring(vc, ec, 20))
     # vertex 5 (degree 1) collides with vertex 4: 3+1 = 4 = 1+6-3... build
     # the clash explicitly instead of trusting arithmetic in a comment
     assert int(g_sums[5]) == 4
     vc[5] = int(g_sums[4]) - 1  # force sums[5] == sums[4]
-    cs = ConstructionState(vc, ec, 1)
-    out, repaired = repair_small_degree(g, cs)
+    out, repaired = repair_small_degree(g, TotalColouring(vc, ec, 20))
     assert repaired >= 1
-    sums = weighted_degrees(g, TotalColouring(out.vertex_colours,
-                                              out.edge_colours, out.span))
+    assert out.k == out.span
+    sums = weighted_degrees(g, out)
     for (u, v) in g.edges:
         assert int(sums[u]) != int(sums[v])
     # only small vertices may move
@@ -286,12 +282,9 @@ def test_repair_fixes_small_vertex_clash():
 def test_repair_leaves_clean_states_alone():
     g = random_graph(100, 0.06, seed=14)
     col = greedy_nsd(g)
-    from nsdcolour import ConstructionState
-    cs = ConstructionState(col.vertex_colours.copy(), col.edge_colours.copy(),
-                           1)
-    out, repaired = repair_small_degree(g, cs)
+    out, repaired = repair_small_degree(g, col)
     assert repaired == 0
-    assert np.array_equal(out.vertex_colours, col.vertex_colours)
+    assert out == col
 
 
 # ---------------------------------------------------------------------------
@@ -514,23 +507,53 @@ def test_no_valid_attempt_over_cap_calls_greedy_once(monkeypatch):
     assert rep.fallback_used and rep.span_capped and rep.valid
 
 
+@pytest.mark.parametrize("b_unit", [1, 2])
+def test_narrow_bands_widen_in_one_pass(monkeypatch, b_unit):
+    # the classes of this graph need about 12 slots, so properize widens the
+    # attempt's bands past b_unit; the floor, taken at b_unit, stays below
+    # the span
+    class NarrowBands(LemmaParams):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.b_unit = b_unit
+
+    monkeypatch.setattr(construct_mod, "LemmaParams", NarrowBands)
+    g = random_graph(60, 0.2, seed=3)
+    col, rep = construct(g, ConstructConfig(seed=0))
+    info = rep.attempts[rep.chosen_attempt]
+    assert info["valid"] and not rep.fallback_used
+    assert is_valid(g, col)
+    assert recount_proper_and_distinct(g, col.vertex_colours,
+                                       col.edge_colours) == (True, True)
+    assert info["b_width"] > b_unit
+    assert info["band_floor"] <= info["span"] == col.span
+    assert construct(g, ConstructConfig(seed=0))[0] == col
+
+
 @settings(max_examples=100)
 @given(n=hst.integers(1, 30), p=hst.sampled_from([0.2, 0.5, 1.0]),
        gseed=hst.integers(0, 2**32 - 1), classes=hst.integers(1, 3),
        width=hst.integers(1, 5))
-def test_relift_width_exceeds_failed_width(n, p, gseed, classes, width):
-    # the band floor relies on this: once properize fails at b_unit, both
-    # relifts (the width it asked for, or a learned one) are wider
+def test_properize_width_is_at_least_the_asked_width(n, p, gseed, classes,
+                                                     width):
+    # the band floor relies on this: properize at b_unit returns a width of
+    # at least b_unit, and exactly b_unit wherever the frozen copy returns a
+    # colouring (a proper one: its slot masks can go wrong inside a flipped
+    # path, see tests/test_equivalence.py)
     g = random_graph(n, p, seed=gseed)
     rng = np.random.default_rng(gseed)
     st = LemmaState(np.ones(g.n, dtype=np.int64), np.ones(g.m, dtype=np.int64),
                     rng.integers(1, classes + 1, size=g.n, dtype=np.int64),
                     rng.integers(1, classes + 1, size=g.m, dtype=np.int64))
+    got = properize(g, st, width)[1]
+    assert got >= width
     try:
-        properize(g, st, width)
-    except ClassWidthError as exc:
-        assert exc.needed > width
-        assert properize(g, st, None).width > width
+        old = ref.properize(ViewGraph(g), st, width)
+    except ref.ClassWidthError:
+        return
+    if not check_proper(g, TotalColouring(old.vertex_colours,
+                                          old.edge_colours, old.span)):
+        assert got == width
 
 
 def test_uncapped_report_has_no_fallback_reason():

@@ -6,8 +6,10 @@ Graphs come from hypothesis (n <= 40, plus edgeless graphs, K2 and complete
 graphs) and from the acceptance grid points: greedy_nsd on all ten, the
 pipeline phases on those with n <= 500. Class assignments for properize are
 drawn with few classes and narrow fixed widths, so the alternating-path swap
-and ClassWidthError paths both run; fixed small cases pin a swap that moves
-a slot and one whose path ends at the other endpoint. select_H also runs
+runs and properize widens the bands where the reference raises
+ClassWidthError. Fixed small cases pin a swap that moves a slot, one whose
+path ends at the other endpoint, and a flipped path whose inner vertices
+the reference's slot masks get wrong. select_H also runs
 under lowered pick-degree caps, so its redraw rounds and the round limit run,
 and on K_{2,10001}, whose hubs pick from runs of 10,001 edges. compute_risky
 returns an edge mask, read back into the reference's per-vertex lists;
@@ -23,11 +25,11 @@ from hypothesis import strategies as st
 import reference_construct as ref
 from recount import risky_lists
 from reference_graph import ViewGraph
-from nsdcolour import (ClassWidthError, ConstructionState, Graph, LemmaParams,
-                       LemmaState, RiskParams, complete_graph, compute_risky,
-                       greedy_nsd, properize, random_graph, recolour_H,
-                       repair_small_degree, resample_until_valid, select_H,
-                       stage_two)
+from nsdcolour import (Graph, LemmaParams, LemmaState, RiskParams,
+                       TotalColouring, check_proper, complete_graph,
+                       compute_risky, greedy_nsd, properize, random_graph,
+                       recolour_H, repair_small_degree, resample_until_valid,
+                       select_H, stage_two)
 from test_acceptance import GRID
 
 
@@ -43,21 +45,59 @@ def assert_same_greedy(g):
 
 
 def assert_same_state(new, old):
-    assert new.width == old.width
+    """The colouring new holds the reference state's colours, bounded by
+    its span."""
+    assert new.k == old.span
     for name in ("vertex_colours", "edge_colours"):
         assert same_array(getattr(new, name), getattr(old, name)), name
 
 
+def ref_state(c):
+    """The colouring c as a reference state, which the reference phases copy
+    before they change it."""
+    return ref.ConstructionState(c.vertex_colours, c.edge_colours, c.k,
+                                 None, None)
+
+
+def needed_width(c, state, width):
+    """The width the slots of c, lifted at width `width`, need."""
+    slots = [col - 1 - width * (cls - 1)
+             for col, cls in ((c.vertex_colours, state.c3v),
+                              (c.edge_colours, state.c3e))]
+    return 1 + max(int(s.max(initial=0)) for s in slots)
+
+
+def in_bands(c, state, width):
+    """Every colour of c lies in the band of width `width` of its class."""
+    return all(((width * (cls - 1) < col) & (col <= width * cls)).all()
+               for col, cls in ((c.vertex_colours, state.c3v),
+                                (c.edge_colours, state.c3e)))
+
+
+def ref_is_proper(g, old):
+    return not check_proper(g, TotalColouring(old.vertex_colours,
+                                              old.edge_colours, old.span))
+
+
 def assert_same_properize(g, state, width):
-    """The same state, or a ClassWidthError with the same need."""
+    """A proper colouring inside its bands, at the width asked for or, where
+    its slots need more, at the width they need; and the reference's
+    colouring and width wherever the reference returns a proper colouring.
+
+    The reference's slot masks can lose a bit inside a flipped path (see
+    test_swap_keeps_the_slots_inside_a_flipped_path). It then returns an
+    improper colouring, or raises ClassWidthError with a need of its own
+    slots, so neither is compared."""
+    new, got = properize(g, state, width)
+    assert check_proper(g, new) == [] and in_bands(new, state, got)
+    assert got == max(width or 0, needed_width(new, state, got))
     try:
         old = ref.properize(ViewGraph(g), state, width)
-    except ClassWidthError as exc:
-        with pytest.raises(ClassWidthError) as got:
-            properize(g, state, width)
-        assert got.value.needed == exc.needed
+    except ref.ClassWidthError:
         return
-    assert_same_state(properize(g, state, width), old)
+    if ref_is_proper(g, old):
+        assert got == old.width
+        assert_same_state(new, old)
 
 
 def assert_same_risky(g, state, p, scale):
@@ -83,7 +123,7 @@ def assert_same_recolour(g, cs, h_ids, state, p, risk):
     the reference's risky lists."""
     mask = compute_risky(g, state, p, risk)
     new, new_info = recolour_H(g, cs, h_ids, mask)
-    old, old_info = ref.recolour_H(g, cs, h_ids,
+    old, old_info = ref.recolour_H(g, ref_state(cs), h_ids,
                                    ref.compute_risky(g, state, p, risk))
     assert (new_info.base, new_info.planned, new_info.used) == \
         (old_info.base, old_info.planned, old_info.used)
@@ -103,7 +143,7 @@ def capped_params(g, cap):
 
 def assert_same_repair(g, cs):
     new, new_count = repair_small_degree(g, cs)
-    old, old_count = ref.repair_small_degree(ViewGraph(g), cs)
+    old, old_count = ref.repair_small_degree(ViewGraph(g), ref_state(cs))
     assert new_count == old_count
     assert_same_state(new, old)
 
@@ -137,10 +177,10 @@ def lemma_state(g, rng, classes):
                       c3v, c3e)
 
 
-def construction_state(g, rng, top):
-    return ConstructionState(rng.integers(1, top + 1, size=g.n, dtype=np.int64),
-                             rng.integers(1, top + 1, size=g.m, dtype=np.int64),
-                             top)
+def drawn_colouring(g, rng, top):
+    return TotalColouring(rng.integers(1, top + 1, size=g.n, dtype=np.int64),
+                          rng.integers(1, top + 1, size=g.m, dtype=np.int64),
+                          top)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +204,7 @@ def test_properize_matches_reference(g, seed, classes, width):
 @settings(max_examples=150)
 @given(g=graphs(), seed=st.integers(0, 2**32 - 1), top=st.integers(1, 4))
 def test_repair_matches_reference(g, seed, top):
-    assert_same_repair(g, construction_state(g, np.random.default_rng(seed), top))
+    assert_same_repair(g, drawn_colouring(g, np.random.default_rng(seed), top))
 
 
 @settings(max_examples=150)
@@ -215,7 +255,7 @@ def test_named_graphs_match_reference(g):
     for classes in (1, 3):
         for width in (None, 2, 4):
             assert_same_properize(g, lemma_state(g, rng, classes), width)
-    assert_same_repair(g, construction_state(g, rng, 3))
+    assert_same_repair(g, drawn_colouring(g, rng, 3))
     assert_same_select(g, LemmaParams(g.max_degree, slack=2.0), seed=g.n)
 
 
@@ -237,8 +277,8 @@ def test_grid_points_match_reference(n, mean):
     r1 = resample_until_valid(g, p, seed=1, max_rounds=200)
     r2 = stage_two(g, r1.state, p, seed=2, max_rounds=200)
     assert_same_properize(g, r2.state, p.b_unit)
-    cs = properize(g, r2.state, None)
-    assert_same_state(cs, ref.properize(ViewGraph(g), r2.state, None))
+    assert_same_properize(g, r2.state, None)
+    cs, _ = properize(g, r2.state, None)
     assert_same_repair(g, cs)
     for scale in (0.0, 1.0, 2.0):
         assert_same_risky(g, r2.state, p, scale)
@@ -254,7 +294,7 @@ def test_recolour_matches_reference(n, mean, scale):
     p = LemmaParams(g.max_degree, slack=2.0)
     r1 = resample_until_valid(g, p, seed=1, max_rounds=200)
     r2 = stage_two(g, r1.state, p, seed=2, max_rounds=200)
-    cs = properize(g, r2.state, None)
+    cs, _ = properize(g, r2.state, None)
     risk = RiskParams(p, scale=scale)
     h_ids = select_H(g, p, seed=3).edge_ids
     assert_same_recolour(g, cs, h_ids, r2.state, p, risk)
@@ -269,7 +309,7 @@ def test_recolour_matches_reference_on_drawn_graphs(g, seed, top, share,
     # colours from 1..top make many equal sums, so the sum index has
     # buckets of several holders and many candidates are blocked
     rng = np.random.default_rng(seed)
-    cs = construction_state(g, rng, top)
+    cs = drawn_colouring(g, rng, top)
     p = LemmaParams(g.max_degree, slack=2.0)
     state = lemma_state(g, rng, 3)
     state.c1 = rng.integers(1, p.r1 + 1, size=g.n, dtype=np.int64)
@@ -300,19 +340,40 @@ def test_swap_moves_a_slot():
     assert greedy.width == 3
     assert (swapped.edge_colours - 1).tolist() == [1, 0, 1, 0]
     assert (greedy.edge_colours - 1).tolist() == [0, 0, 1, 2]
-    assert_same_state(properize(g, state, 2), swapped)
+    assert_same_properize(g, state, 2)
+    assert_same_state(properize(g, state, 2)[0], swapped)
 
 
 def test_swap_path_ending_at_u_keeps_the_overflow():
     # triangle: (0,1) and (0,2) take slots 0 and 1, so (1,2) overflows to 2
     # under width 2. The walk goes 2 -> 0 -> 1 and ends at u = 1, so no flip
-    # is made and the overflow slot stands: the width error asks for 3.
-    # Flipping the path anyway would leave every edge in slots 0 and 1.
+    # is made and the overflow slot stands: the bands widen to 3, as the
+    # reference's width error asks. Flipping the path anyway would leave
+    # every edge in slots 0 and 1.
     g = Graph(3, [(0, 1), (0, 2), (1, 2)])
     state = one_class_edges(g, [2, 3, 4])
-    with pytest.raises(ClassWidthError) as old:
+    with pytest.raises(ref.ClassWidthError) as old:
         ref.properize(ViewGraph(g), state, 2)
     assert old.value.needed == 3
+    assert_same_properize(g, state, 2)
+    cs, width = properize(g, state, 2)
+    assert width == 3 and (cs.edge_colours - 1).tolist() == [0, 1, 2]
+
+
+def test_swap_keeps_the_slots_inside_a_flipped_path():
+    # edges by id: (0,3) (0,6) (1,3) (2,4) (2,6) (3,4). Under width 2, (2,6)
+    # overflows, and the swap flips the path 6 -> 0 -> 3 -> 1: (0,6) to slot
+    # 0, (0,3) to 1 and (1,3) to 0. Vertices 0 and 3 still hold slots 0 and
+    # 1, so (3,4) must take slot 2. The reference clears each flipped edge's
+    # old slot at both its ends, so vertex 3 loses slot 1 when (1,3) leaves
+    # it although (0,3) has just taken it, and (3,4) gets slot 1 too.
+    g = Graph(7, [(0, 3), (0, 6), (1, 3), (2, 4), (2, 6), (3, 4)])
+    state = one_class_edges(g, range(2, 9))
+    old = ref.properize(ViewGraph(g), state, 2)
+    assert (old.edge_colours - 1).tolist() == [1, 0, 0, 0, 1, 1]
+    assert not ref_is_proper(g, old)
+    cs, width = properize(g, state, 2)
+    assert width == 3 and (cs.edge_colours - 1).tolist() == [1, 0, 0, 0, 1, 2]
     assert_same_properize(g, state, 2)
 
 
@@ -322,7 +383,7 @@ def test_swap_flip_then_path_ending_at_u():
     g = Graph(7, [(0, 1), (0, 4), (0, 5), (1, 3), (1, 5), (1, 6), (2, 3),
                   (2, 4), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)])
     state = one_class_edges(g, [1] * 7)
-    with pytest.raises(ClassWidthError):
+    with pytest.raises(ref.ClassWidthError):
         ref.properize(ViewGraph(g), state, 5)
     assert_same_properize(g, state, 5)
     for width in (6, 7, None):

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import math
 import random
 import time
 from collections import Counter
@@ -17,8 +16,8 @@ from nsdcolour import (EnumerationGuardError, Graph, TotalColouring,
                        enumerate_connected_graphs, enumerate_labelled_graphs,
                        is_connected, is_valid, path_graph, run_sweep,
                        solve_exact)
-from nsdcolour.exact import (MAX_LABELLINGS, _lower_bound, _neighbourhoods,
-                             _orbit_table, canonical_labelling)
+from nsdcolour.exact import (_lower_bound, _neighbourhoods, _orbit,
+                             _orbit_table)
 from nsdcolour.experiment import sweep_to_csv
 
 
@@ -298,6 +297,21 @@ def relabelled(g, perm):
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
+def mask_edges(n, mask):
+    """The sorted (lo, hi) edge list of an edge mask of _orbit_table(n)."""
+    weight = _orbit_table(n)[0]
+    lo, hi = np.triu_indices(n, 1)
+    has = (mask & weight[lo, hi]) != 0
+    return tuple(zip(lo[has].tolist(), hi[has].tolist()))
+
+
+def orbit_key(g):
+    """The key (n, edges of the canonical mask) of g's class, from _orbit,
+    and g's labelling onto that mask as a list."""
+    mask, label = _orbit(g)
+    return (g.n, mask_edges(g.n, mask)), label.tolist()
+
+
 def test_canonical_keys_match_brute_force_classes():
     # equal keys exactly when the forms over all n! labellings are equal
     graphs = [g for n in range(1, 6) for g in enumerate_labelled_graphs(n)]
@@ -305,7 +319,7 @@ def test_canonical_keys_match_brute_force_classes():
     assert len(graphs) == 1099 + 40
     brute_of_key, key_of_brute = {}, {}
     for g in graphs:
-        key, _ = canonical_labelling(g)
+        key, _ = orbit_key(g)
         brute = g.n, canonical_form(g)
         assert key == brute, g.edges
         assert brute_of_key.setdefault(key, brute) == brute, g.edges
@@ -319,12 +333,12 @@ def test_canonical_labelling_reaches_key_and_ignores_labels():
     graphs = [g for _, g in enumerate_connected_graphs(5)]
     graphs += seeded_graphs(6, 40, seed=8)
     for g in graphs:
-        key, labelling = canonical_labelling(g)
+        key, labelling = orbit_key(g)
         assert sorted(labelling) == list(range(g.n))
         assert key == (g.n, relabelled(g, labelling).edges)
         perm = list(range(g.n))
         rng.shuffle(perm)
-        assert canonical_labelling(relabelled(g, perm))[0] == key, g.edges
+        assert orbit_key(relabelled(g, perm))[0] == key, g.edges
 
 
 @pytest.mark.parametrize("n, classes, connected", [
@@ -348,7 +362,7 @@ def test_orbit_table_has_one_canonical_mask_per_class(n, classes, connected):
                for c in members) == connected
     if n <= 5:
         for g in enumerate_labelled_graphs(n):
-            key, label = canonical_labelling(g)
+            key, label = orbit_key(g)
             assert key == (n, relabelled(g, label).edges), g.edges
 
 
@@ -376,7 +390,7 @@ def test_each_sweep_searches_each_class_once():
     graphs = list(enumerate_connected_graphs(5))
     first_of_class = {}
     for gid, g in graphs:
-        first_of_class.setdefault(canonical_labelling(g)[0], gid)
+        first_of_class.setdefault(orbit_key(g)[0], gid)
     for _ in range(2):
         rows = conjecture_sweep(graphs)
         searched = [r["graph_id"] for r in rows if r["nodes"] > 0]
@@ -457,8 +471,8 @@ def test_connected_six_sweep():
     assert sum(r["nodes"] for r in rows) == 1223622
     short = [g for r, g in searched
              if r["chi_sum_total"] > component_bounds(g)[0]]
-    assert [canonical_labelling(g)[0] for g in short] == [
-        canonical_labelling(K5_PENDANT)[0]]
+    assert [orbit_key(g)[0] for g in short] == [
+        orbit_key(K5_PENDANT)[0]]
 
     def excess(rs):
         return Counter(r["chi_sum_total"] - r["max_degree"] for r in rs)
@@ -479,18 +493,22 @@ def test_class_table_shares_an_unsolved_result():
     assert wider.chi_sum_total == 7 and wider.nodes_explored > 0
 
 
-def test_paths_and_cycles_stay_off_the_factorial_path():
-    # only graphs on at most 6 vertices (at most 6! labellings) get a key
-    assert math.factorial(6) <= MAX_LABELLINGS < math.factorial(7)
-    for n in [*range(2, 61), *range(590, 601)]:
-        assert (canonical_labelling(path_graph(n)) is None) == (n > 6), n
-    for n in range(3, 41):
-        assert (canonical_labelling(cycle_graph(n)) is None) == (n > 6), n
+def test_paths_and_cycles_stay_off_the_factorial_path(monkeypatch):
+    # only graphs on at most 6 vertices (at most 6! labellings) are keyed
+    # through an orbit table
+    keyed, orbit = [], exact._orbit
+
+    def recording(g):
+        keyed.append(g.n)
+        return orbit(g)
+
+    monkeypatch.setattr(exact, "_orbit", recording)
     t0 = time.perf_counter()
     rows = run_sweep(["path:2..60", "cycle:3..40", "path:590..600"])
     assert time.perf_counter() - t0 < 1.5
     assert len(rows) == 59 + 38 + 11
     assert all(r["verdict"] == "pass" for r in rows)
+    assert keyed == [2, 3, 4, 5, 6, 3, 4, 5, 6]
 
 
 def test_isomorphic_graphs_on_seven_vertices_are_both_searched():

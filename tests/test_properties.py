@@ -162,16 +162,14 @@ def test_properize_band_confinement(g, seed):
     p = params_for(g, slack=2.0)
     st1 = sample_stage_one(g, p, seed)
     res = stage_two(g, st1, p, seed + 1, 50)
-    cs = properize(g, res.state, None)
-    B = cs.width
+    cs, B = properize(g, res.state, None)
     for v in range(g.n):
         beta = int(res.state.c3v[v])
         assert B * (beta - 1) < int(cs.vertex_colours[v]) <= B * beta
     for i in range(g.m):
         beta = int(res.state.c3e[i])
         assert B * (beta - 1) < int(cs.edge_colours[i]) <= B * beta
-    col = TotalColouring(cs.vertex_colours, cs.edge_colours, cs.span)
-    assert check_proper(g, col) == []
+    assert check_proper(g, cs) == []
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +182,7 @@ def test_sum_shift_locality(g, seed):
     p = params_for(g, slack=2.0)
     st1 = sample_stage_one(g, p, seed)
     res = stage_two(g, st1, p, seed + 1, 50)
-    cs = properize(g, res.state, None)
+    cs, _ = properize(g, res.state, None)
     risky = compute_risky(g, res.state, p, RiskParams(p))
     sel = select_H(g, p, seed + 2)
     before = vertex_sums(g, cs.vertex_colours, cs.edge_colours)
