@@ -64,11 +64,13 @@ class TotalColouring:
                 raise ColouringError(f"{name} colours must be one-dimensional")
             if arr.size and (arr.min() < 1 or arr.max() > k):
                 raise ColouringError(f"{name} colour outside {{1..{k}}}")
-        vc.flags.writeable = False
-        ec.flags.writeable = False
-        self.vertex_colours = vc
-        self.edge_colours = ec
-        self.k = int(k)
+        self._adopt(vc, ec, k)
+
+    def _adopt(self, vc: np.ndarray, ec: np.ndarray, k: int) -> TotalColouring:
+        """Take fresh 1-d int64 arrays of colours in 1..k as is; returns self."""
+        vc.flags.writeable = ec.flags.writeable = False
+        self.vertex_colours, self.edge_colours, self.k = vc, ec, int(k)
+        return self
 
     @property
     def span(self) -> int:
@@ -135,10 +137,13 @@ def _edge_clash_groups(g: Graph, ec: np.ndarray) -> list[list[int]]:
     (vertex, colour); by vertex, then by smallest edge id."""
     if g.m < 2:
         return []
-    # one int64 key per (vertex, colour) incidence, colours as dense ranks
-    palette = sorted_unique(ec)
-    key = (np.concatenate([g.edge_v, g.edge_u]) * len(palette)
-           + np.searchsorted(palette, np.concatenate([ec, ec])))
+    # one int64 key per (vertex, colour) incidence: the colour itself where
+    # every key fits in int64, else the colour's dense rank
+    base, code = int(ec.max()) + 1, ec
+    if g.n * base >= 2 ** 63:
+        palette = sorted_unique(ec)
+        base, code = len(palette), np.searchsorted(palette, ec)
+    key = np.concatenate([g.edge_v, g.edge_u]) * base + np.concatenate([code, code])
     if not np.any(np.diff(np.sort(key)) == 0):
         return []
     # in the doubled list [edge_v, edge_u] each vertex meets its edges in
@@ -154,7 +159,7 @@ def _edge_clash_groups(g: Graph, ec: np.ndarray) -> list[list[int]]:
         if i == last + 1:
             keyed[-1][1].append(ids[i + 1])
         else:
-            keyed.append((int(key[i]) // len(palette), [ids[i], ids[i + 1]]))
+            keyed.append((int(key[i]) // base, [ids[i], ids[i + 1]]))
         last = i
     keyed.sort(key=lambda vg: (vg[0], vg[1][0]))
     return [group for _, group in keyed]

@@ -365,7 +365,9 @@ def solve_exact(g: Graph, k_max: int | None = None,
     chi, cv, ce = entry
     if chi is None:
         return SolveResult(None, None, 0, exceeded_k_max=True, k_max=k_max)
-    return SolveResult(chi, TotalColouring(cv[vid], ce[a, b], chi), 0)
+    # fresh arrays, checked against chi with every witness of a sweep
+    witness = TotalColouring.__new__(TotalColouring)._adopt(cv[vid], ce[a, b], chi)
+    return SolveResult(chi, witness, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,20 +407,27 @@ def _orbit(g: Graph) -> tuple[int, np.ndarray]:
 
 def _invalid_witnesses(graphs: tuple[Graph, ...],
                        ws: tuple[TotalColouring, ...]) -> set[int]:
-    """Indices of the witnesses ws that fail on their graphs, from one
-    check_proper and one check_nsd on the disjoint union. Its edge ids are
-    the graphs' in turn, as each graph's keys are sorted and shifts rise."""
-    offsets = np.cumsum([0] + [g.n for g in graphs])
-    shift = np.repeat(offsets[:-1], [g.m for g in graphs])
+    """Indices of the witnesses ws that fail on their graphs: a colour out
+    of 1..its own k, or a violation from one check_proper and one check_nsd
+    on the disjoint union, coloured with each colour clamped into its own
+    range (which moves only failing witnesses). Its edge ids are the graphs'
+    in turn, as each graph's keys are sorted and shifts rise."""
+    ns, ms, ks = zip(*[(g.n, g.m, w.k) for g, w in zip(graphs, ws)])
+    offsets = np.cumsum((0, *ns))
+    shift = np.repeat(offsets[:-1], ms)
     union = Graph(int(offsets[-1]), np.stack(
         [np.concatenate([g.edge_u for g in graphs]) + shift,
          np.concatenate([g.edge_v for g in graphs]) + shift], axis=1))
-    colouring = TotalColouring(np.concatenate([w.vertex_colours for w in ws]),
-                               np.concatenate([w.edge_colours for w in ws]),
-                               max(w.k for w in ws))
+    vc = np.concatenate([w.vertex_colours for w in ws])
+    ec = np.concatenate([w.edge_colours for w in ws])
+    colouring = TotalColouring.__new__(TotalColouring)._adopt(
+        np.clip(vc, 1, np.repeat(ks, ns)), np.clip(ec, 1, np.repeat(ks, ms)),
+        max(ks))
     firsts = [v.witnesses[0] for v in check_proper(union, colouring)
               + check_nsd(union, colouring)]
     vertices = [x if isinstance(x, int) else x[0] for x in firsts]
+    vertices += np.flatnonzero(colouring.vertex_colours != vc).tolist()
+    vertices += union.edge_u[colouring.edge_colours != ec].tolist()
     return set((np.searchsorted(offsets, vertices, side="right") - 1).tolist())
 
 

@@ -89,15 +89,18 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         _check_vertex_count(n)
         lo, hi = _ordered_ends(n, edges)
-        self.n = n
         # n <= MAX_VERTICES keeps every key below 2^63
-        self._keys = sorted_unique(lo * n + hi)
-        self.m = len(self._keys)
-        self.edge_u, self.edge_v = np.divmod(self._keys, max(n, 1))
+        self._adopt(n, sorted_unique(lo * n + hi))
+
+    def _adopt(self, n: int, keys: np.ndarray) -> Graph:
+        """Take sorted distinct int64 edge keys on n vertices as is; returns self."""
+        self.n, self._keys, self.m = n, keys, len(keys)
+        self.edge_u, self.edge_v = np.divmod(keys, max(n, 1))
         self.degrees = self.endpoint_counts(slice(None))
         self.max_degree = int(self.degrees.max()) if n else 0
-        for arr in (self._keys, self.edge_u, self.edge_v, self.degrees):
+        for arr in (keys, self.edge_u, self.edge_v, self.degrees):
             arr.flags.writeable = False
+        return self
 
     def endpoint_counts(self, edges) -> np.ndarray:
         """How many of the edges (an edge mask, edge ids or a slice) meet
@@ -451,9 +454,12 @@ def _connected_masks(n: int, pairs: list[tuple[int, int]]) -> Iterator[int]:
 def enumerate_connected_graphs(max_n: int) -> Iterator[tuple[str, Graph]]:
     """All connected labelled graphs on 1..max_n vertices with stable ids, in
     the order of enumerate_labelled_graphs. A Graph is built only for the
-    connected edge subsets."""
+    connected edge subsets, straight from their keys: the pairs are in
+    lexicographic order, so a mask's keys come out sorted and distinct."""
     for n in range(1, max_n + 1):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keys = [u * n + v for u, v in pairs]
         for idx, mask in enumerate(_connected_masks(n, pairs)):
-            chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            yield f"conn-n{n}-{idx}", Graph(n, chosen)
+            chosen = [keys[i] for i in range(len(keys)) if mask >> i & 1]
+            yield f"conn-n{n}-{idx}", Graph.__new__(Graph)._adopt(
+                n, np.array(chosen, dtype=np.int64))

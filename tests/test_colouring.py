@@ -4,7 +4,9 @@ import pytest
 from nsdcolour import (ColouringParseError, Graph, TotalColouring,
                        check_nsd, check_proper, complete_graph, cycle_graph,
                        is_valid, parse_colouring, path_graph,
-                       weighted_degrees, write_colouring)
+                       random_graph, weighted_degrees, write_colouring)
+import nsdcolour.colouring as colouringmod
+from nsdcolour.graph import sorted_unique
 
 
 def colouring(vc, ec, k):
@@ -150,3 +152,50 @@ def test_complete_graph_proper_reference():
             if {a, b} & {x, y} and ec[i] == ec[j]:
                 brute.append(("ee", i, j))
     assert bool(viols) == bool(brute)
+
+
+def ranked_clash_groups(g, ec):
+    """_edge_clash_groups as it was with every colour keyed by its dense
+    rank, whatever the colours' size."""
+    if g.m < 2:
+        return []
+    palette = sorted_unique(ec)
+    key = (np.concatenate([g.edge_v, g.edge_u]) * len(palette)
+           + np.searchsorted(palette, np.concatenate([ec, ec])))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    ids = (order % g.m).tolist()
+    keyed, last = [], -2
+    for i in np.nonzero(key[1:] == key[:-1])[0].tolist():
+        if i == last + 1:
+            keyed[-1][1].append(ids[i + 1])
+        else:
+            keyed.append((int(key[i]) // len(palette), [ids[i], ids[i + 1]]))
+        last = i
+    keyed.sort(key=lambda vg: (vg[0], vg[1][0]))
+    return [group for _, group in keyed]
+
+
+def test_clash_groups_keyed_by_colour_match_ranked_keys(monkeypatch):
+    # colours key the (vertex, colour) pairs directly while n * (max colour
+    # + 1) fits in int64, and by rank past it; both report the same
+    # violations as the ranked form, on colours from 1 up to 2^63 - 1
+    rng = np.random.default_rng(2024)
+    proper = colouringmod.check_proper
+    branches = set()
+    for trial in range(120):
+        n = int(rng.integers(2, 40))
+        g = random_graph(n, float(rng.uniform(0.1, 0.9)), seed=trial)
+        if g.m < 2:
+            continue
+        top = [8, 2 ** 62 // n, 2 ** 63 // n, 2 ** 63 - 1][trial % 4]
+        ec = top - rng.integers(0, min(top, 6), g.m)
+        vc = top - rng.integers(0, min(top, 6), n)
+        c = TotalColouring(vc, ec, top)
+        branches.add(n * (int(ec.max()) + 1) >= 2 ** 63)
+        got = proper(g, c)
+        monkeypatch.setattr(colouringmod, "_edge_clash_groups",
+                            ranked_clash_groups)
+        assert proper(g, c) == got
+        monkeypatch.undo()
+    assert branches == {False, True}

@@ -454,6 +454,84 @@ def test_sweep_flags_exactly_the_invalid_witnesses(monkeypatch):
             assert row == ref_row
 
 
+
+def test_served_witness_is_read_only_and_owns_its_arrays():
+    # a served witness skips TotalColouring's copy, so it must neither be
+    # writable nor share memory with the class table it was read from
+    classes = {}
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    relabelled = Graph(4, [(1, 0), (0, 2), (2, 3)])
+    assert solve_exact(path, classes=classes).nodes_explored > 0
+    served = solve_exact(relabelled, classes=classes)
+    assert served.nodes_explored == 0
+    (chi, cv, ce), = classes.values()
+    want = (served.witness.vertex_colours.copy(),
+            served.witness.edge_colours.copy())
+    for arr in (served.witness.vertex_colours, served.witness.edge_colours):
+        with pytest.raises(ValueError):
+            arr[0] = 99
+        assert not np.shares_memory(arr, cv) and not np.shares_memory(arr, ce)
+        arr.flags.writeable = True   # the arrays own their memory
+        arr[:] = 99
+    again = solve_exact(relabelled, classes=classes)
+    assert again.nodes_explored == 0
+    assert (again.witness.vertex_colours.tolist(),
+            again.witness.edge_colours.tolist()) == (want[0].tolist(),
+                                                     want[1].tolist())
+    assert not check_proper(relabelled, again.witness)
+    assert not check_nsd(relabelled, again.witness)
+
+
+def test_sweep_checks_served_witnesses_against_their_own_chi(monkeypatch):
+    # served witnesses are built without a range check: the sweep's one
+    # verifier pass checks each against its own row's chi. Row 3 (a path on
+    # 3 vertices) is served with an edge colour 0, and row 770 (chi 6) with
+    # a vertex colour 7 that is proper and sum-distinguishing, and would
+    # pass a check against the sweep's largest chi (7, from K5)
+    graphs = list(enumerate_connected_graphs(5))
+    clean = conjecture_sweep(graphs)
+    solve, calls, served = exact.solve_exact, [0], {}
+
+    def corrupt_zero(chi, cv, ce):
+        ce = ce.copy()
+        a, b = np.argwhere(ce)[0]
+        ce[a, b] = ce[b, a] = 0
+        return chi, cv, ce
+
+    def corrupt_above(chi, cv, ce):
+        cv = cv.copy()
+        cv[0] = chi + 1
+        return chi, cv, ce
+
+    targets = {3: corrupt_zero, 770: corrupt_above}
+
+    def serving(g, k_max=None, classes=None):
+        i, calls[0] = calls[0], calls[0] + 1
+        key = (g.n, exact._orbit(g)[0], k_max)
+        if i not in targets:
+            return solve(g, k_max, classes=classes)
+        entry = classes[key]
+        classes[key] = targets[i](*entry)
+        try:
+            res = solve(g, k_max, classes=classes)
+        finally:
+            classes[key] = entry
+        served[i] = (g, res)
+        return res
+
+    monkeypatch.setattr(exact, "solve_exact", serving)
+    rows = conjecture_sweep(graphs)
+    g, res = served[770]
+    w = res.witness
+    assert res.nodes_explored == 0 and w.span == res.chi_sum_total + 1 < 8
+    above = TotalColouring(w.vertex_colours, w.edge_colours, w.span)
+    assert not check_proper(g, above) and not check_nsd(g, above)
+    assert served[3][1].witness.edge_colours.min() == 0
+    assert [i for i, r in enumerate(rows) if r != clean[i]] == sorted(targets)
+    for i in targets:
+        assert rows[i]["verdict"] == "error:invalid-witness"
+        assert {**rows[i], "verdict": "pass"} == clean[i]
+
 def test_connected_six_sweep():
     # the recorded connected<=6 run: no graph on at most 6 vertices reaches
     # max degree + 3, the search totals stay as recorded, every class but

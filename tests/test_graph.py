@@ -174,6 +174,20 @@ def test_enumerate_connected_filters_the_labelled_graphs(monkeypatch):
         assert sum(1 for _ in _connected_masks(n, pairs)) == count
 
 
+
+def test_enumerated_graphs_equal_checked_graphs_in_every_field():
+    # enumeration builds each graph from its keys without Graph's checks;
+    # __eq__ compares only n and the keys, so every field is compared here
+    def fields(g):
+        arrays = (g._keys, g.edge_u, g.edge_v, g.degrees)
+        return (g.n, g.m, g.max_degree, type(g.max_degree),
+                [(a.dtype, a.shape, a.flags.writeable, a.tobytes())
+                 for a in arrays])
+
+    for _, g in enumerate_connected_graphs(6):
+        assert fields(g) == fields(Graph(g.n, g.edges))
+    assert not g.degrees.flags.writeable and g.degrees.dtype == "int64"
+
 def test_numpy_caches_frozen():
     g = complete_graph(4)
     with pytest.raises(ValueError):
