@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphError, int_rows, sorted_unique
+from .graph import Graph, GraphError, int_rows, sorted_unique, text_rows
 
 
 class ColouringError(ValueError):
@@ -202,19 +202,17 @@ def is_valid(g: Graph, c: TotalColouring) -> bool:
 # "e <u> <v> <colour>" lines, 1-based vertex ids, comments with "c"
 
 def write_colouring(g: Graph, c: TotalColouring) -> str:
+    """The k line, then a ``v <vertex> <colour>`` line per vertex and an
+    ``e <u> <v> <colour>`` line per edge, 1-based, written by text_rows."""
     _check_shapes(g, c)
-    vrows = np.stack([np.arange(1, g.n + 1), c.vertex_colours], axis=1)
-    erows = np.stack([g.edge_u + 1, g.edge_v + 1, c.edge_colours], axis=1)
     return (f"k {c.k}\n"
-            + ("v %d %d\n" * g.n) % tuple(vrows.ravel().tolist())
-            + ("e %d %d %d\n" * g.m) % tuple(erows.ravel().tolist()))
+            + text_rows("v", [np.arange(1, g.n + 1), c.vertex_colours])
+            + text_rows("e", [g.edge_u + 1, g.edge_v + 1, c.edge_colours]))
 
 
 # A colouring file as write_colouring writes it: the k line, every vertex
 # line, then every edge line. At most 18 digits keeps each number in int64.
 _K_LINE = re.compile(r"k ([0-9]{1,18})\n")
-_ODD_VERTEX_LINE = re.compile(r"^(?!v [0-9]{1,18} [0-9]{1,18}$)", re.M)
-_ODD_EDGE_LINE = re.compile(r"^(?!e [0-9]{1,18} [0-9]{1,18} [0-9]{1,18}$)", re.M)
 
 
 def _each_once(ids: np.ndarray, size: int) -> bool:
@@ -238,8 +236,8 @@ def _parse_colouring_layout(text: str, g: Graph):
         return None
     # the vertex lines end where the first edge line starts
     edges_at = text.find("\ne ", head.end() - 1) + 1 or len(text)
-    vrows = int_rows(text, head.end(), edges_at, _ODD_VERTEX_LINE, 2)
-    erows = int_rows(text, edges_at, len(text), _ODD_EDGE_LINE, 3)
+    vrows = int_rows(text, head.end(), edges_at, "v", 2)
+    erows = int_rows(text, edges_at, len(text), "e", 3)
     if (vrows is None or erows is None
             or len(vrows) != g.n or len(erows) != g.m):
         return None
@@ -256,9 +254,10 @@ def _parse_colouring_layout(text: str, g: Graph):
 
 def parse_colouring(text: str, g: Graph) -> TotalColouring:
     """Parse ``k <bound>``, ``v <vertex> <colour>`` and ``e <u> <v> <colour>``
-    lines against g. A file in write_colouring's layout is tokenised at
-    once; any other text, and any unknown or repeated vertex or edge, goes
-    through the line-by-line parser, the one source of error messages."""
+    lines against g. A file in write_colouring's layout, as int_rows checks
+    it byte by byte, is read at once; any other text, and any unknown or
+    repeated vertex or edge, goes through the line-by-line parser, the one
+    source of error messages."""
     parsed = _parse_colouring_layout(text, g)
     k, vc, ec = parsed if parsed is not None else _parse_colouring_lines(text, g)
     try:

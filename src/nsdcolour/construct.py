@@ -64,36 +64,32 @@ def _lowest_free(used: int) -> int:
     return ((used + 1) & ~used).bit_length() - 1
 
 
-def _members(cls: np.ndarray) -> list[list[int]]:
-    """Ascending ids of each class's members, by ascending class, from one
-    stable argsort."""
-    order = np.argsort(cls, kind="stable")
-    cuts = np.flatnonzero(np.diff(cls[order])) + 1
-    return [grp.tolist() for grp in np.split(order, cuts) if grp.size]
+def _colour_class_edges(g: Graph, c3e: np.ndarray, width_hint) -> list[int]:
+    """Proper slots for every edge within its class c3e[eid], in one pass
+    by ascending edge id.
 
-
-def _colour_class_edges(g: Graph, edge_u: list[int], edge_v: list[int],
-                        c3e: list[int], edge_ids: list[int], width_hint,
-                        e_slot: list[int]) -> None:
-    """Proper slots for one class's edges, ascending ids, written into e_slot.
-
-    edge_u[eid] and edge_v[eid] are the endpoints and c3e[eid] the class.
-    Each edge takes the lowest slot free at both endpoints, read from a
-    per-vertex bitmask of the class's slots. When the pick would land at or
-    above width_hint, one alternating-path swap is attempted to reuse a slot
-    below it. The walk reads a vertex's already-slotted edges of the class
-    from its run of g.incidences (ids below the current edge), so no
-    per-vertex edge lists are kept while no swap runs.
+    Each edge takes the lowest slot free at both endpoints, read from one
+    bitmask per (class, vertex) of the class's slots, at used[c3e * n + v].
+    When the pick would land at or above width_hint, one alternating-path
+    swap is attempted to reuse a slot below it. The walk reads a vertex's
+    already-slotted edges of the class from its run of g.incidences (ids
+    below the current edge), so no per-vertex edge lists are kept while no
+    swap runs.
     """
-    used = [0] * g.n
-    for eid in edge_ids:
-        u, v = edge_u[eid], edge_v[eid]
-        taken = used[u] | used[v]
-        s = ((taken + 1) & ~taken).bit_length() - 1
-        if width_hint is not None and s >= width_hint:
-            beta = c3e[eid]
-            a = _lowest_free(used[u])
-            b = _lowest_free(used[v])
+    n, edge_u, edge_v = g.n, g.edge_u.tolist(), g.edge_v.tolist()
+    classes = c3e.tolist()
+    limit = None if width_hint is None else 1 << width_hint
+    used = [0] * ((max(classes, default=0) + 1) * n)
+    e_slot: list[int] = []
+    at_u, at_v = (c3e * n + g.edge_u).tolist(), (c3e * n + g.edge_v).tolist()
+    for cu, cv in zip(at_u, at_v):
+        taken = used[cu] | used[cv]
+        bit = (taken + 1) & ~taken      # the lowest slot free at both ends
+        if limit is not None and bit >= limit:
+            eid = len(e_slot)       # every lower edge id has its slot
+            beta, u, v = classes[eid], edge_u[eid], edge_v[eid]
+            a = _lowest_free(used[cu])
+            b = _lowest_free(used[cv])
             # walk the a/b alternating path from v; flipping it frees a at v
             # unless the path ends at u. The slots are proper, so the path
             # never meets a vertex twice
@@ -101,7 +97,7 @@ def _colour_class_edges(g: Graph, edge_u: list[int], edge_v: list[int],
             x, want = v, a
             while True:
                 run = g.incidences([x])[1].tolist()
-                nxt = next((f for f in run if f < eid and c3e[f] == beta
+                nxt = next((f for f in run if f < eid and classes[f] == beta
                             and e_slot[f] == want), None)
                 if nxt is None:
                     break
@@ -114,12 +110,13 @@ def _colour_class_edges(g: Graph, edge_u: list[int], edge_v: list[int],
             if x != u:
                 for fid in path:
                     e_slot[fid] ^= a ^ b
-                used[v] ^= (1 << a) | (1 << b)
-                used[x] ^= (1 << a) | (1 << b)
-                s = a
-        e_slot[eid] = s
-        used[u] |= 1 << s
-        used[v] |= 1 << s
+                used[cv] ^= (1 << a) | (1 << b)
+                used[beta * n + x] ^= (1 << a) | (1 << b)
+                bit = 1 << a
+        e_slot.append(bit.bit_length() - 1)
+        used[cu] |= bit
+        used[cv] |= bit
+    return e_slot
 
 
 def _first_fit(g: Graph, ids: np.ndarray, forbid: list[int]) -> list[int]:
@@ -169,11 +166,7 @@ def properize(g: Graph, st: LemmaState,
     """
     if g.m and int(st.c3e.min(initial=1)) < 1:
         raise ValueError("edge classes must be fully assigned before lifting")
-    c3e = st.c3e.tolist()
-    edge_u, edge_v = g.edge_u.tolist(), g.edge_v.tolist()
-    e_slot = [0] * g.m
-    for members in _members(st.c3e):
-        _colour_class_edges(g, edge_u, edge_v, c3e, members, width, e_slot)
+    e_slot = _colour_class_edges(g, st.c3e, width)
     v_slot = _vertex_slots(g, st, e_slot)
     needed = 1 + max(max(e_slot, default=0), max(v_slot, default=0))
     width = needed if width is None else max(width, needed)

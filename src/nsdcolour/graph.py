@@ -196,26 +196,65 @@ class Graph:
 # A graph file as write_graph writes it: the problem line, then bare
 # "e <u> <v>" lines. At most 18 digits keeps every number inside int64.
 _GRAPH_HEADER = re.compile(r"p edge ([0-9]{1,18}) [0-9]{1,18}\n")
-_ODD_EDGE_LINE = re.compile(r"^(?!e [0-9]{1,18} [0-9]{1,18}$)", re.M)
 
 
-def int_rows(text: str, start: int, end: int, odd_line: re.Pattern,
+def int_rows(text: str, start: int, end: int, letter: str,
              width: int) -> np.ndarray | None:
-    """The lines text[start:end], each a letter and then ``width`` unsigned
-    integers and each ending in a newline, as a (lines, width) int64 array;
-    None if ``odd_line`` finds a line of another shape.
+    """The lines text[start:end], each ``letter`` and then ``width``
+    unsigned integers, a space before each, as a (lines, width) int64
+    array; None for any other text.
 
-    odd_line is a lookahead at a line start, not a pattern repeated over
-    the lines, because a repeated group makes the regex engine keep state
-    for every line it has passed.
+    One pass over the ASCII bytes checks the layout with array compares:
+    every byte below '0' is a separator, and each line's separators are
+    width spaces and a newline; the last byte is a newline; each line
+    starts with the letter and a space; the only bytes above '9' are those
+    letters; every digit run is 1 to 18 long. np.fromstring reads the rest.
     """
     if start >= end:
         return np.zeros((0, width), dtype=np.int64)
-    if odd_line.search(text, start, end - 1):
+    # a non-ASCII character becomes '?', a byte no line may hold
+    raw = text[start:end].encode("ascii", "replace")
+    b, lead = np.frombuffer(raw, dtype=np.uint8), ord(letter)
+    sep = np.flatnonzero(b < ord("0"))
+    if b[-1] != ord("\n") or sep.size % (width + 1) or sep[0] != 1 or b[0] != lead:
         return None
-    lines = text[start:end]
-    flat = np.fromstring(lines.replace(lines[0], " "), dtype=np.int64, sep=" ")
+    sep = sep.reshape(-1, width + 1)
+    # one byte, the letter, between a newline and the next line's first space
+    if not ((b[sep] == [ord(" ")] * width + [ord("\n")]).all()
+            and (sep[1:, 0] - sep[:-1, width] == 2).all()
+            and (b[sep[:-1, width] + 1] == lead).all()
+            and np.count_nonzero(b > ord("9")) == len(sep)
+            and all(1 <= run.min() and run.max() <= 18 for run in (
+                sep[:, j + 1] - sep[:, j] - 1 for j in range(width)))):
+        return None
+    del sep     # free the positions before np.fromstring allocates
+    flat = np.fromstring(raw.replace(letter.encode(), b" "), dtype=np.int64, sep=" ")
     return flat.reshape(-1, width)
+
+
+def text_rows(letter: str, columns: list[np.ndarray]) -> str:
+    """One line ``<letter> <c1> <c2> ...`` and a newline per row of the
+    non-negative int64 columns, written from byte arrays.
+
+    Each column gives one uint8 array per digit position, most significant
+    first, from repeated np.divmod by 10; a value keeps its digit at
+    position j > 0 only where it is at least 10**j. All byte columns are
+    stacked once and one boolean gather drops the leading zeros.
+    """
+    rows = len(columns[0])
+    kept, space = np.ones(rows, dtype=bool), np.full(rows, ord(" "), dtype=np.uint8)
+    parts, keep = [np.full(rows, ord(letter), dtype=np.uint8)], [kept]
+    for col in columns:
+        places = len(str(int(col.max(initial=0))))
+        digits, rest = [], col
+        for _ in range(places):
+            rest, d = np.divmod(rest, 10)
+            digits.append(d.astype(np.uint8) + ord("0"))
+        parts += [space, *digits[::-1]]
+        keep += [kept, *(col >= 10 ** j for j in range(places - 1, 0, -1)), kept]
+    parts.append(np.full(rows, ord("\n"), dtype=np.uint8))
+    text = np.stack(parts, axis=1)[np.stack(keep + [kept], axis=1)]
+    return text.tobytes().decode("ascii")
 
 
 def parse_graph(text: str) -> Graph:
@@ -227,13 +266,13 @@ def parse_graph(text: str) -> Graph:
     but unknown line types are an error. A problem line may declare at most
     MAX_VERTICES vertices.
 
-    A file in write_graph's layout is tokenised at once. Any other text,
-    and any range error or self-loop, goes through the line-by-line parser,
-    the one source of error messages.
+    A file in write_graph's layout, as int_rows checks it byte by byte, is
+    read at once. Any other text, and any range error or self-loop, goes
+    through the line-by-line parser, the one source of error messages.
     """
     layout = text if text.endswith("\n") else text + "\n"
     head = _GRAPH_HEADER.match(layout)
-    ends = head and int_rows(layout, head.end(), len(layout), _ODD_EDGE_LINE, 2)
+    ends = head and int_rows(layout, head.end(), len(layout), "e", 2)
     if ends is not None:
         n = int(head[1])
         if n <= MAX_VERTICES and (not ends.size or (
@@ -288,11 +327,9 @@ def _parse_graph_lines(text: str) -> Graph:
 
 
 def write_graph(g: Graph) -> str:
-    """Serialize to the same format; edges come out sorted, 1-based."""
-    lines = [f"p edge {g.n} {g.m}"]
-    lines.extend(f"e {u + 1} {v + 1}"
-                 for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()))
-    return "\n".join(lines) + "\n"
+    """The problem line, then an ``e <u> <v>`` line per edge, sorted and
+    1-based, written by text_rows."""
+    return f"p edge {g.n} {g.m}\n" + text_rows("e", [g.edge_u + 1, g.edge_v + 1])
 
 
 # ---------------------------------------------------------------------------

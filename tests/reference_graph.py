@@ -1,8 +1,10 @@
 """Reference copies of ``Graph``, ``parse_graph``, ``parse_colouring`` and
 ``check_proper`` as they were before the array-first rewrite, of
-``write_colouring`` as it was before it formatted from flattened arrays, and
-of ``random_graph`` as it was when it drew one block per row. ``ViewGraph``
-gives the package Graph back the per-vertex tuple views it no longer builds.
+``write_colouring`` as it was before it formatted from flattened arrays, of
+``random_graph`` as it was when it drew one block per row, and of
+``int_rows`` with its line patterns as it was when a regex checked the
+layout. ``ViewGraph`` gives the package Graph back the per-vertex tuple
+views it no longer builds.
 
 The code below is kept verbatim (only the imports differ) so that
 tests/test_graph_reference.py can check that the array-built graph, the
@@ -14,6 +16,7 @@ the package.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 import numpy as np
@@ -297,3 +300,33 @@ def random_graph(n: int, p: float, seed: int) -> ArrayGraph:
     near = np.repeat(np.arange(len(far)), [len(row) for row in far])
     far_all = np.concatenate(far) if far else np.zeros(0, dtype=np.int64)
     return ArrayGraph(n, np.stack([near, far_all], axis=1))
+
+
+# The odd-line patterns of the regex layout check, by (letter, width): the
+# graph file's edge lines, the colouring file's vertex and edge lines, and
+# the same form for vertex lines of three numbers.
+ODD_LINES = {
+    ("e", 2): re.compile(r"^(?!e [0-9]{1,18} [0-9]{1,18}$)", re.M),
+    ("v", 2): re.compile(r"^(?!v [0-9]{1,18} [0-9]{1,18}$)", re.M),
+    ("e", 3): re.compile(r"^(?!e [0-9]{1,18} [0-9]{1,18} [0-9]{1,18}$)", re.M),
+    ("v", 3): re.compile(r"^(?!v [0-9]{1,18} [0-9]{1,18} [0-9]{1,18}$)", re.M),
+}
+
+
+def int_rows(text: str, start: int, end: int, odd_line: re.Pattern,
+             width: int) -> np.ndarray | None:
+    """The lines text[start:end], each a letter and then ``width`` unsigned
+    integers and each ending in a newline, as a (lines, width) int64 array;
+    None if ``odd_line`` finds a line of another shape.
+
+    odd_line is a lookahead at a line start, not a pattern repeated over
+    the lines, because a repeated group makes the regex engine keep state
+    for every line it has passed.
+    """
+    if start >= end:
+        return np.zeros((0, width), dtype=np.int64)
+    if odd_line.search(text, start, end - 1):
+        return None
+    lines = text[start:end]
+    flat = np.fromstring(lines.replace(lines[0], " "), dtype=np.int64, sep=" ")
+    return flat.reshape(-1, width)

@@ -12,7 +12,10 @@ parsers on regular files with planted faults and on the fuzz texts of
 test_parsers_fuzz.py, the text write_colouring writes (n = 0, m = 0 and
 colours up to 2^63 - 1 included), and the graphs random_graph draws on the
 ten acceptance grid points, on n <= 3, at p = 0 and p = 1, and on stream
-lengths that end inside or just past a draw block.
+lengths that end inside or just past a draw block. The byte-level layout
+check of int_rows is compared with the regex check it replaced on mutated
+layout texts, and both writers with plain per-line formatting at every
+digit width.
 """
 
 import numpy as np
@@ -23,9 +26,9 @@ from hypothesis import strategies as st
 import reference_graph as ref
 from nsdcolour import (ColouringParseError, GraphError, GraphParseError,
                        TotalColouring, check_proper, greedy_nsd,
-                       parse_colouring, parse_graph, random_graph,
-                       write_colouring, write_graph)
-from nsdcolour.graph import Graph
+                       parse_colouring, parse_graph, path_graph,
+                       random_graph, write_colouring, write_graph)
+from nsdcolour.graph import Graph, int_rows
 from test_acceptance import GRID
 from test_parsers_fuzz import (C4_TEXT, COLOURING_TEXTS, GRAPH_TEXTS,
                                declares_small_graph)
@@ -312,3 +315,145 @@ def test_regular_files_take_the_tokenising_path(monkeypatch):
     g = parse_graph(G30_TEXT)
     assert g == G30
     assert parse_colouring(G30_COLOURING, g) == greedy_nsd(G30)
+
+
+# ---------------------------------------------------------------------------
+# layout check and row writer
+
+
+def _at(data, text, spots):
+    """One index drawn from spots, or None when there is none."""
+    return data.draw(st.sampled_from(spots)) if spots else None
+
+
+def _spots(text, pred):
+    return [i for i, ch in enumerate(text) if pred(i, ch)]
+
+
+def _spaces(text):
+    return _spots(text, lambda i, ch: ch == " ")
+
+
+def _newlines(text):
+    return _spots(text, lambda i, ch: ch == "\n")
+
+
+def _line_starts(text):
+    return _spots(text, lambda i, ch: i == 0 or text[i - 1] == "\n")
+
+
+def _digit_starts(text):
+    return _spots(text, lambda i, ch: ch.isdigit() and not text[i - 1].isdigit())
+
+
+def _digit_ends(text):
+    return _spots(text, lambda i, ch: ch.isdigit()
+                  and (i + 1 == len(text) or not text[i + 1].isdigit()))
+
+
+def _insert(data, text, spots, what):
+    i = _at(data, text, spots)
+    return text if i is None else text[:i] + what + text[i:]
+
+
+def _replace(data, text, spots, what):
+    i = _at(data, text, spots)
+    return text if i is None else text[:i] + what + text[i + 1:]
+
+
+def _drop_field(data, text):
+    # the last number of a line, with the space before it
+    i = _at(data, text, _newlines(text))
+    if i is None:
+        return text
+    cut = text.rfind(" ", 0, i)
+    return text if cut < 0 else text[:cut] + text[i:]
+
+
+def _swap_number(data, text, new):
+    """text with one drawn number replaced by new."""
+    i = _at(data, text, _digit_starts(text))
+    if i is None:
+        return text
+    j = i
+    while j < len(text) and text[j].isdigit():
+        j += 1
+    return text[:i] + new + text[j:]
+
+
+LAYOUT_MUTATIONS = {
+    "doubled space": lambda d, t: _insert(d, t, _spaces(t), " "),
+    "trailing space": lambda d, t: _insert(d, t, _newlines(t), " "),
+    "tab": lambda d, t: _replace(d, t, _spaces(t), "\t"),
+    "carriage return": lambda d, t: _insert(d, t, _newlines(t), "\r"),
+    "empty line": lambda d, t: _insert(d, t, _line_starts(t), "\n"),
+    "missing final newline": lambda d, t: t[:-1] if t.endswith("\n") else t,
+    "wrong letter": lambda d, t: _replace(d, t, _line_starts(t),
+                                          d.draw(st.sampled_from("evkpcxE"))),
+    "doubled letter": lambda d, t: _insert(d, t, _line_starts(t), t[0]),
+    "digit after letter": lambda d, t: _insert(d, t, [i + 1 for i in _line_starts(t)],
+                                               "7"),
+    "number deleted": lambda d, t: _swap_number(d, t, ""),
+    "digits after the last newline": lambda d, t: t + "7",
+    "field too many": lambda d, t: _insert(d, t, _newlines(t), " 7"),
+    "field too few": _drop_field,
+    # 19 digits, or exactly 18
+    "19 digits": lambda d, t: _swap_number(d, t, d.draw(st.sampled_from(
+        ["1" + "0" * 18, "9" * 19, "9" * 18]))),
+    "leading zeros": lambda d, t: _insert(d, t, _digit_starts(t),
+                                          "0" * d.draw(st.integers(1, 3))),
+    "sign before digits": lambda d, t: _insert(d, t, _digit_starts(t),
+                                               d.draw(st.sampled_from("-/:"))),
+    "sign after digits": lambda d, t: _insert(d, t, [i + 1 for i in _digit_ends(t)],
+                                              d.draw(st.sampled_from("-/:"))),
+    "non-ASCII digit": lambda d, t: _replace(d, t, _spots(t, lambda i, ch: ch.isdigit()),
+                                             d.draw(st.sampled_from("²٣"))),
+}
+NUMBERS = st.integers(0, 10**18 - 1) | st.sampled_from([0, 9, 10, 10**17, 10**18 - 1])
+HEAD = "p edge 9 9\n"
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+@pytest.mark.parametrize("letter,width", [("e", 2), ("v", 2), ("e", 3), ("v", 3)])
+def test_layout_check_accepts_what_the_regex_accepted(letter, width, data):
+    rows = data.draw(st.lists(st.lists(NUMBERS, min_size=width, max_size=width),
+                              min_size=1, max_size=6))
+    body = "".join(f"{letter} {' '.join(map(str, row))}\n" for row in rows)
+    for kind in data.draw(st.lists(st.sampled_from(sorted(LAYOUT_MUTATIONS)),
+                                   min_size=1, max_size=3)):
+        body = LAYOUT_MUTATIONS[kind](data, body)
+    text = HEAD + body
+    if not text.endswith("\n"):
+        # the regex check reads past a last line with no newline; no parser
+        # passes one, because both add the newline first
+        assert int_rows(text, len(HEAD), len(text), letter, width) is None
+        text += "\n"
+    got = int_rows(text, len(HEAD), len(text), letter, width)
+    want = ref.int_rows(text, len(HEAD), len(text), ref.ODD_LINES[letter, width],
+                        width)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+def per_line_graph_text(g):
+    return f"p edge {g.n} {g.m}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in g.edges)
+
+
+# 1, 9, 10, 99, 100, ..., 10^18 - 1, 10^18 and 2^63 - 1: every digit width
+# and both ends of each
+DIGIT_WIDTHS = [c for j in range(19) for c in (10**j - 1, 10**j) if c] + [2**63 - 1]
+
+
+@pytest.mark.parametrize("g", [Graph(0, []), Graph(5, []),
+                               path_graph(len(DIGIT_WIDTHS)),
+                               random_graph(2000, 150 / 1999, 0)], ids=repr)
+def test_writers_match_per_line_formatting_at_every_digit_width(g):
+    assert write_graph(g) == per_line_graph_text(g)
+    widths = np.array(DIGIT_WIDTHS, dtype=np.int64)
+    c = TotalColouring(np.resize(widths, g.n), np.resize(widths[::-1], g.m),
+                       2**63 - 1)
+    assert write_colouring(g, c) == ref.write_colouring(g, c)
