@@ -64,41 +64,39 @@ def _lowest_free(used: int) -> int:
     return ((used + 1) & ~used).bit_length() - 1
 
 
-def _colour_class_edges(g: Graph, c3e: np.ndarray, width_hint) -> list[int]:
-    """Proper slots for every edge within its class c3e[eid], in one pass
-    by ascending edge id.
+def _colour_class_edges(g: Graph, ids: np.ndarray, width_hint) -> tuple[list, list]:
+    """Proper slots for one class's edges, the ascending ids, in their
+    order; and the class's slot bitmask at each vertex, the OR of the
+    slots of its edges there.
 
-    Each edge takes the lowest slot free at both endpoints, read from one
-    bitmask per (class, vertex) of the class's slots, at used[c3e * n + v].
-    When the pick would land at or above width_hint, one alternating-path
-    swap is attempted to reuse a slot below it. The walk reads a vertex's
-    already-slotted edges of the class from its run of g.incidences (ids
-    below the current edge), so no per-vertex edge lists are kept while no
-    swap runs.
+    Each edge takes the lowest slot free at both endpoints. When the pick
+    would land at or above width_hint, one alternating-path swap is
+    attempted to reuse a slot below it. The walk reads a vertex's
+    already-slotted edges of the class from its run of g.incidences, through
+    a map from edge id to position in ids that the class's first swap
+    builds; so no per-vertex edge lists are kept, and no map while no swap
+    runs.
     """
-    n, edge_u, edge_v = g.n, g.edge_u.tolist(), g.edge_v.tolist()
-    classes = c3e.tolist()
+    edge_u, edge_v = g.edge_u[ids].tolist(), g.edge_v[ids].tolist()
     limit = None if width_hint is None else 1 << width_hint
-    used = [0] * ((max(classes, default=0) + 1) * n)
-    e_slot: list[int] = []
-    at_u, at_v = (c3e * n + g.edge_u).tolist(), (c3e * n + g.edge_v).tolist()
-    for cu, cv in zip(at_u, at_v):
-        taken = used[cu] | used[cv]
+    used, slots, pos = [0] * g.n, [], None
+    for u, v in zip(edge_u, edge_v):
+        taken = used[u] | used[v]
         bit = (taken + 1) & ~taken      # the lowest slot free at both ends
         if limit is not None and bit >= limit:
-            eid = len(e_slot)       # every lower edge id has its slot
-            beta, u, v = classes[eid], edge_u[eid], edge_v[eid]
-            a = _lowest_free(used[cu])
-            b = _lowest_free(used[cv])
+            pos = pos or dict(zip(ids.tolist(), range(len(ids))))
+            top = len(slots)    # the positions below top have their slots
+            a = _lowest_free(used[u])
+            b = _lowest_free(used[v])
             # walk the a/b alternating path from v; flipping it frees a at v
             # unless the path ends at u. The slots are proper, so the path
             # never meets a vertex twice
             path = []
             x, want = v, a
             while True:
-                run = g.incidences([x])[1].tolist()
-                nxt = next((f for f in run if f < eid and classes[f] == beta
-                            and e_slot[f] == want), None)
+                nxt = next((i for i in (pos.get(f, top) for f in
+                                        g.incidences([x])[1].tolist())
+                            if i < top and slots[i] == want), None)
                 if nxt is None:
                     break
                 path.append(nxt)
@@ -108,15 +106,15 @@ def _colour_class_edges(g: Graph, c3e: np.ndarray, width_hint) -> list[int]:
             # changes which of a and b its two ends hold, and no other
             # vertex's slots
             if x != u:
-                for fid in path:
-                    e_slot[fid] ^= a ^ b
-                used[cv] ^= (1 << a) | (1 << b)
-                used[beta * n + x] ^= (1 << a) | (1 << b)
+                for i in path:
+                    slots[i] ^= a ^ b
+                used[v] ^= (1 << a) | (1 << b)
+                used[x] ^= (1 << a) | (1 << b)
                 bit = 1 << a
-        e_slot.append(bit.bit_length() - 1)
-        used[cu] |= bit
-        used[cv] |= bit
-    return e_slot
+        slots.append(bit.bit_length() - 1)
+        used[u] |= bit
+        used[v] |= bit
+    return slots, used
 
 
 def _first_fit(g: Graph, ids: np.ndarray, forbid: list[int]) -> list[int]:
@@ -136,23 +134,6 @@ def _first_fit(g: Graph, ids: np.ndarray, forbid: list[int]) -> list[int]:
     return slot
 
 
-def _vertex_slots(g: Graph, st: LemmaState, e_slot: list[int]) -> list[int]:
-    """Each vertex's lowest slot free of the slots of its incident edges and
-    of its lower neighbours in its own class, in ascending vertex order.
-
-    Array masks find the same-class incidences and neighbour pairs, so the
-    loops touch only those.
-    """
-    ends = np.concatenate([g.edge_u, g.edge_v])
-    at = np.flatnonzero(np.tile(st.c3e, 2) == st.c3v[ends])
-    forbid = [0] * g.n
-    for x, eid in zip(ends[at].tolist(), (at % max(g.m, 1)).tolist()):
-        forbid[x] |= 1 << e_slot[eid]
-    same = np.flatnonzero(st.c3v[g.edge_u] == st.c3v[g.edge_v])
-    return _first_fit(g, same[np.argsort(g.edge_v[same], kind="stable")],
-                      forbid)
-
-
 def properize(g: Graph, st: LemmaState,
               width: int | None) -> tuple[TotalColouring, int]:
     """Lift engine classes to colour bands and make the result proper.
@@ -162,17 +143,29 @@ def properize(g: Graph, st: LemmaState,
     width is where the edge pass starts its alternating-path swaps, and B is
     the larger of width and the slots the classes then need; with
     width=None no swap runs and B is the needed width. Returns the colouring
-    and B.
+    and B. The classes are slotted one at a time, over a stable argsort of
+    c3e; when a class ends, its masks at its own vertices are what the
+    vertex pass must avoid besides lower same-class neighbours' slots.
     """
     if g.m and int(st.c3e.min(initial=1)) < 1:
         raise ValueError("edge classes must be fully assigned before lifting")
-    e_slot = _colour_class_edges(g, st.c3e, width)
-    v_slot = _vertex_slots(g, st, e_slot)
-    needed = 1 + max(max(e_slot, default=0), max(v_slot, default=0))
+    order = np.argsort(st.c3e, kind="stable")
+    slots, forbid = [], [0] * g.n
+    cuts = np.cumsum(np.bincount(st.c3e))[:-1]
+    for beta, ids in enumerate(np.split(order, cuts)):
+        class_slots, used = _colour_class_edges(g, ids, width)
+        slots += class_slots
+        for v in np.flatnonzero(st.c3v == beta).tolist():
+            forbid[v] = used[v]
+    same = np.flatnonzero(st.c3v[g.edge_u] == st.c3v[g.edge_v])
+    v_slot = _first_fit(g, same[np.argsort(g.edge_v[same], kind="stable")],
+                        forbid)
+    needed = 1 + max(max(slots, default=0), max(v_slot, default=0))
     width = needed if width is None else max(width, needed)
+    e_slot = np.empty(g.m, dtype=np.int64)
+    e_slot[order] = slots
     vc = width * (st.c3v - 1) + 1 + np.array(v_slot, dtype=np.int64)
-    ec = width * (st.c3e - 1) + 1 + np.array(e_slot, dtype=np.int64)
-    return _spanned(vc, ec), width
+    return _spanned(vc, width * (st.c3e - 1) + 1 + e_slot), width
 
 
 # ---------------------------------------------------------------------------
@@ -252,21 +245,21 @@ def select_H(g: Graph, p: LemmaParams, seed: int,
     replace=False) per picker and redrawn picker, in ascending vertex order
     each, on one generator seeded with SeedSequence(seed); _pick_two makes
     each round's picks with one Generator.integers call. A pick is two
-    positions in the flat run of the pickers' incident edge ids.
+    offsets into the picker's run of Graph._vertex_order, whose entries
+    modulo m are its incident edge ids.
     """
     deg = g.degrees
     pickers = np.flatnonzero((3 * deg >= p.delta) & (deg > 0))
     cap = p.caps["dH"]
-    _, inc, ends = g.incidences(pickers)
     sizes = deg[pickers]
-    starts = (ends - sizes)[:, None]
+    starts = (np.cumsum(deg) - deg)[pickers][:, None]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     picked = _pick_two(rng, sizes) + starts
     rounds = 0
     valid = True
     while True:
-        h = sorted_unique(inc[picked.ravel()])
+        h = sorted_unique(g._vertex_order[picked.ravel()] % max(g.m, 1))
         over = np.flatnonzero(g.endpoint_counts(h) > cap)
         if over.size == 0:
             break

@@ -22,6 +22,7 @@ import numpy as np
 MAX_VERTICES = 10 ** 7
 
 _DRAW_BLOCK = 1 << 16   # doubles per draw of random_graph's stream
+_ROW_BLOCK = 1 << 14    # rows per block of text_rows
 _MASK_BLOCK = 1 << 20   # edge masks per block of _connected_masks
 
 
@@ -234,27 +235,31 @@ def int_rows(text: str, start: int, end: int, letter: str,
 
 def text_rows(letter: str, columns: list[np.ndarray]) -> str:
     """One line ``<letter> <c1> <c2> ...`` and a newline per row of the
-    non-negative int64 columns, written from byte arrays.
+    non-negative int64 columns, written from byte arrays, one block of
+    _ROW_BLOCK rows at a time so that every array is block-sized.
 
-    Each column gives one uint8 array per digit position, most significant
-    first, from repeated np.divmod by 10; a value keeps its digit at
-    position j > 0 only where it is at least 10**j. All byte columns are
-    stacked once and one boolean gather drops the leading zeros.
+    In a block, each column gives one uint8 array per digit position, most
+    significant first, from repeated np.divmod by 10; a value keeps its
+    digit at position j > 0 only where it is at least 10**j. All byte
+    columns are stacked once and one boolean gather drops the leading zeros.
     """
-    rows = len(columns[0])
-    kept, space = np.ones(rows, dtype=bool), np.full(rows, ord(" "), dtype=np.uint8)
-    parts, keep = [np.full(rows, ord(letter), dtype=np.uint8)], [kept]
-    for col in columns:
-        places = len(str(int(col.max(initial=0))))
-        digits, rest = [], col
-        for _ in range(places):
-            rest, d = np.divmod(rest, 10)
-            digits.append(d.astype(np.uint8) + ord("0"))
-        parts += [space, *digits[::-1]]
-        keep += [kept, *(col >= 10 ** j for j in range(places - 1, 0, -1)), kept]
-    parts.append(np.full(rows, ord("\n"), dtype=np.uint8))
-    text = np.stack(parts, axis=1)[np.stack(keep + [kept], axis=1)]
-    return text.tobytes().decode("ascii")
+    blocks = []
+    for top in range(0, len(columns[0]), _ROW_BLOCK):
+        block = [col[top:top + _ROW_BLOCK] for col in columns]
+        kept = np.ones(len(block[0]), dtype=bool)
+        parts, keep = [kept * np.uint8(ord(letter))], [kept]
+        for col in block:
+            places = len(str(int(col.max())))
+            digits, rest = [], col
+            for _ in range(places):
+                rest, d = np.divmod(rest, 10)
+                digits.append(d.astype(np.uint8) + ord("0"))
+            parts += [kept * np.uint8(ord(" ")), *digits[::-1]]
+            keep += [kept, *(col >= 10 ** j for j in range(places - 1, 0, -1)), kept]
+        parts.append(kept * np.uint8(ord("\n")))
+        text = np.stack(parts, axis=1)[np.stack(keep + [kept], axis=1)]
+        blocks.append(text.tobytes().decode("ascii"))
+    return "".join(blocks)
 
 
 def parse_graph(text: str) -> Graph:
@@ -357,7 +362,8 @@ def path_graph(n: int) -> Graph:
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi G(n, p), deterministic for a given seed."""
+    """Erdos-Renyi G(n, p), deterministic for a given seed. The hits ascend,
+    so the graph adopts their keys, sorted and distinct, with no re-sort."""
     if n < 0:
         raise GenerationError("n must be non-negative")
     if not (0.0 <= p <= 1.0):
@@ -374,7 +380,8 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
             for start in range(0, total, _DRAW_BLOCK)]
     hits = np.concatenate(hits) if hits else np.zeros(0, dtype=np.int64)
     near = np.searchsorted(offsets, hits, side="right") - 1
-    return Graph(n, np.stack([near, hits - offsets[near] + near + 1], axis=1))
+    # the key of the pair (near, hits - offsets[near] + near + 1)
+    return Graph.__new__(Graph)._adopt(n, near * (n + 1) + hits - offsets[near] + 1)
 
 
 def regular_graph(n: int, d: int, seed: int) -> Graph:

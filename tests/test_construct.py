@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from nsdcolour import (ConstructConfig, Graph,
                        construct, greedy_nsd, is_valid, path_graph, properize,
                        random_graph, recolour_H, repair_small_degree,
                        resample_until_valid, select_H, stage_two,
-                       reference_span_bound, weighted_degrees)
+                       reference_span_bound, weighted_degrees,
+                       write_colouring)
 from recount import recount_proper_and_distinct, risky_lists
 from reference_graph import ViewGraph
+from test_equivalence import hub_graphs
 
 # the package re-exports the function construct(), which shadows the module
 construct_mod = importlib.import_module("nsdcolour.construct")
@@ -233,6 +236,30 @@ def test_reserve_stays_inside_the_plan(n, p_edge, seed, scale):
         assert (reserve.planned, reserve.used) == (0, 0)
 
 
+def assert_reserve_inside_plan(g, seed):
+    """Every attempt of every rung uses at most reserve_planned - 3 reserve
+    offsets, as recolour_H's docstring proves."""
+    with pytest.MonkeyPatch.context() as patch:
+        fail_every_attempt(patch)
+        _, rep = construct(g, ConstructConfig(seed=seed))
+    # with no span cap every attempt on a graph with edges reaches recolour_H
+    reached = [a for a in rep.attempts if "reserve_used" in a]
+    assert len(reached) == (len(rep.attempts) if g.m else 0)
+    for a in reached:
+        assert a["reserve_used"] <= a["reserve_planned"] - 3
+
+
+@pytest.mark.parametrize("n", range(3, 30))
+def test_reserve_inside_the_plan_on_cliques(n):
+    assert_reserve_inside_plan(complete_graph(n), seed=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=hub_graphs(), seed=hst.integers(0, 2**16))
+def test_reserve_inside_the_plan_on_drawn_and_hub_graphs(g, seed):
+    assert_reserve_inside_plan(g, seed)
+
+
 def test_recolour_separates_all_risky_pairs():
     # complete graph: every pair adjacent, equal degrees keep every pair
     # inside the window, so afterwards all sums must be pairwise distinct
@@ -343,6 +370,35 @@ def test_construct_deterministic():
     assert np.array_equal(c1.vertex_colours, c2.vertex_colours)
     assert np.array_equal(c1.edge_colours, c2.edge_colours)
     assert r1.to_dict() == r2.to_dict()
+
+
+def traced_peak_mib(fn, *args):
+    """fn(*args) and the tracemalloc peak of the call, in MiB."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_construct_round_memory_budgets():
+    # the n=2000 construct-verify graph at attempt 0, slack 2. With per
+    # (class, vertex) masks, whole-graph incidence arrays and one text array
+    # for all rows, the peaks were 24.6, 16.4 and 15.2 MiB; one class's
+    # masks, edge ids read from Graph._vertex_order and row blocks stay
+    # well under these budgets
+    g = random_graph(2000, 150 / 1999, 0)
+    p = LemmaParams(g.max_degree, slack=2.0)
+    s_res, s_st2, s_hsel = construct_mod._phase_seeds(0, 0)
+    r1 = resample_until_valid(g, p, s_res, 200)
+    r2 = stage_two(g, r1.state, p, s_st2, 200)
+    (col, _), peak = traced_peak_mib(properize, g, r2.state, p.b_unit)
+    assert peak < 10
+    _, peak = traced_peak_mib(select_H, g, p, s_hsel)
+    assert peak < 8
+    _, peak = traced_peak_mib(write_colouring, g, col)
+    assert peak < 10
 
 
 def test_construct_valid_mid_size():

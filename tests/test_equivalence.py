@@ -7,11 +7,13 @@ graphs) and from the acceptance grid points: greedy_nsd on all ten, the
 pipeline phases on those with n <= 500. Class assignments for properize are
 drawn with few classes and narrow fixed widths, so the alternating-path swap
 runs and properize widens the bands where the reference raises
-ClassWidthError. Fixed small cases pin a swap that moves a slot, one whose
-path ends at the other endpoint, and a flipped path whose inner vertices
-the reference's slot masks get wrong. select_H also runs
-under lowered pick-degree caps, so its redraw rounds and the round limit run,
-and on K_{2,10001}, whose hubs pick from runs of 10,001 edges. compute_risky
+ClassWidthError; also with gaps in the edge classes (1 and 3 only), vertex
+classes that no edge has, and isolated vertices. Fixed small cases pin a
+swap that moves a slot, one whose path ends at the other endpoint, and a
+flipped path whose inner vertices the reference's slot masks get wrong.
+select_H also runs under lowered pick-degree caps, so its redraw rounds and
+the round limit run, and on K_{2,10001}, whose hubs pick from runs of
+10,001 edges. compute_risky
 returns an edge mask, read back into the reference's per-vertex lists;
 recolour_H on that mask is compared with the reference on those lists, also
 on drawn colourings whose many equal sums block many candidates.
@@ -170,11 +172,20 @@ def hub_graphs(draw, max_n=40):
                                     np.stack([near[keep], far[keep]], axis=1)]))
 
 
-def lemma_state(g, rng, classes):
+def lemma_state(g, rng, classes, edge_classes=None):
+    """Vertex classes drawn from 1..classes, edge classes from edge_classes
+    (1..classes by default)."""
     c3v = rng.integers(1, classes + 1, size=g.n, dtype=np.int64)
-    c3e = rng.integers(1, classes + 1, size=g.m, dtype=np.int64)
+    c3e = (rng.integers(1, classes + 1, size=g.m, dtype=np.int64)
+           if edge_classes is None
+           else rng.choice(np.array(edge_classes, dtype=np.int64), size=g.m))
     return LemmaState(np.ones(g.n, dtype=np.int64), np.ones(g.m, dtype=np.int64),
                       c3v, c3e)
+
+
+def with_isolated(g, extra):
+    """g with extra isolated vertices after its own."""
+    return Graph(g.n + extra, np.stack([g.edge_u, g.edge_v], axis=1))
 
 
 def drawn_colouring(g, rng, top):
@@ -195,9 +206,15 @@ def test_greedy_matches_reference(g):
 
 @settings(max_examples=150)
 @given(g=graphs(), seed=st.integers(0, 2**32 - 1),
-       classes=st.integers(1, 4), width=st.sampled_from([None, 1, 2, 3, 5, 8]))
-def test_properize_matches_reference(g, seed, classes, width):
-    state = lemma_state(g, np.random.default_rng(seed), classes)
+       classes=st.integers(1, 4), width=st.sampled_from([None, 1, 2, 3, 5, 8]),
+       gaps=st.booleans(), isolated=st.integers(0, 3))
+def test_properize_matches_reference(g, seed, classes, width, gaps, isolated):
+    # with gaps, the edges take classes 1 and 3 only, and classes 2 and 4
+    # hold vertices but no edge
+    g = with_isolated(g, isolated)
+    rng = np.random.default_rng(seed)
+    state = (lemma_state(g, rng, 4, [1, 3]) if gaps
+             else lemma_state(g, rng, classes))
     assert_same_properize(g, state, width)
 
 
@@ -252,9 +269,14 @@ def test_select_redraws_match_reference():
 def test_named_graphs_match_reference(g):
     assert_same_greedy(g)
     rng = np.random.default_rng(g.n)
-    for classes in (1, 3):
+    for classes, edge_classes in ((1, None), (3, None), (4, [1, 3])):
         for width in (None, 2, 4):
-            assert_same_properize(g, lemma_state(g, rng, classes), width)
+            assert_same_properize(
+                g, lemma_state(g, rng, classes, edge_classes), width)
+            assert_same_properize(
+                with_isolated(g, 2),
+                lemma_state(with_isolated(g, 2), rng, classes, edge_classes),
+                width)
     assert_same_repair(g, drawn_colouring(g, rng, 3))
     assert_same_select(g, LemmaParams(g.max_degree, slack=2.0), seed=g.n)
 

@@ -11,11 +11,13 @@ colourings with planted clash groups, the result or error text of both
 parsers on regular files with planted faults and on the fuzz texts of
 test_parsers_fuzz.py, the text write_colouring writes (n = 0, m = 0 and
 colours up to 2^63 - 1 included), and the graphs random_graph draws on the
-ten acceptance grid points, on n <= 3, at p = 0 and p = 1, and on stream
-lengths that end inside or just past a draw block. The byte-level layout
-check of int_rows is compared with the regex check it replaced on mutated
-layout texts, and both writers with plain per-line formatting at every
-digit width.
+ten acceptance grid points, the four construct-verify graphs, on n <= 3, at
+p = 0 and p = 1, and on stream lengths that end inside or just past a draw
+block; those graphs also equal, in every field, the graph Graph builds from
+their edges. The byte-level layout check of int_rows is compared with the
+regex check it replaced on mutated layout texts, and both writers with
+plain per-line formatting at every digit width and at row counts on both
+sides of a row block's end.
 """
 
 import numpy as np
@@ -28,7 +30,7 @@ from nsdcolour import (ColouringParseError, GraphError, GraphParseError,
                        TotalColouring, check_proper, greedy_nsd,
                        parse_colouring, parse_graph, path_graph,
                        random_graph, write_colouring, write_graph)
-from nsdcolour.graph import Graph, int_rows
+from nsdcolour.graph import _ROW_BLOCK, Graph, int_rows
 from test_acceptance import GRID
 from test_parsers_fuzz import (C4_TEXT, COLOURING_TEXTS, GRAPH_TEXTS,
                                declares_small_graph)
@@ -189,8 +191,20 @@ def test_write_colouring_edge_cases_match_reference(g):
     assert write_colouring(g, top) == ref.write_colouring(g, top)
 
 
+def graph_fields(g):
+    # __eq__ compares only n and the keys, so every field is compared here
+    arrays = (g._keys, g.edge_u, g.edge_v, g.degrees)
+    return (g.n, g.m, g.max_degree, type(g.max_degree),
+            [(a.dtype, a.shape, a.flags.writeable, a.tobytes())
+             for a in arrays])
+
+
 def same_random_graph(n, p, seed):
-    assert random_graph(n, p, seed) == ref.random_graph(n, p, seed)
+    # random_graph adopts its keys unchecked: the graph Graph's checks and
+    # sort build from its edges must be the same in every field
+    g = random_graph(n, p, seed)
+    assert g == ref.random_graph(n, p, seed)
+    assert graph_fields(g) == graph_fields(Graph(n, g.edges))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5])
@@ -198,6 +212,14 @@ def same_random_graph(n, p, seed):
 def test_random_graph_on_grid_points_matches_reference(n, mean, seed):
     same_random_graph(n, float(f"{mean / (n - 1):.6f}"), seed)
     same_random_graph(n, mean / (n - 1), seed)
+
+
+# the four graphs of the construct-verify benchmark workload
+@pytest.mark.parametrize("n,p,seed", [(500, 0.05, 1), (2000, 150 / 1999, 0),
+                                      (3000, 100 / 2999, 0),
+                                      (5000, 50 / 4999, 0)])
+def test_random_graph_on_construct_verify_graphs_matches_reference(n, p, seed):
+    same_random_graph(n, p, seed)
 
 
 # 363 and 364 vertices make 65,703 and 66,066 pairs, streams that end just
@@ -457,3 +479,19 @@ def test_writers_match_per_line_formatting_at_every_digit_width(g):
     c = TotalColouring(np.resize(widths, g.n), np.resize(widths[::-1], g.m),
                        2**63 - 1)
     assert write_colouring(g, c) == ref.write_colouring(g, c)
+
+
+@pytest.mark.parametrize("rows", [_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1,
+                                  2 * _ROW_BLOCK + 1])
+def test_writers_match_per_line_formatting_across_row_blocks(rows):
+    # rows edge lines (a path on rows + 1 vertices) and rows vertex lines (no
+    # edges); colours have one digit in the first block and thirteen after
+    # it, so a block's largest number can be narrower than the next block's
+    g = path_graph(rows + 1)
+    assert write_graph(g) == per_line_graph_text(g)
+    colours = np.where(np.arange(rows + 1) < _ROW_BLOCK, 7, 10**12 + 1)
+    c = TotalColouring(colours, colours[1:], 10**12 + 1)
+    assert write_colouring(g, c) == ref.write_colouring(g, c)
+    h = Graph(rows, [])
+    c = TotalColouring(colours[:rows], [], 10**12 + 1)
+    assert write_colouring(h, c) == ref.write_colouring(h, c)
