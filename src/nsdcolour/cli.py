@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands: gen, verify, exact, sweep, lemma, construct, experiment.
-Exit codes: 0 success, 1 a check failed or a solver gave up, 2 bad usage or
-unreadable input. All default output is deterministic; wall-clock timings
-only appear under --timings.
+Exit codes: 0 success, 1 a check failed or a solver gave up, 2 bad usage,
+unreadable input or a request too large for memory. All default output is
+deterministic; wall-clock timings only appear under --timings.
 """
 
 from __future__ import annotations
@@ -269,6 +269,9 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         # the parse, generation and JSON errors are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

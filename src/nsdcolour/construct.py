@@ -64,56 +64,70 @@ def _lowest_free(used: int) -> int:
     return ((used + 1) & ~used).bit_length() - 1
 
 
-def _colour_class_edges(g: Graph, ids: np.ndarray, width_hint) -> tuple[list, list]:
-    """Proper slots for one class's edges, the ascending ids, in their
-    order; and the class's slot bitmask at each vertex, the OR of the
-    slots of its edges there.
+def _colour_class_edges(g: Graph, ids: np.ndarray, width_hint,
+                        used: list[int] | None = None) -> tuple[list, list]:
+    """Proper slots for the edges ids, ascending, in their order; and each
+    vertex's mask: its seed in used (0 without seeds) ORed with its slots.
 
     Each edge takes the lowest slot free at both endpoints. When the pick
     would land at or above width_hint, one alternating-path swap is
-    attempted to reuse a slot below it. The walk reads a vertex's
-    already-slotted edges of the class from its run of g.incidences, through
-    a map from edge id to position in ids that the class's first swap
-    builds; so no per-vertex edge lists are kept, and no map while no swap
-    runs.
+    attempted to reuse a slot below it; a swap takes the masks to hold only
+    edge slots, so seeds go with width_hint=None. The ids run by smaller
+    endpoint u, whose mask stays in a local for its run: a swap never
+    changes it, as u lacks the swap slot a, so no path passes through u,
+    and one that ends at u is not flipped. The walk reads a vertex's
+    slotted edges from its run of g.incidences, through a map from edge id
+    to position in ids that the first swap builds; so no per-vertex edge
+    lists are kept, and no map while no swap runs.
     """
-    edge_u, edge_v = g.edge_u[ids].tolist(), g.edge_v[ids].tolist()
-    limit = None if width_hint is None else 1 << width_hint
-    used, slots, pos = [0] * g.n, [], None
-    for u, v in zip(edge_u, edge_v):
-        taken = used[u] | used[v]
-        bit = (taken + 1) & ~taken      # the lowest slot free at both ends
-        if limit is not None and bit >= limit:
-            pos = pos or dict(zip(ids.tolist(), range(len(ids))))
-            top = len(slots)    # the positions below top have their slots
-            a = _lowest_free(used[u])
-            b = _lowest_free(used[v])
-            # walk the a/b alternating path from v; flipping it frees a at v
-            # unless the path ends at u. The slots are proper, so the path
-            # never meets a vertex twice
-            path = []
-            x, want = v, a
-            while True:
-                nxt = next((i for i in (pos.get(f, top) for f in
-                                        g.incidences([x])[1].tolist())
-                            if i < top and slots[i] == want), None)
-                if nxt is None:
-                    break
-                path.append(nxt)
-                x = edge_u[nxt] if edge_v[nxt] == x else edge_v[nxt]
-                want ^= a ^ b
-            # a path that ends at u keeps the overflow slot; a flipped path
-            # changes which of a and b its two ends hold, and no other
-            # vertex's slots
-            if x != u:
-                for i in path:
-                    slots[i] ^= a ^ b
-                used[v] ^= (1 << a) | (1 << b)
-                used[x] ^= (1 << a) | (1 << b)
-                bit = 1 << a
-        slots.append(bit.bit_length() - 1)
-        used[u] |= bit
-        used[v] |= bit
+    eu, edge_v = g.edge_u[ids], g.edge_v[ids].tolist()
+    starts = np.flatnonzero(np.diff(eu, prepend=-1))
+    used = [0] * g.n if used is None else used
+    # with no hint, a width no slot reaches: a slot is at most the number of
+    # bits set at its two endpoints
+    width = (2 * (g.max_degree + max(used, default=0).bit_length())
+             if width_hint is None else width_hint)
+    slots, pos = [], None
+    for u, start, end in zip(eu[starts].tolist(), starts.tolist(),
+                             starts[1:].tolist() + [len(edge_v)]):
+        mask = used[u]
+        for v in edge_v[start:end]:
+            taken = mask | used[v]
+            bit = (taken + 1) & ~taken      # the lowest slot free at both ends
+            slot = bit.bit_length() - 1
+            if slot >= width:
+                pos = pos or dict(zip(ids.tolist(), range(len(ids))))
+                top = len(slots)    # the positions below top have their slots
+                a = _lowest_free(mask)
+                b = _lowest_free(used[v])
+                # walk the a/b alternating path from v; flipping it frees a at
+                # v unless the path ends at u. The slots are proper, so the
+                # path never meets a vertex twice
+                path = []
+                x, want = v, a
+                while True:
+                    far, out, _ = g.incidences([x])
+                    for y, f in zip(far.tolist(), out.tolist()):
+                        i = pos.get(f, top)
+                        if i < top and slots[i] == want:
+                            break
+                    else:
+                        break       # x has no edge of slot want
+                    path.append(i)
+                    x, want = y, want ^ a ^ b
+                # a path that ends at u keeps the overflow slot; a flipped
+                # path changes which of a and b its two ends hold, and no
+                # other vertex's slots
+                if x != u:
+                    for i in path:
+                        slots[i] ^= a ^ b
+                    used[v] ^= (1 << a) | (1 << b)
+                    used[x] ^= (1 << a) | (1 << b)
+                    slot, bit = a, 1 << a
+            slots.append(slot)
+            mask |= bit
+            used[v] |= bit
+        used[u] = mask
     return slots, used
 
 
@@ -356,18 +370,19 @@ def recolour_H(g: Graph, state: TotalColouring, h_edge_ids,
                                                            top_used)
 
 
-def _clear_sum_ties(g: Graph, vc: list[int], ec: np.ndarray, sums: np.ndarray,
-                    keep: np.ndarray) -> int:
+def _clear_sum_ties(g: Graph, vc, ec: np.ndarray,
+                    keep: np.ndarray) -> tuple[TotalColouring, int]:
     """Recolour each vertex of the mask keep whose sum equals a neighbour's,
-    in ascending order.
+    in ascending order; returns the colouring and how many vertices moved.
 
     The new colour is the smallest one avoiding neighbour vertex colours,
     incident edge colours, and every neighbour's current sum. A move changes
     only the moved vertex's sum, to one no neighbour has, so a vertex with no
     tie at the start never gets one: only the endpoints of edges whose sums
-    are equal at the start are scanned. vc is updated in place; returns how
-    many vertices were recoloured.
+    are equal at the start are scanned.
     """
+    vc = np.asarray(vc, dtype=np.int64)
+    sums = vertex_sums(g, vc, ec)
     tie = sums[g.edge_u] == sums[g.edge_v]
     tied = np.zeros(g.n, dtype=bool)
     tied[g.edge_u[tie]] = True
@@ -375,6 +390,7 @@ def _clear_sum_ties(g: Graph, vc: list[int], ec: np.ndarray, sums: np.ndarray,
     verts = np.flatnonzero(tied & keep)
     far, ids, ends = g.incidences(verts)
     far, cols, sums = far.tolist(), ec[ids].tolist(), sums.tolist()
+    vc = vc.tolist()
     moved = 0
     start = 0
     for v, end in zip(verts.tolist(), ends.tolist()):
@@ -391,24 +407,22 @@ def _clear_sum_ties(g: Graph, vc: list[int], ec: np.ndarray, sums: np.ndarray,
             sums[v] = body + c
             moved += 1
         start = end
-    return moved
+    return _spanned(vc, ec), moved
 
 
 def repair_small_degree(g: Graph,
                         state: TotalColouring) -> tuple[TotalColouring, int]:
-    """Give clashing small-degree vertices a fresh vertex colour.
+    """Give clashing small-degree vertices a fresh vertex colour: the tie
+    sweep over the vertices with 3*degree < max_degree. Returns the
+    colouring and how many vertices were repaired.
 
-    Small means 3*degree < max_degree. Scanned in ascending order; a vertex
-    is touched only when its sum equals a neighbour's. The replacement colour
-    avoids neighbour vertex colours, incident edge colours, and every
-    neighbour's current sum. A vertex colour appears in no other vertex's
-    sum, so a repair never creates a new clash elsewhere.
+    A vertex is touched only when its sum equals a neighbour's. The
+    replacement colour avoids neighbour vertex colours, incident edge
+    colours, and every neighbour's current sum. A vertex colour appears in
+    no other vertex's sum, so a repair never creates a new clash elsewhere.
     """
-    vc = state.vertex_colours.tolist()
-    sums = vertex_sums(g, state.vertex_colours, state.edge_colours)
-    repaired = _clear_sum_ties(g, vc, state.edge_colours, sums,
-                               3 * g.degrees < g.max_degree)
-    return _spanned(vc, state.edge_colours), repaired
+    return _clear_sum_ties(g, state.vertex_colours, state.edge_colours,
+                           3 * g.degrees < g.max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -419,37 +433,19 @@ def greedy_nsd(g: Graph) -> TotalColouring:
     sweep separating equal neighbour sums. Span is at most 3*max_degree + 1
     (and exactly 3 on a single edge).
 
-    Vertices in ascending order, then edges in id order, take the lowest
-    free colour. A vertex reads its lower neighbours from a stable argsort
-    of edge_v taken from Graph._vertex_order. Each vertex keeps a bitmask of
-    the colours at it (its own, its coloured edges, and bit 0), so an edge's
-    pick is one OR of its endpoints' masks. Edge ids are sorted by (u, v),
-    so the edges of each u to its higher neighbours are one id run, over
-    which u's mask stays in a local. The edge pass keeps colours, not bits:
-    a list of bits several hundred wide costs megabytes.
+    _first_fit colours the vertices in ascending order. properize's edge
+    kernel, with no width, colours every edge in id order over masks seeded
+    with bit 0 and the vertex's colour, so each edge takes the lowest colour
+    free at both ends. _clear_sum_ties then sweeps every vertex.
     """
-    n = g.n
     # the entries of Graph._vertex_order below m, the edges (w, v), w < v, met
     # at v, are a stable argsort of edge_v: grouped by v with w ascending
     order = g._vertex_order
-    vc = _first_fit(g, order[order < g.m], [1] * n)   # bit 0: colours from 1
-    used = [1 | (1 << c) for c in vc]
-    higher = g.edge_v.tolist()
-    ec = []
-    start = 0
-    for u, end in enumerate(np.cumsum(np.bincount(g.edge_u, minlength=n)).tolist()):
-        mask = used[u]
-        for v in higher[start:end]:
-            taken = mask | used[v]
-            bit = (taken + 1) & ~taken
-            ec.append(bit.bit_length() - 1)
-            mask |= bit
-            used[v] |= bit
-        start = end
-    ec = np.array(ec, dtype=np.int64)
-    sums = vertex_sums(g, np.array(vc, dtype=np.int64), ec)
-    _clear_sum_ties(g, vc, ec, sums, np.ones(n, dtype=bool))
-    return _spanned(vc, ec)
+    vc = _first_fit(g, order[order < g.m], [1] * g.n)   # bit 0: colours from 1
+    ec, _ = _colour_class_edges(g, np.arange(g.m), None,
+                                [1 | 1 << c for c in vc])
+    return _clear_sum_ties(g, vc, np.array(ec, dtype=np.int64),
+                           np.ones(g.n, dtype=bool))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -566,11 +562,10 @@ def construct(g: Graph, config: ConstructConfig | None = None) -> tuple[TotalCol
     if g.m == 0:
         colouring = TotalColouring(np.ones(g.n, dtype=np.int64),
                                    np.zeros(0, dtype=np.int64), 1)
-        report.span = 1
-        report.pipeline_span = 1
+        report.span = report.pipeline_span = colouring.span
         report.valid = True
         report.attempts.append({"slack": cfg.slack, "edgeless": True,
-                                "span": 1, "valid": True})
+                                "span": colouring.span, "valid": True})
         report.chosen_attempt = 0
         return colouring, report
 

@@ -455,6 +455,29 @@ def test_module_entry_point():
     assert proc2.stdout == proc.stdout
 
 
+def test_out_of_memory_is_usage_error():
+    # K_100000 asks numpy for a 9.31 GiB mask; the child's address space is
+    # capped at 3 GiB, so the request fails at once and nothing large is held
+    import os
+    import subprocess
+    import sys
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "nsdcolour", "gen", "--kind", "complete",
+         "--n", "100000"],
+        capture_output=True, text=True, cwd=root, env=env, preexec_fn=cap)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: out of memory")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 def test_gen_rejects_bad_combination(capsys):
     rc = main(["gen", "--kind", "random", "--n", "10"])
     assert rc == 2

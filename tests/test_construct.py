@@ -357,10 +357,12 @@ def test_construct_k2():
 
 
 def test_construct_edgeless():
-    g = Graph(5, [])
-    col, rep = construct(g, ConstructConfig(seed=0))
-    assert rep.valid and col.span == 1
-    assert list(col.vertex_colours) == [1] * 5
+    for g in (Graph(5, []), Graph(0, [])):
+        col, rep = construct(g, ConstructConfig(seed=0))
+        assert rep.valid and col.span == min(g.n, 1)
+        assert list(col.vertex_colours) == [1] * g.n
+        assert (rep.span == rep.pipeline_span == rep.attempts[0]["span"]
+                == col.span)
 
 
 def test_construct_deterministic():
@@ -610,6 +612,29 @@ def test_properize_width_is_at_least_the_asked_width(n, p, gseed, classes,
     if not check_proper(g, TotalColouring(old.vertex_colours,
                                           old.edge_colours, old.span)):
         assert got == width
+
+
+@settings(max_examples=200)
+@given(g=hub_graphs(), mode=hst.sampled_from(["plain", "seeded", "swaps"]),
+       seed=hst.integers(0, 2**32 - 1))
+@example(g=complete_graph(7), mode="swaps", seed=0)   # flips paths
+def test_edge_kernel_slots_are_proper_and_masks_exact(g, mode, seed):
+    # properize's vertex pass avoids the returned masks, and the kernel keeps
+    # each run's smaller endpoint's mask in a local: both need a vertex's
+    # mask to be its seed ORed with the slots of its edges, no more
+    rng = np.random.default_rng(seed)
+    ids = np.flatnonzero(rng.random(g.m) < 0.8)
+    seeds = (rng.integers(0, 64, size=g.n).tolist() if mode == "seeded"
+             else [0] * g.n)
+    width = int(rng.integers(1, 4)) if mode == "swaps" else None
+    slots, masks = construct_mod._colour_class_edges(
+        g, ids, width, list(seeds) if mode == "seeded" else None)
+    want = list(seeds)
+    for e, s in zip(ids.tolist(), slots):
+        for x in (int(g.edge_u[e]), int(g.edge_v[e])):
+            assert not want[x] >> s & 1   # proper at x, clear of x's seed
+            want[x] |= 1 << s
+    assert masks == want
 
 
 def test_uncapped_report_has_no_fallback_reason():
