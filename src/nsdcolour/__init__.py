@@ -19,8 +19,6 @@ from .graph import (
     regular_graph,
     generate,
     connected_components,
-    is_connected,
-    enumerate_labelled_graphs,
     enumerate_connected_graphs,
 )
 from .colouring import (
@@ -37,8 +35,6 @@ from .colouring import (
 )
 from .exact import (
     SolveResult,
-    EnumerationGuardError,
-    brute_force_chi,
     solve_exact,
     conjecture_sweep,
 )
@@ -49,7 +45,6 @@ from .lemma import (
     ResampleResult,
     Stage2Result,
     InfeasibleStrictError,
-    sample_stage_one,
     check_properties,
     event_scope,
     resample_event,

@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, default=None, help="edge probability")
     p.add_argument("--d", type=int, default=None, help="target degree")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_at_least(0), default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_gen)
 
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true")
     p.add_argument("--slack", type=float, default=1.0)
     p.add_argument("--graph", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--rounds", type=_at_least(0), default=200)
     p.set_defaults(func=cmd_lemma)
 

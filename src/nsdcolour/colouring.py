@@ -55,16 +55,20 @@ class TotalColouring:
     """
 
     def __init__(self, vertex_colours, edge_colours, k: int):
-        vc = np.asarray(vertex_colours, dtype=np.int64).copy()
-        ec = np.asarray(edge_colours, dtype=np.int64).copy()
         if k < 1:
             raise ColouringError("palette bound k must be at least 1")
-        for name, arr in (("vertex", vc), ("edge", ec)):
+        arrays = []
+        for name, colours in (("vertex", vertex_colours), ("edge", edge_colours)):
+            arr = np.asarray(colours)
             if arr.ndim != 1:
                 raise ColouringError(f"{name} colours must be one-dimensional")
+            if arr.size and arr.dtype.kind not in "iu":
+                raise ColouringError(f"{name} colours must be integers")
+            # a fresh copy, in which a uint64 value past int64 wraps below 1
+            arrays.append(arr := arr.astype(np.int64))
             if arr.size and (arr.min() < 1 or arr.max() > k):
                 raise ColouringError(f"{name} colour outside {{1..{k}}}")
-        self._adopt(vc, ec, k)
+        self._adopt(*arrays, k)
 
     def _adopt(self, vc: np.ndarray, ec: np.ndarray, k: int) -> TotalColouring:
         """Take fresh 1-d int64 arrays of colours in 1..k as is; returns self."""

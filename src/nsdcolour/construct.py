@@ -41,7 +41,7 @@ import numpy as np
 from .colouring import (TotalColouring, check_nsd, check_proper, is_valid,
                         vertex_sums)
 from .graph import Graph, sorted_unique
-from .lemma import LemmaParams, LemmaState, resample_until_valid, stage_two
+from .lemma import LemmaParams, LemmaState, check_slack, resample_until_valid, stage_two
 
 
 def reference_span_bound(delta: int) -> float:
@@ -559,6 +559,10 @@ def construct(g: Graph, config: ConstructConfig | None = None) -> tuple[TotalCol
     report = RunReport(mode=cfg.mode, n=g.n, m=g.m, max_degree=delta,
                        seed=cfg.seed, delta_plus_3=delta + 3,
                        reference_bound=reference_span_bound(delta))
+    if cfg.mode not in ("strict", "permissive"):
+        raise ValueError(f"unknown mode {cfg.mode!r}")
+    if cfg.mode == "permissive":
+        check_slack(cfg.slack)
     if g.m == 0:
         colouring = TotalColouring(np.ones(g.n, dtype=np.int64),
                                    np.zeros(0, dtype=np.int64), 1)
@@ -574,10 +578,8 @@ def construct(g: Graph, config: ConstructConfig | None = None) -> tuple[TotalCol
         # built once, before the ladder: it refuses infeasible degrees
         strict = LemmaParams(delta, strict=True)
         ladder = [1.0]
-    elif cfg.mode == "permissive":
-        ladder = [cfg.slack * 2.0 ** i for i in range(max(cfg.retries, 1))]
     else:
-        raise ValueError(f"unknown mode {cfg.mode!r}")
+        ladder = [cfg.slack * 2.0 ** i for i in range(max(cfg.retries, 1))]
 
     cap = cfg.span_cap
     best: TotalColouring | None = None

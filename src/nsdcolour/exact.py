@@ -1,38 +1,28 @@
 """Exact minimum palette computation for sum-distinguishing total colourings.
 
-Two independent routes on purpose:
+``solve_exact`` runs a backtracking search per connected component with a
+BFS object ordering (each vertex immediately before its edges back to
+already-visited vertices), properness pruning, a sum prune once both
+endpoint sums are final, and a pin of each component root's colour to 1.
+The pin is a restriction, not a symmetry (permuting colours changes
+weighted degrees), and is not proved: tests/test_exact.py checks with a
+search without it that no connected graph with n <= 5, nor any of a seeded
+sample with n = 6, has a colouring one colour below the reported minimum.
 
-* ``brute_force_chi`` enumerates every assignment of colours to the n + m
-  objects in lexicographic order, evaluating all constraints per candidate
-  (vectorized in chunks). It is the ground-truth oracle and does nothing
-  clever.
-* ``solve_exact`` runs a backtracking search per connected component with a
-  BFS object ordering (each vertex immediately before its edges back to
-  already-visited vertices), properness pruning, a sum prune once both
-  endpoint sums are final, and a pin of each component root's colour to 1.
-  The pin is a restriction, not a symmetry (permuting colours changes
-  weighted degrees), and is not proved: tests/test_exact.py checks with a
-  search without it that no connected graph with n <= 5, nor any of a
-  seeded sample with n = 6, has a colouring one colour below the reported
-  minimum.
+The order is fixed, so each component gets a plan once, for every k: each
+vertex carries its neighbours placed before it, and each edge the sum
+checks that fall due when it is placed, as (x, [w...]) for an endpoint x
+whose last edge it is and x's neighbours w that are already final. A check
+bans the one colour sums[w] - sums[x], and a level's free colours are a
+bitmask, taken lowest first. The search keeps its own stack, so no graph
+meets Python's recursion limit. nodes_explored counts the colours each
+level visit tries in ascending order, banned ones included, by arithmetic:
+a visit that ends holding colour c adds c, one that runs out adds k, or 1
+at the pinned root.
 
-  The order is fixed, so each component gets a plan once, for every k:
-  each vertex carries its neighbours placed before it, and each edge the
-  sum checks that fall due when it is placed, as (x, [w...]) for an
-  endpoint x whose last edge it is and x's neighbours w that are already
-  final. A check bans the one colour sums[w] - sums[x], and a level's free
-  colours are a bitmask, taken lowest first. The search keeps its own
-  stack, so no graph meets Python's recursion limit. nodes_explored counts
-  the colours each level visit tries in ascending order, banned ones
-  included, by arithmetic: a visit that ends holding colour c adds c, one
-  that runs out adds k, or 1 at the pinned root.
-
-Both iterate the palette bound k upwards. The oracle starts at
-max degree + 1, which is a valid lower bound: a maximum-degree vertex and
-its incident edges are pairwise constrained to distinct colours. The
-backtracker starts each component at ``_lower_bound``, which adds two proved
-bounds above that one; each k is searched afresh, so starting higher changes
-nodes_explored and nothing else.
+The palette bound k rises from each component's ``_lower_bound``, which
+adds two proved bounds above max degree + 1; each k is searched afresh, so
+starting higher changes nodes_explored and nothing else.
 
 ``solve_exact`` can share work between isomorphic graphs through a class
 table that the caller owns and passes in (``conjecture_sweep`` makes a fresh
@@ -49,7 +39,6 @@ always searched, which keeps large graphs off a factorial path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
@@ -58,10 +47,6 @@ import numpy as np
 
 from .graph import Graph, connected_components
 from .colouring import TotalColouring, _check_shapes, check_nsd, check_proper
-
-
-class EnumerationGuardError(ValueError):
-    """Brute-force enumeration refused: the assignment space is too large."""
 
 
 @dataclass
@@ -88,81 +73,6 @@ def _neighbourhoods(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
     far, ids, bounds = far.tolist(), ids.tolist(), [0, *ends.tolist()]
     cuts = list(zip(bounds, bounds[1:]))
     return [far[a:b] for a, b in cuts], [ids[a:b] for a, b in cuts]
-
-
-def _brute_search_k(g: Graph, k: int, chunk: int = 1 << 16):
-    """First (smallest-index) valid assignment with palette {1..k}, or None.
-
-    Assignment index encodes colours in mixed radix k over the object order
-    vertices 0..n-1 then edges by id. Returns (colouring | None, rows_examined).
-    """
-    n, m = g.n, g.m
-    t = n + m
-    total = k ** t
-    eu, ev = g.edge_u, g.edge_v
-    incident_pairs = []
-    for inc in _neighbourhoods(g)[1]:
-        for i in range(len(inc)):
-            for j in range(i + 1, len(inc)):
-                incident_pairs.append((inc[i], inc[j]))
-    examined = 0
-    powers = [k ** j for j in range(t)]
-    lo = 0
-    while lo < total:
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        cols = np.empty((t, hi - lo), dtype=np.int64)
-        for j in range(t):
-            cols[j] = (idx // powers[j]) % k + 1
-        vcols = cols[:n]
-        ecols = cols[n:]
-        ok = np.ones(hi - lo, dtype=bool)
-        for eid in range(m):
-            u, v = int(eu[eid]), int(ev[eid])
-            ok &= vcols[u] != vcols[v]
-            ok &= ecols[eid] != vcols[u]
-            ok &= ecols[eid] != vcols[v]
-        for a, b in incident_pairs:
-            ok &= ecols[a] != ecols[b]
-        if m:
-            sums = vcols.copy()
-            for eid in range(m):
-                sums[int(eu[eid])] = sums[int(eu[eid])] + ecols[eid]
-                sums[int(ev[eid])] = sums[int(ev[eid])] + ecols[eid]
-            for eid in range(m):
-                ok &= sums[int(eu[eid])] != sums[int(ev[eid])]
-        examined += hi - lo
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            col = int(hits[0])
-            return TotalColouring(vcols[:, col], ecols[:, col], k), examined - (hi - lo) + col + 1
-        lo = hi
-    return None, examined
-
-
-def brute_force_chi(g: Graph, k_max: int | None = None) -> SolveResult:
-    """Oracle: smallest k admitting a valid colouring, by raw enumeration.
-
-    k_max defaults to max_degree + 8 (bound target plus headroom). Guard:
-    (n + m) * log2(k_max) must not exceed 40, keeping the assignment space
-    within 2^40. Raises EnumerationGuardError otherwise.
-    """
-    if k_max is None:
-        k_max = g.max_degree + 8
-    t = g.n + g.m
-    if k_max >= 2 and t * math.log2(k_max) > 40:
-        raise EnumerationGuardError(
-            f"{t} objects with k_max={k_max} exceeds the 2^40 enumeration guard"
-        )
-    if t == 0:
-        return SolveResult(1, TotalColouring([], [], 1), 0)
-    nodes = 0
-    for k in range(g.max_degree + 1, k_max + 1):
-        witness, examined = _brute_search_k(g, k)
-        nodes += examined
-        if witness is not None:
-            return SolveResult(k, witness, nodes)
-    return SolveResult(None, None, nodes, exceeded_k_max=True, k_max=k_max)
 
 
 # ---------------------------------------------------------------------------

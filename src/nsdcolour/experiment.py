@@ -6,7 +6,7 @@ Family specs are compact strings:
     connected<=4                  all connected labelled graphs up to 4 vertices
     complete:2..5  cycle:3..8  path:2..8
     random:n=500,p=0.05,seeds=3   3 binomial graphs, generation seeds 0..2
-    regular:n=100,d=10,seeds=2    near-regular pairing-model graphs
+    regular:n=100,d=3,seeds=2     2 exactly 3-regular pairing-model graphs
 
 Graph generation seeds are literal (stable across experiment seeds) while
 solver seeds derive from the experiment seed and the run index, so the same

@@ -47,20 +47,24 @@ def _check_vertex_count(n: int) -> None:
 
 def _ordered_ends(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
     """The pairs' smaller and larger endpoints as int64 arrays. A bad pair
-    raises, the first one in input order, with the pair-by-pair message."""
+    raises, the first one in input order, with the pair-by-pair message; an
+    endpoint that is not an integer is refused, never truncated."""
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
     try:
-        arr = np.asarray(edges, dtype=np.int64)
-    except (OverflowError, TypeError, ValueError):
-        arr = None          # endpoints past int64, or not pairs of integers
+        arr = np.asarray(edges)
+    except ValueError:
+        arr = None          # not pairs
     if arr is not None and arr.size == 0:
-        arr = arr.reshape(0, 2)
-    if arr is not None and arr.ndim == 2 and arr.shape[1] == 2:
+        arr = np.zeros((0, 2), dtype=np.int64)
+    if arr is not None and arr.dtype.kind in "iu" and arr.shape[1:] == (2,):
+        arr = arr.astype(np.int64, copy=False)
         lo, hi = np.minimum(arr[:, 0], arr[:, 1]), np.maximum(arr[:, 0], arr[:, 1])
         if not lo.size or (lo.min() >= 0 and hi.max() < n and (lo < hi).all()):
             return lo, hi
     for u, v in edges:
+        if not all(isinstance(x, (int, np.integer)) for x in (u, v)):
+            break
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -173,9 +177,6 @@ class Graph:
         if eid < 0:
             raise GraphError(f"no edge ({u}, {v}) in graph")
         return eid
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self._edge_index(u, v) >= 0
 
     def __eq__(self, other) -> bool:
         return (
@@ -385,7 +386,8 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 
 
 def regular_graph(n: int, d: int, seed: int) -> Graph:
-    """Random d-regular graph via the pairing model, retried until simple."""
+    """Random d-regular graph via the pairing model, retried until simple;
+    exactly d-regular, but 200 tries reach only small d (see the README)."""
     if d < 0 or n < 0:
         raise GenerationError("n and d must be non-negative")
     if d >= n and not (n == 0 and d == 0):
@@ -393,8 +395,6 @@ def regular_graph(n: int, d: int, seed: int) -> Graph:
     if (n * d) % 2 != 0:
         raise GenerationError(f"n*d = {n * d} is odd, no {d}-regular graph on {n} vertices")
     _check_vertex_count(n)
-    if d == 0:
-        return Graph(n, [])
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
     for _ in range(200):
@@ -402,11 +402,9 @@ def regular_graph(n: int, d: int, seed: int) -> Graph:
         us, vs = perm[0::2], perm[1::2]
         if np.any(us == vs):
             continue
-        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
-        keys = lo * n + hi
-        if len(np.unique(keys)) != len(keys):
-            continue
-        return Graph(n, np.stack([lo, hi], axis=1))
+        keys = sorted_unique(np.minimum(us, vs) * n + np.maximum(us, vs))
+        if len(keys) == len(us):
+            return Graph.__new__(Graph)._adopt(n, keys)
     raise GenerationError(
         f"pairing model failed to produce a simple {d}-regular graph in 200 tries"
     )
@@ -459,23 +457,6 @@ def connected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    return len(connected_components(g)[0]) == g.n
-
-
-def enumerate_labelled_graphs(n: int, max_edges: int | None = None) -> Iterator[Graph]:
-    """All labelled graphs on n vertices with at most max_edges edges, in
-    edge-subset bitmask order (deterministic)."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for mask in range(1 << len(pairs)):
-        chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        if max_edges is not None and len(chosen) > max_edges:
-            continue
-        yield Graph(n, chosen)
-
-
 def _connected_masks(n: int, pairs: list[tuple[int, int]]) -> Iterator[int]:
     """The masks, ascending, whose bits choose edges of pairs that connect
     n >= 1 vertices: a search over per-vertex neighbour bitmasks, run on a
@@ -496,10 +477,10 @@ def _connected_masks(n: int, pairs: list[tuple[int, int]]) -> Iterator[int]:
 
 
 def enumerate_connected_graphs(max_n: int) -> Iterator[tuple[str, Graph]]:
-    """All connected labelled graphs on 1..max_n vertices with stable ids, in
-    the order of enumerate_labelled_graphs. A Graph is built only for the
-    connected edge subsets, straight from their keys: the pairs are in
-    lexicographic order, so a mask's keys come out sorted and distinct."""
+    """All connected labelled graphs on 1..max_n vertices with stable ids, by
+    n and then by edge mask, bit i choosing the i-th pair in lexicographic
+    order. A Graph is built only for the connected masks, straight from
+    their keys, which come out sorted and distinct."""
     for n in range(1, max_n + 1):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         keys = [u * n + v for u, v in pairs]

@@ -68,6 +68,13 @@ class InfeasibleStrictError(ValueError):
     """Strict mode refused: the max degree fails the feasibility predicate."""
 
 
+def check_slack(slack: float) -> None:
+    if not slack >= 1.0:  # also refuses NaN
+        raise ValueError(f"slack multiplier must be at least 1, got {slack:g}")
+    if math.isinf(slack):
+        raise ValueError(f"slack multiplier must be finite, got {slack:g}")
+
+
 class LemmaParams:
     """Palette sizes, integer caps and exact score machinery for a max degree.
 
@@ -86,8 +93,7 @@ class LemmaParams:
     def __init__(self, delta: int, strict: bool = False, slack: float = 1.0):
         if delta < 0:
             raise ValueError("max degree must be non-negative")
-        if not slack >= 1.0:  # also refuses NaN
-            raise ValueError(f"slack multiplier must be at least 1, got {slack:g}")
+        check_slack(slack)
         if strict and slack != 1.0:
             raise ValueError("strict mode does not take slack")
         self.delta = int(delta)
@@ -121,8 +127,8 @@ class LemmaParams:
             caps["III"] = caps["1°b"] + caps["2°"]
             caps["IV"] = caps["3°"] + caps["4°"]
         except OverflowError:
-            # a degree past about 1e184 (or an infinite slack) overflows the
-            # float arithmetic above; refuse it as bad input
+            # a degree past about 1e184 (or a slack near the float limit)
+            # overflows the float arithmetic above; refuse it as bad input
             raise ValueError(
                 f"max degree {delta} at slack {self.slack:g} is out of range: "
                 "its palette sizes and caps overflow a float") from None
@@ -180,18 +186,13 @@ def _sum_colours(g: Graph, st: LemmaState) -> np.ndarray:
 
 
 def _sample_with_rng(g: Graph, p: LemmaParams, rng) -> LemmaState:
+    """Draw the three independent colourings and the derived edge targets."""
     c1 = rng.integers(1, p.r1 + 1, size=g.n, dtype=np.int64)
     c2 = rng.integers(1, p.r2 + 1, size=g.m, dtype=np.int64)
     c3v = rng.integers(1, p.r2 + 1, size=g.n, dtype=np.int64)
     st = LemmaState(c1, c2, c3v, np.zeros(g.m, dtype=np.int64))
     st.c3e = _sum_colours(g, st)
     return st
-
-
-def sample_stage_one(g: Graph, p: LemmaParams, seed: int) -> LemmaState:
-    """Draw the three independent colourings and the derived edge targets."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return _sample_with_rng(g, p, rng)
 
 
 @dataclass

@@ -15,12 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from nsdcolour import (LemmaParams, brute_force_chi, check_nsd,
-                       check_proper, check_properties, complete_graph,
-                       enumerate_labelled_graphs, is_valid, parse_colouring,
-                       parse_graph, random_graph, resample_until_valid,
-                       run_sweep, solve_exact, stage_two)
+from nsdcolour import (LemmaParams, check_nsd, check_proper,
+                       check_properties, complete_graph, is_valid,
+                       parse_colouring, parse_graph, random_graph,
+                       resample_until_valid, run_sweep, solve_exact, stage_two)
 from nsdcolour.experiment import ExperimentSpec, run_experiment
+from brute import brute_force_chi, enumerate_labelled_graphs
 from recount import recount
 
 ACCEPTANCE_LINES = []

@@ -267,17 +267,19 @@ def test_lemma_huge_degree_is_usage_error(capsys):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("slack", ["nan", "0.5"])
+@pytest.mark.parametrize("slack", ["nan", "0.5", "inf"])
 def test_bad_slack_is_usage_error_naming_value(tmp_path, capsys, slack):
-    want = f"error: slack multiplier must be at least 1, got {slack}\n"
-    rc = main(["lemma", "--delta", "100", "--slack", slack])
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == want
-    rc = main(["construct", write_k3(tmp_path), "--slack", slack])
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == want
+    rule = "must be finite" if slack == "inf" else "must be at least 1"
+    want = f"error: slack multiplier {rule}, got {slack}\n"
+    edgeless = tmp_path / "e3.graph"
+    edgeless.write_text("p edge 3 0\n")
+    for argv in (["lemma", "--delta", "100"], ["lemma", "--delta", "0"],
+                 ["construct", write_k3(tmp_path)],
+                 ["construct", str(edgeless), "--json"]):
+        rc = main(argv + ["--slack", slack])
+        assert rc == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == want, argv
 
 
 def test_lemma_stage_run(tmp_path, capsys):
@@ -353,6 +355,10 @@ def test_experiment_command(tmp_path, capsys):
     (["experiment", "SPEC", "--workers", "0"], "--workers", 1, 0),
     (["experiment", "SPEC", "--workers", "-5"], "--workers", 1, -5),
     (["exact", "GRAPH", "--k-max", "-5", "--json"], "--k-max", 0, -5),
+    (["gen", "--kind", "random", "--n", "30", "--p", "0.3", "--seed", "-1"],
+     "--seed", 0, -1),
+    (["lemma", "--delta", "3", "--graph", "GRAPH", "--seed", "-1"],
+     "--seed", 0, -1),
 ])
 def test_integer_flag_below_its_least_is_usage_error_naming_it(
         tmp_path, capsys, argv, flag, least, value):

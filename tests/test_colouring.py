@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nsdcolour import (ColouringParseError, Graph, TotalColouring,
+from nsdcolour import (ColouringError, ColouringParseError, Graph, TotalColouring,
                        check_nsd, check_proper, complete_graph, cycle_graph,
                        is_valid, parse_colouring, path_graph,
                        random_graph, weighted_degrees, write_colouring)
@@ -85,6 +85,24 @@ def test_out_of_range_colours_rejected():
         colouring([0, 1], [1], 2)
     with pytest.raises(ValueError):
         colouring([1, 2], [3], 2)
+
+
+@pytest.mark.parametrize("vc, ec, name", [
+    ([1.5, 2], [], "vertex"), (["1", "2"], [], "vertex"),
+    ([1, 2], np.array([1.0]), "edge")])
+def test_non_integer_colours_refused(vc, ec, name):
+    # np.asarray(..., dtype=np.int64) would truncate them to integers
+    with pytest.raises(ColouringError) as exc:
+        TotalColouring(vc, ec, 3)
+    assert str(exc.value) == f"{name} colours must be integers"
+
+
+def test_integer_colours_of_any_width_are_kept():
+    c = TotalColouring(np.array([1, 2], dtype=np.uint8), [3], 3)
+    assert c == colouring([1, 2], [3], 3) and c.vertex_colours.dtype == "int64"
+    assert TotalColouring([], [], 1).vertex_colours.dtype == "int64"
+    with pytest.raises(ColouringError):   # past int64: no wrap to a colour
+        TotalColouring(np.array([2**63], dtype=np.uint64), [], 2**64)
 
 
 def test_round_trip_file_format():

@@ -111,7 +111,7 @@ def test_risky_symmetric_and_large_only():
         for u in risky[v]:
             assert v in risky[u]
             assert 3 * deg[u] >= p.delta and 3 * deg[v] >= p.delta
-            assert g.has_edge(u, v)
+            assert g.find_edges([u], [v])[0] >= 0
 
 
 def test_risky_respects_window():
@@ -363,6 +363,21 @@ def test_construct_edgeless():
         assert list(col.vertex_colours) == [1] * g.n
         assert (rep.span == rep.pipeline_span == rep.attempts[0]["span"]
                 == col.span)
+
+
+def test_config_is_checked_before_the_edgeless_branch():
+    g = Graph(3, [])
+    for cfg, want in ((ConstructConfig(mode="bogus"), "unknown mode 'bogus'"),
+                      (ConstructConfig(slack=float("nan")),
+                       "slack multiplier must be at least 1, got nan"),
+                      (ConstructConfig(slack=float("inf")),
+                       "slack multiplier must be finite, got inf")):
+        with pytest.raises(ValueError) as exc:
+            construct(g, cfg)
+        assert str(exc.value) == want
+    # an edgeless graph needs no strict feasibility
+    col, rep = construct(g, ConstructConfig(mode="strict"))
+    assert rep.valid and col.span == 1 and rep.attempts[0]["edgeless"]
 
 
 def test_construct_deterministic():

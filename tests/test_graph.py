@@ -1,14 +1,17 @@
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from nsdcolour import (Graph, GraphError, GraphParseError, GenerationError,
                        complete_graph, connected_components, cycle_graph,
-                       enumerate_connected_graphs, enumerate_labelled_graphs,
-                       generate, is_connected, parse_graph, path_graph,
-                       random_graph, regular_graph, write_graph)
+                       enumerate_connected_graphs, generate, parse_graph,
+                       path_graph, random_graph, regular_graph, write_graph)
 import nsdcolour.graph as graphmod
 from nsdcolour.graph import _connected_masks
+from brute import enumerate_labelled_graphs
 
 
 def test_basic_accessors():
@@ -17,8 +20,7 @@ def test_basic_accessors():
     assert g.degree(0) == 2
     assert g.max_degree == 2
     assert g.incidences([1])[0].tolist() == [0, 2]
-    assert g.has_edge(3, 0)
-    assert not g.has_edge(0, 2)
+    assert g.find_edges([3, 0], [0, 2]).tolist() == [1, -1]
     assert g.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
 
 
@@ -72,6 +74,22 @@ def test_rejects_bad_edges():
         Graph(-1, [])
 
 
+@pytest.mark.parametrize("edges", [
+    [(0, 1.5)], [("0", "1")], np.array([[0, 1.7]]), [(0, 1), (1, 2.0)]])
+def test_non_integer_endpoints_refused(edges):
+    # np.asarray(..., dtype=np.int64) would truncate them to an edge
+    with pytest.raises(GraphError) as exc:
+        Graph(3, edges)
+    assert str(exc.value) == "edge endpoints must be integers"
+
+
+def test_integer_endpoints_of_any_width_are_kept():
+    want = Graph(3, [(0, 1)])
+    for dtype in (np.uint8, np.int32, np.int64):
+        assert fields(Graph(3, np.array([[1, 0]], dtype=dtype))) == fields(want)
+    assert fields(Graph(3, np.zeros((0, 2)))) == fields(Graph(3, []))
+
+
 def test_parallel_edges_collapse():
     g = Graph(3, [(0, 1), (1, 0), (0, 1)])
     assert g.m == 1
@@ -123,6 +141,28 @@ def test_regular_graph_degrees():
     assert set(int(d) for d in g.degrees) == {4}
 
 
+def test_regular_graphs_equal_checked_graphs_and_recorded_digest():
+    # regular_graph adopts its deduplicated keys without Graph's checks; the
+    # digest of every graph and refusal is the one np.unique and a rebuild
+    # through Graph gave (numpy 2.4.6)
+    h = hashlib.sha256()
+    for n in (0, 4, 7, 10, 30, 100):
+        for d in range(7):
+            for seed in (0, 1):
+                try:
+                    g = regular_graph(n, d, seed)
+                except GraphError as exc:
+                    h.update(f"{n} {d} {seed} {type(exc).__name__} {exc}\n"
+                             .encode())
+                    continue
+                assert fields(g) == fields(Graph(n, g.edges))
+                assert g.n == n and g.m == n * d // 2
+                h.update(f"{n} {d} {seed} ok {g.m}\n".encode())
+                h.update(g.edge_u.tobytes() + g.edge_v.tobytes())
+    assert h.hexdigest() == (
+        "f972fc1f8f620622f00fda3e700f0924b0fdf51858631afb820769c08739685c")
+
+
 def test_generate_dispatch():
     assert generate("complete", n=4).m == 6
     assert generate("random", n=10, p=0.5, seed=1).n == 10
@@ -136,8 +176,8 @@ def test_connectivity_helpers():
     g = Graph(5, [(0, 1), (2, 3)])
     comps = connected_components(g)
     assert [sorted(c) for c in comps] == [[0, 1], [2, 3], [4]]
-    assert not is_connected(g)
-    assert is_connected(complete_graph(3))
+    assert len(comps) > 1
+    assert len(connected_components(complete_graph(3))) == 1
 
 
 def test_enumerate_labelled_counts():
@@ -152,7 +192,7 @@ def test_enumerate_connected_counts():
     counts = {}
     for gid, g in enumerate_connected_graphs(5):
         counts[g.n] = counts.get(g.n, 0) + 1
-        assert is_connected(g)
+        assert len(connected_components(g)) == 1
     assert counts == {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
 
 
@@ -160,14 +200,15 @@ def test_enumerate_connected_filters_the_labelled_graphs(monkeypatch):
     # the connected graphs of enumerate_labelled_graphs, in its order; the
     # masks are tested in blocks, and where a block ends changes nothing
     for n in range(1, 6):
-        want = [g for g in enumerate_labelled_graphs(n) if is_connected(g)]
+        want = [g for g in enumerate_labelled_graphs(n)
+                if len(connected_components(g)) == 1]
         assert [g for _, g in enumerate_connected_graphs(n) if g.n == n] == want
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         with monkeypatch.context() as patch:
             patch.setattr(graphmod, "_MASK_BLOCK", 5)
             assert list(_connected_masks(n, pairs)) == [
                 i for i, g in enumerate(enumerate_labelled_graphs(n))
-                if is_connected(g)]
+                if len(connected_components(g)) == 1]
     # OEIS A001187 at n = 6 and 7; n = 7 spans two blocks
     for n, count in ((6, 26704), (7, 1866256)):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -175,15 +216,16 @@ def test_enumerate_connected_filters_the_labelled_graphs(monkeypatch):
 
 
 
-def test_enumerated_graphs_equal_checked_graphs_in_every_field():
-    # enumeration builds each graph from its keys without Graph's checks;
-    # __eq__ compares only n and the keys, so every field is compared here
-    def fields(g):
-        arrays = (g._keys, g.edge_u, g.edge_v, g.degrees)
-        return (g.n, g.m, g.max_degree, type(g.max_degree),
-                [(a.dtype, a.shape, a.flags.writeable, a.tobytes())
-                 for a in arrays])
+def fields(g):
+    """Every field of g; __eq__ compares only n and the keys."""
+    arrays = (g._keys, g.edge_u, g.edge_v, g.degrees)
+    return (g.n, g.m, g.max_degree, type(g.max_degree),
+            [(a.dtype, a.shape, a.flags.writeable, a.tobytes())
+             for a in arrays])
 
+
+def test_enumerated_graphs_equal_checked_graphs_in_every_field():
+    # enumeration builds each graph from its keys without Graph's checks
     for _, g in enumerate_connected_graphs(6):
         assert fields(g) == fields(Graph(g.n, g.edges))
     assert not g.degrees.flags.writeable and g.degrees.dtype == "int64"

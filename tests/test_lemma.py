@@ -7,8 +7,8 @@ import pytest
 from nsdcolour import (ALL_PROPERTIES, Graph, InfeasibleStrictError,
                        LemmaParams, LemmaState, STAGE_ONE_PROPERTIES,
                        check_properties, event_scope, random_graph,
-                       resample_event, resample_until_valid, sample_stage_one,
-                       stage_two)
+                       resample_event, resample_until_valid, stage_two)
+from nsdcolour.lemma import _sample_with_rng
 from recount import interval_index, recount, s_of
 
 
@@ -146,7 +146,7 @@ def test_interval_index_rejects_nonpositive():
 def test_single_edge_sample_is_forced():
     g = Graph(2, [(0, 1)])
     p = make_params(1)
-    st = sample_stage_one(g, p, seed=0)
+    st = resample_until_valid(g, p, 0, 0).state
     assert list(st.c1) == [1, 1]
     assert list(st.c2) == [1]
     assert list(st.c3v) == [1, 1]
@@ -156,7 +156,7 @@ def test_single_edge_sample_is_forced():
 def test_sample_ranges_and_sum_identity():
     g = random_graph(60, 0.2, seed=3)
     p = make_params(g.max_degree)
-    st = sample_stage_one(g, p, seed=9)
+    st = resample_until_valid(g, p, 9, 0).state
     assert st.c1.min() >= 1 and st.c1.max() <= p.r1
     assert st.c2.min() >= 1 and st.c2.max() <= p.r2
     assert st.c3v.min() >= 1 and st.c3v.max() <= p.r2
@@ -168,9 +168,9 @@ def test_sample_ranges_and_sum_identity():
 def test_sample_deterministic():
     g = random_graph(40, 0.3, seed=1)
     p = make_params(g.max_degree)
-    a = sample_stage_one(g, p, seed=5)
-    b = sample_stage_one(g, p, seed=5)
-    c = sample_stage_one(g, p, seed=6)
+    a = resample_until_valid(g, p, 5, 0).state
+    b = resample_until_valid(g, p, 5, 0).state
+    c = resample_until_valid(g, p, 6, 0).state
     assert np.array_equal(a.c1, b.c1) and np.array_equal(a.c3v, b.c3v)
     assert not (np.array_equal(a.c1, c.c1) and np.array_equal(a.c2, c.c2)
                 and np.array_equal(a.c3v, c.c3v))
@@ -230,7 +230,7 @@ def test_equal_target_edge_rule():
 def test_checker_rejects_h3_properties_without_edge_set():
     g = Graph(2, [(0, 1)])
     p = make_params(1)
-    st = sample_stage_one(g, p, 0)
+    st = resample_until_valid(g, p, 0, 0).state
     with pytest.raises(ValueError):
         check_properties(g, st, p, properties=["3°"])
     # default property list quietly omits them
@@ -243,7 +243,7 @@ def test_checker_agrees_with_recount_on_random_states():
     for seed in range(6):
         g = random_graph(150, 0.15, seed=seed)
         p = make_params(g.max_degree, slack=1.0)
-        st = sample_stage_one(g, p, seed=100 + seed)
+        st = resample_until_valid(g, p, 100 + seed, 0).state
         rep = check_properties(g, st, p)
         ind = recount(g, st, p)
         for q in ("I", "II", "III", "IV", "V", "VI", "1°", "2°"):
@@ -272,7 +272,7 @@ def test_resample_event_touches_only_scope():
     p = make_params(g.max_degree)
     rng = np.random.default_rng(0)
     for prop in STAGE_ONE_PROPERTIES:
-        st = sample_stage_one(g, p, seed=1)
+        st = resample_until_valid(g, p, 1, 0).state
         before = st.copy()
         v = 7
         resample_event(g, st, v, prop, rng, p)
@@ -294,7 +294,8 @@ def test_resample_immediate_validity_means_zero_rounds():
     p = make_params(g.max_degree, slack=2.0)
     res = resample_until_valid(g, p, seed=11, max_rounds=50)
     assert res.valid and res.rounds == 0
-    ref = sample_stage_one(g, p, seed=11)
+    # the first draw itself, as drawn
+    ref = _sample_with_rng(g, p, np.random.default_rng(np.random.SeedSequence(11)))
     assert np.array_equal(res.state.c1, ref.c1)
     assert np.array_equal(res.state.c2, ref.c2)
     assert np.array_equal(res.state.c3v, ref.c3v)
@@ -375,7 +376,7 @@ def test_stage_two_uncoloured_edges_get_fresh_colours():
 def test_stage_two_never_touches_inputs():
     g = random_graph(200, 0.08, seed=21)
     p = make_params(g.max_degree, slack=2.0)
-    st = sample_stage_one(g, p, seed=2)
+    st = resample_until_valid(g, p, 2, 0).state
     snapshot = st.copy()
     res = stage_two(g, st, p, seed=3, max_rounds=100)
     assert np.array_equal(st.c3e, snapshot.c3e)  # caller state untouched

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from nsdcolour import (Graph, LemmaParams, RiskParams, TotalColouring,
                        check_nsd, check_proper, compute_risky,
                        event_scope, properize, recolour_H,
-                       repair_small_degree, resample_event, sample_stage_one,
-                       select_H, stage_two, weighted_degrees)
+                       repair_small_degree, resample_event,
+                       resample_until_valid, select_H, stage_two,
+                       weighted_degrees)
 from nsdcolour.colouring import vertex_sums
 from nsdcolour.construct import greedy_nsd
 from nsdcolour.lemma import STAGE_ONE_PROPERTIES
@@ -45,7 +46,7 @@ def params_for(g, slack=1.0):
 @given(g=graphs(min_m=1), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_edge_target_identity(g, seed, data):
     p = params_for(g)
-    st1 = sample_stage_one(g, p, seed)
+    st1 = resample_until_valid(g, p, seed, 0).state
     expect = st1.c1[g.edge_u] + st1.c1[g.edge_v] + st1.c2
     assert np.array_equal(st1.c3e, expect)
     assert st1.c3e.min() >= 3 and st1.c3e.max() <= p.r3
@@ -132,7 +133,7 @@ def test_verifier_detects_forced_sum_tie(g, data):
 @given(g=graphs(min_m=1), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_resample_scope_discipline(g, seed, data):
     p = params_for(g)
-    st1 = sample_stage_one(g, p, seed)
+    st1 = resample_until_valid(g, p, seed, 0).state
     before = st1.copy()
     v = data.draw(st.integers(0, g.n - 1))
     prop = data.draw(st.sampled_from(STAGE_ONE_PROPERTIES))
@@ -160,7 +161,7 @@ def test_resample_scope_discipline(g, seed, data):
 @given(g=graphs(min_m=1), seed=st.integers(0, 2**32 - 1))
 def test_properize_band_confinement(g, seed):
     p = params_for(g, slack=2.0)
-    st1 = sample_stage_one(g, p, seed)
+    st1 = resample_until_valid(g, p, seed, 0).state
     res = stage_two(g, st1, p, seed + 1, 50)
     cs, B = properize(g, res.state, None)
     for v in range(g.n):
@@ -180,7 +181,7 @@ def test_properize_band_confinement(g, seed):
 @given(g=graphs(min_m=1, max_n=8), seed=st.integers(0, 2**32 - 1))
 def test_sum_shift_locality(g, seed):
     p = params_for(g, slack=2.0)
-    st1 = sample_stage_one(g, p, seed)
+    st1 = resample_until_valid(g, p, seed, 0).state
     res = stage_two(g, st1, p, seed + 1, 50)
     cs, _ = properize(g, res.state, None)
     risky = compute_risky(g, res.state, p, RiskParams(p))
@@ -214,7 +215,7 @@ def test_sum_shift_locality(g, seed):
 @given(g=graphs(min_m=1), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_score_ignores_auxiliary_colours(g, seed, data):
     p = params_for(g)
-    st1 = sample_stage_one(g, p, seed)
+    st1 = resample_until_valid(g, p, seed, 0).state
     before = p.score2_array(g.degrees, st1.c1)
     rng = np.random.default_rng(seed + 1)
     v = data.draw(st.integers(0, g.n - 1))
