@@ -55,7 +55,6 @@ from .lemma import (
 )
 from .construct import (
     ConstructConfig,
-    RiskParams,
     RunReport,
     HSelection,
     reference_span_bound,

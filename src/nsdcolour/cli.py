@@ -91,6 +91,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_lemma(args) -> int:
     if args.graph is None:
+        if args.delta is None:
+            raise ValueError("lemma needs --delta, or --graph to read the "
+                             "max degree from")
         p = LemmaParams(args.delta, strict=args.strict, slack=args.slack)
         info = {
             "delta": p.delta,
@@ -224,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma", help="inspect engine parameters, optionally "
                                      "run both stages on a graph")
-    p.add_argument("--delta", type=int, required=True)
+    p.add_argument("--delta", type=int, default=None,
+                   help="max degree; --graph reads it from the graph")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--slack", type=float, default=1.0)
     p.add_argument("--graph", default=None)

@@ -107,8 +107,9 @@ def _check_shapes(g: Graph, c: TotalColouring) -> None:
 
 
 def vertex_sums(g: Graph, vc: np.ndarray, ec: np.ndarray) -> np.ndarray:
-    """Each vertex's colour plus its incident edge colours, from raw arrays."""
-    s = vc.astype(np.int64)
+    """Each vertex's colour plus its incident edge colours, from raw arrays:
+    int64 sums, or exact Python-int sums when both arrays are object arrays."""
+    s = vc.astype(object if vc.dtype == object else np.int64)
     np.add.at(s, g.edge_u, ec)
     np.add.at(s, g.edge_v, ec)
     return s
@@ -122,14 +123,10 @@ def weighted_degrees(g: Graph, c: TotalColouring) -> np.ndarray:
     object array; every other colouring takes the int64 path.
     """
     _check_shapes(g, c)
+    vc, ec = c.vertex_colours, c.edge_colours
     if c.k * (g.max_degree + 1) >= 2 ** 63:
-        s = c.vertex_colours.tolist()
-        for u, v, col in zip(g.edge_u.tolist(), g.edge_v.tolist(),
-                             c.edge_colours.tolist()):
-            s[u] += col
-            s[v] += col
-        return np.array(s, dtype=object)
-    return vertex_sums(g, c.vertex_colours, c.edge_colours)
+        vc, ec = vc.astype(object), ec.astype(object)
+    return vertex_sums(g, vc, ec)
 
 
 def _edge_pairs(g: Graph, ids: np.ndarray) -> list[tuple[int, int]]:

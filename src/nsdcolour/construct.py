@@ -183,41 +183,16 @@ def properize(g: Graph, st: LemmaState,
 
 
 # ---------------------------------------------------------------------------
-# risk window
+# risky pairs
 
-class RiskParams:
-    """Drift window deciding which adjacent large pairs need separation.
-
-    A vertex's final sum is assumed to stay within scale*(fault_cap +
-    repair_slack) of its idealized score, so two scores closer than twice
-    that window are treated as collision-risky. threshold is the integer
-    comparison bound on doubled scores. The number of score intervals the
-    window covers, times the interval occupancy cap, bounds the risky set
-    size: allowed_max.
-    """
-
-    def __init__(self, p: LemmaParams, scale: float = 1.0):
-        x = float(max(p.delta, 0))
-        L = p.ln_floor
-        fault_cap = 5.5 * x ** (5 / 3) * L ** (1 / 3)
-        repair_slack = 16.0 * x * L
-        window = 2.0 * float(scale) * (fault_cap + repair_slack)
-        self.threshold = int(math.floor(2.0 * window))
-        covered_intervals = 0
-        if p.interval_len > 0:
-            covered_intervals = math.ceil(2.0 * window / float(p.interval_len)) + 1
-        self.allowed_max = covered_intervals * p.caps["VI"]
-
-
-def compute_risky(g: Graph, st: LemmaState, p: LemmaParams,
-                  risk: RiskParams) -> np.ndarray:
+def compute_risky(g: Graph, st: LemmaState, p: LemmaParams) -> np.ndarray:
     """The risky-edge mask, one bool per edge id: the edges joining two large
-    vertices whose doubled scores lie within the window."""
+    vertices whose doubled scores lie within p's risk window."""
     deg = g.degrees
     large = 3 * deg >= p.delta
     s2 = p.score2_array(deg, st.c1)
     eu, ev = g.edge_u, g.edge_v
-    return large[eu] & large[ev] & (np.abs(s2[eu] - s2[ev]) <= risk.threshold)
+    return large[eu] & large[ev] & (np.abs(s2[eu] - s2[ev]) <= p.risk_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +221,13 @@ class HSelection:
     edge_ids: np.ndarray
     rounds: int
     valid: bool
-    cap: int
 
 
 def select_H(g: Graph, p: LemmaParams, seed: int,
              max_rounds: int = 100) -> HSelection:
     """Each large vertex (3*degree >= max_degree) picks two distinct incident
     edges (one if its degree is one); the union is resampled until every
-    vertex touches at most cap picked edges.
+    vertex touches at most p.caps["dH"] picked edges.
 
     The picks are those of one Generator.choice(run, size=min(2, degree),
     replace=False) per picker and redrawn picker, in ascending vertex order
@@ -264,7 +238,6 @@ def select_H(g: Graph, p: LemmaParams, seed: int,
     """
     deg = g.degrees
     pickers = np.flatnonzero((3 * deg >= p.delta) & (deg > 0))
-    cap = p.caps["dH"]
     sizes = deg[pickers]
     starts = (np.cumsum(deg) - deg)[pickers][:, None]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -274,7 +247,7 @@ def select_H(g: Graph, p: LemmaParams, seed: int,
     valid = True
     while True:
         h = sorted_unique(g._vertex_order[picked.ravel()] % max(g.m, 1))
-        over = np.flatnonzero(g.endpoint_counts(h) > cap)
+        over = np.flatnonzero(g.endpoint_counts(h) > p.caps["dH"])
         if over.size == 0:
             break
         if rounds >= max_rounds:
@@ -284,7 +257,7 @@ def select_H(g: Graph, p: LemmaParams, seed: int,
         at = np.flatnonzero(np.isin(pickers, near))
         picked[at] = _pick_two(rng, sizes[at]) + starts[at]
         rounds += 1
-    return HSelection(h, rounds, valid, cap)
+    return HSelection(h, rounds, valid)
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +462,10 @@ def _phase_seeds(seed: int, attempt: int) -> list[int]:
     return [int(x) for x in ss.generate_state(3, dtype=np.uint64)]
 
 
-def _attempt_pipeline(g: Graph, p: LemmaParams, slack: float,
-                      cfg: ConstructConfig, attempt: int):
+def _attempt_pipeline(g: Graph, p: LemmaParams, cfg: ConstructConfig,
+                      attempt: int):
     s_res, s_st2, s_hsel = _phase_seeds(cfg.seed, attempt)
-    info: dict = {"slack": slack}
+    info: dict = {"slack": p.slack}
     r1 = resample_until_valid(g, p, s_res, cfg.rounds)
     info["stage1_rounds"] = r1.rounds
     info["stage1_valid"] = r1.valid
@@ -514,10 +487,9 @@ def _attempt_pipeline(g: Graph, p: LemmaParams, slack: float,
 
     colouring, info["b_width"] = properize(g, r2.state, p.b_unit)
 
-    risk = RiskParams(p, scale=slack)
-    risky = compute_risky(g, r2.state, p, risk)
+    risky = compute_risky(g, r2.state, p)
     info["risky_max"] = int(g.endpoint_counts(risky).max(initial=0))
-    info["risky_allowed"] = risk.allowed_max
+    info["risky_allowed"] = p.risky_allowed
 
     hsel = select_H(g, p, s_hsel, cfg.rounds)
     info["h_edges"] = int(hsel.edge_ids.size)
@@ -568,24 +540,25 @@ def construct(g: Graph, config: ConstructConfig | None = None) -> tuple[TotalCol
                                    np.zeros(0, dtype=np.int64), 1)
         report.span = report.pipeline_span = colouring.span
         report.valid = True
-        report.attempts.append({"slack": cfg.slack, "edgeless": True,
+        # strict mode takes no slack; its attempts record 1.0
+        report.attempts.append({"slack": 1.0 if cfg.mode == "strict"
+                                else cfg.slack, "edgeless": True,
                                 "span": colouring.span, "valid": True})
         report.chosen_attempt = 0
         return colouring, report
 
-    strict = None
     if cfg.mode == "strict":
-        # built once, before the ladder: it refuses infeasible degrees
-        strict = LemmaParams(delta, strict=True)
-        ladder = [1.0]
+        # built before the ladder: it refuses infeasible degrees
+        ladder = [LemmaParams(delta, strict=True)]
     else:
-        ladder = [cfg.slack * 2.0 ** i for i in range(max(cfg.retries, 1))]
+        # one rung at a time, so a rung past a kept colouring is never built
+        ladder = (LemmaParams(delta, slack=cfg.slack * 2.0 ** i)
+                  for i in range(max(cfg.retries, 1)))
 
     cap = cfg.span_cap
     best: TotalColouring | None = None
-    for attempt, slack in enumerate(ladder):
-        p = strict or LemmaParams(delta, slack=slack)
-        colouring, info = _attempt_pipeline(g, p, slack, cfg, attempt)
+    for attempt, p in enumerate(ladder):
+        colouring, info = _attempt_pipeline(g, p, cfg, attempt)
         report.attempts.append(info)
         if colouring is None:  # band floor above the cap
             report.span_capped = True

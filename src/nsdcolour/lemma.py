@@ -88,6 +88,12 @@ class LemmaParams:
     integer. interval_len is the float evaluation of D^{5/3} ln^{1/3} D / 3
     converted to an exact Fraction once, so boundary membership of the
     right-closed intervals ((a-1)*len, a*len] is deterministic.
+
+    A final sum is assumed to stay within slack*(5.5 D^{5/3} L^{1/3} +
+    16 D L) of its score, L = ln_floor; adjacent large vertices whose scores
+    lie within twice that are risky. risk_threshold bounds their doubled
+    scores' distance; risky_allowed, the score intervals the window covers
+    times the VI cap, bounds the risky set.
     """
 
     def __init__(self, delta: int, strict: bool = False, slack: float = 1.0):
@@ -126,12 +132,20 @@ class LemmaParams:
             caps = {k: int(math.floor(self.slack * v)) for k, v in base.items()}
             caps["III"] = caps["1°b"] + caps["2°"]
             caps["IV"] = caps["3°"] + caps["4°"]
+            window = 2.0 * self.slack * (5.5 * x ** (5 / 3) * L ** (1 / 3)
+                                         + 16.0 * x * L)
+            self.risk_threshold = int(math.floor(2.0 * window))
+            covered = (math.ceil(2.0 * window / float(self.interval_len)) + 1
+                       if self.interval_len > 0 else 0)
+            self.risky_allowed = covered * caps["VI"]
         except OverflowError:
-            # a degree past about 1e184 (or a slack near the float limit)
-            # overflows the float arithmetic above; refuse it as bad input
+            # a degree past about 1e184, or a slack whose caps or window
+            # pass the float limit, overflows the arithmetic above; refuse
+            # it as bad input
             raise ValueError(
                 f"max degree {delta} at slack {self.slack:g} is out of range: "
-                "its palette sizes and caps overflow a float") from None
+                "its palette sizes, caps or risk window overflow a float"
+            ) from None
         self.caps: dict[str, int] = caps
 
         reasons = []

@@ -8,18 +8,21 @@ The functions below are kept verbatim (only the imports differ) so that
 tests/test_equivalence.py can check that the optimised versions in
 nsdcolour.construct return byte-identical colourings. ``ConstructionState``
 and ``ReserveInfo`` are the old definitions, with the class arrays and the
-``grew`` flag that the package no longer keeps. They are test oracles, not
-part of the package.
+``grew`` flag that the package no longer keeps; ``HSelection`` is the old
+one, with the pick-degree cap the package reads from ``p.caps["dH"]``.
+``RiskParams`` is the risk window as it was computed outside
+``LemmaParams``, which now holds it as ``risk_threshold`` and
+``risky_allowed``. They are test oracles, not part of the package.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from nsdcolour.colouring import TotalColouring, vertex_sums
-from nsdcolour.construct import HSelection, RiskParams
 from nsdcolour.graph import Graph
 from nsdcolour.lemma import LemmaParams, LemmaState
 
@@ -62,6 +65,38 @@ class ReserveInfo:
     planned: int
     used: int
     grew: bool = False  # the planned reserve always suffices; kept for reports
+
+
+@dataclass
+class HSelection:
+    edge_ids: np.ndarray
+    rounds: int
+    valid: bool
+    cap: int
+
+
+class RiskParams:
+    """Drift window deciding which adjacent large pairs need separation.
+
+    A vertex's final sum is assumed to stay within scale*(fault_cap +
+    repair_slack) of its idealized score, so two scores closer than twice
+    that window are treated as collision-risky. threshold is the integer
+    comparison bound on doubled scores. The number of score intervals the
+    window covers, times the interval occupancy cap, bounds the risky set
+    size: allowed_max.
+    """
+
+    def __init__(self, p: LemmaParams, scale: float = 1.0):
+        x = float(max(p.delta, 0))
+        L = p.ln_floor
+        fault_cap = 5.5 * x ** (5 / 3) * L ** (1 / 3)
+        repair_slack = 16.0 * x * L
+        window = 2.0 * float(scale) * (fault_cap + repair_slack)
+        self.threshold = int(math.floor(2.0 * window))
+        covered_intervals = 0
+        if p.interval_len > 0:
+            covered_intervals = math.ceil(2.0 * window / float(p.interval_len)) + 1
+        self.allowed_max = covered_intervals * p.caps["VI"]
 
 
 def _vertex_sums(g: Graph, vc: np.ndarray, ec: np.ndarray) -> np.ndarray:

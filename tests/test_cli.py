@@ -267,6 +267,70 @@ def test_lemma_huge_degree_is_usage_error(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_lemma_without_delta_or_graph_is_usage_error(capsys):
+    assert main(["lemma", "--slack", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--delta" in captured.err
+
+
+def write_golden_graph(tmp_path):
+    """The n=300 graph of test_cli_golden.py: max degree 45."""
+    path = tmp_path / "g.graph"
+    assert main(["gen", "--kind", "random", "--n", "300", "--p", "0.1",
+                 "--seed", "5", "-o", str(path)]) == 0
+    return str(path)
+
+
+OUT_OF_RANGE = ("error: max degree 45 at slack 1e+305 is out of range: its "
+                "palette sizes, caps or risk window overflow a float\n")
+
+
+@pytest.mark.parametrize("cap", [[], ["--span-cap", "145"]])
+def test_construct_slack_whose_window_overflows_is_usage_error(tmp_path,
+                                                                capsys, cap):
+    # the caps fit a float at slack 1e305, the risk window does not; a
+    # capped run is refused too, though its attempt would stop at the band
+    # floor before the window is used
+    rc = main(["construct", write_golden_graph(tmp_path),
+               "--slack", "1e305"] + cap)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == "" and captured.err == OUT_OF_RANGE
+
+
+def test_experiment_slack_whose_window_overflows_is_usage_error(tmp_path,
+                                                                capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"solver": "construct", "slack": 1e305, '
+                    '"families": ["random:n=300,p=0.1,seeds=1"]}')
+    rc = main(["experiment", str(spec), "--csv", str(tmp_path / "r.csv")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == "" and captured.err == OUT_OF_RANGE
+    assert not (tmp_path / "r.csv").exists()
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("slack", [[], ["--slack", "nan"], ["--slack", "3"]])
+def test_strict_edgeless_report_is_json_with_slack_one(tmp_path, capsys,
+                                                        slack):
+    # strict mode takes no slack: the edgeless attempt records 1.0, as every
+    # strict attempt on a graph with an edge does
+    edgeless = tmp_path / "e3.graph"
+    edgeless.write_text("p edge 3 0\n")
+    rc = main(["construct", str(edgeless), "--mode", "strict", "--json"]
+              + slack)
+    assert rc == 0
+    blob = json.loads(capsys.readouterr().out,
+                      parse_constant=refuse_constant)
+    assert blob["attempts"] == [{"edgeless": True, "slack": 1.0, "span": 1,
+                                 "valid": True}]
+
+
 @pytest.mark.parametrize("slack", ["nan", "0.5", "inf"])
 def test_bad_slack_is_usage_error_naming_value(tmp_path, capsys, slack):
     rule = "must be finite" if slack == "inf" else "must be at least 1"

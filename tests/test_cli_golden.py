@@ -22,6 +22,14 @@ kept theirs. The ``construct --report`` digest was recorded again when each
 attempt stopped reporting ``relifts`` and ``reserve_grew``, which were always
 0 and false; every other line of the report kept its bytes.
 
+Two digests were recorded before the risk window moved into
+``LemmaParams``: the ``--report`` of ``construct --span-cap 145`` (3Δ+10)
+on the n=300 graph, whose attempt stops at its band floor (445) and records
+its slack and floor, and a construct experiment whose spec gives the
+integer ``"slack": 2``, over ``complete:1..6`` (an edgeless graph first)
+and two n=300 random graphs. ``lemma --graph`` without ``--delta`` must
+print the bytes of the ``lemma`` run that gives it.
+
 A change that moves any of these bytes has changed the colouring, the
 report or the file format; record new digests only for a change that means
 to.
@@ -59,10 +67,19 @@ DIGESTS = {
         "e630074c545141adb2da2c456435cbf0f75c88e10e33bf41e6fb5792fb284834",
     "sweep connected<=5":
         "f2ce290c2f7b1d79919391ef8252704074f344fb19fd2fc8049fa19dbaffdea3",
+    "construct --span-cap report":
+        "43489f62d1dec988b4e2a326f79851cd1a1a2059d786510c9f4350defe20ada0",
+    "construct experiment csv":
+        "7182042da24e15244b5427f465eb84be7739997bb85e60a29f3d2d9375ea78fa",
+    "construct experiment summary":
+        "5b2796a42e4eebc1ecb8dbaec853aab1b547bdf0a1851c4c7dfc9c655f62525d",
 }
 
 EXACT_SPEC = ('{"name": "exact-small", "seed": 0, "solver": "exact", '
               '"families": ["complete:2..5", "cycle:3..7"]}')
+CONSTRUCT_SPEC = ('{"name": "construct-int-slack", "seed": 0, '
+                  '"solver": "construct", "slack": 2, "families": '
+                  '["complete:1..6", "random:n=300,p=0.1,seeds=2"]}')
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +91,10 @@ def outputs(tmp_path_factory):
     sweep, spec = d / "sweep.csv", d / "spec.json"
     k5, sweep5 = d / "k5.graph", d / "sweep5.csv"
     csv, summary = d / "exp.csv", d / "exp.json"
+    capped, cspec = d / "capped.json", d / "cspec.json"
+    ccsv, csummary = d / "cexp.csv", d / "cexp.json"
     spec.write_text(EXACT_SPEC)
+    cspec.write_text(CONSTRUCT_SPEC)
     got = {}
 
     def run(argv, name=None):
@@ -92,6 +112,8 @@ def outputs(tmp_path_factory):
     run(["verify", str(graph), str(col), "--json"], "verify --json stdout")
     run(["construct", str(graph), "--greedy", "-o", str(greedy)],
         "construct --greedy stdout")
+    run(["construct", str(graph), "--span-cap", "145", "--report",
+         str(capped)])
     run(["gen", "--kind", "random", "--n", "6", "--p", "0.5", "--seed", "3",
          "-o", str(small)])
     run(["exact", str(small), "--json", "--witness", str(witness)],
@@ -102,7 +124,11 @@ def outputs(tmp_path_factory):
     run(["sweep", "--family", "connected<=5", "-o", str(sweep5)])
     run(["lemma", "--delta", "45", "--graph", str(graph), "--slack", "1"],
         "lemma stdout")
+    run(["lemma", "--graph", str(graph), "--slack", "1"],
+        "lemma stdout without --delta")
     run(["experiment", str(spec), "--csv", str(csv), "--summary", str(summary)])
+    run(["experiment", str(cspec), "--csv", str(ccsv),
+         "--summary", str(csummary)])
     got.update(graph=graph.read_bytes(), colouring=col.read_bytes(),
                report=report.read_bytes())
     got["greedy colouring"] = greedy.read_bytes()
@@ -111,9 +137,18 @@ def outputs(tmp_path_factory):
     got["sweep connected<=5"] = sweep5.read_bytes()
     got["exact experiment csv"] = csv.read_bytes()
     got["exact experiment summary"] = summary.read_bytes()
+    got["construct --span-cap report"] = capped.read_bytes()
+    got["construct experiment csv"] = ccsv.read_bytes()
+    got["construct experiment summary"] = csummary.read_bytes()
     return got
 
 
 @pytest.mark.parametrize("name", list(DIGESTS))
 def test_output_bytes_unchanged(outputs, name):
     assert hashlib.sha256(outputs[name]).hexdigest() == DIGESTS[name]
+
+
+def test_lemma_graph_needs_no_delta(outputs):
+    # the graph's max degree replaces --delta, so leaving it out changes
+    # no byte
+    assert outputs["lemma stdout without --delta"] == outputs["lemma stdout"]

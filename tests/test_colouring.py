@@ -30,6 +30,18 @@ def test_weighted_degrees_exact_path_matches_int64():
     exact = weighted_degrees(g, colouring(vc, ec, 2 ** 62))
     assert small.dtype == np.int64 and exact.dtype == object
     assert exact.tolist() == small.tolist()
+    # colours near 2^62 make sums past 2^63, which int64 would wrap
+    big = 2 ** 62 + 12345
+    vc = [big + i for i in range(5)]
+    ec = [big + 7 * i for i in range(10)]
+    sums = weighted_degrees(g, colouring(vc, ec, 2 ** 63 - 1))
+    want = list(vc)
+    for (u, v), col in zip(g.edges, ec):
+        want[u] += col
+        want[v] += col
+    assert sums.dtype == object and min(want) > 2 ** 63
+    assert all(type(s) is int for s in sums)
+    assert sums.tolist() == want
 
 
 def test_k2_valid_nsd():

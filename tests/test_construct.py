@@ -9,7 +9,7 @@ from hypothesis import strategies as hst
 import reference_construct as ref
 from nsdcolour import (ConstructConfig, Graph,
                        InfeasibleStrictError, LemmaParams, LemmaState,
-                       RiskParams, STAGE_ONE_PROPERTIES, TotalColouring,
+                       STAGE_ONE_PROPERTIES, TotalColouring,
                        check_nsd, check_proper, complete_graph, compute_risky,
                        construct, greedy_nsd, is_valid, path_graph, properize,
                        random_graph, recolour_H, repair_small_degree,
@@ -18,7 +18,7 @@ from nsdcolour import (ConstructConfig, Graph,
                        write_colouring)
 from recount import recount_proper_and_distinct, risky_lists
 from reference_graph import ViewGraph
-from test_equivalence import hub_graphs
+from test_equivalence import hub_graphs, risk_params
 
 # the package re-exports the function construct(), which shadows the module
 construct_mod = importlib.import_module("nsdcolour.construct")
@@ -102,8 +102,7 @@ def test_risky_symmetric_and_large_only():
     g = random_graph(300, 0.07, seed=9)
     p = LemmaParams(g.max_degree, slack=2.0)
     st = resample_until_valid(g, p, 60, 200).state
-    risk = RiskParams(p, scale=2.0)
-    mask = compute_risky(g, st, p, risk)
+    mask = compute_risky(g, st, p)
     assert mask.dtype == bool and mask.shape == (g.m,) and mask.any()
     risky = risky_lists(g, mask)
     deg = g.degrees
@@ -121,9 +120,8 @@ def test_risky_respects_window():
                     np.ones(6, dtype=np.int64), np.zeros(15, dtype=np.int64))
     st.c3e = st.c1[g.edge_u] + st.c1[g.edge_v] + st.c2
     # shrink the window to zero: only identical doubled scores stay risky
-    risk = RiskParams(p, scale=1.0)
-    risk.threshold = 0
-    risky = risky_lists(g, compute_risky(g, st, p, risk))
+    p.risk_threshold = 0
+    risky = risky_lists(g, compute_risky(g, st, p))
     s2 = p.score2_array(g.degrees, st.c1)
     for v in range(6):
         nbrs = g.incidences([v])[0].tolist()
@@ -155,7 +153,7 @@ def test_select_h_every_picker_covered_twice():
     for v in range(g.n):
         if 3 * g.degree(v) >= p.delta:
             assert deg_h[v] >= min(2, g.degree(v))
-        assert deg_h[v] <= sel.cap
+        assert deg_h[v] <= p.caps["dH"]
 
 
 def test_pick_two_matches_generator_choice():
@@ -198,8 +196,7 @@ def test_recolour_moves_only_picked_edges_above_span():
     res = pipeline_state(g, p, seed=70)
     cs, _ = properize(g, res.state, p.b_unit)
     base = cs.span
-    risk = RiskParams(p, scale=2.0)
-    risky = compute_risky(g, res.state, p, risk)
+    risky = compute_risky(g, res.state, p)
     sel = select_H(g, p, seed=71)
     out, reserve = recolour_H(g, cs, sel.edge_ids, risky)
     h = set(int(e) for e in sel.edge_ids)
@@ -227,7 +224,8 @@ def test_reserve_stays_inside_the_plan(n, p_edge, seed, scale):
     p = LemmaParams(max(g.max_degree, 1), slack=2.0)
     res = pipeline_state(g, p, seed=seed)
     cs, _ = properize(g, res.state, None)
-    risky = compute_risky(g, res.state, p, RiskParams(p, scale=scale))
+    risky = compute_risky(g, res.state,
+                          risk_params(max(g.max_degree, 1), scale))
     sel = select_H(g, p, seed=seed + 1)
     _, reserve = recolour_H(g, cs, sel.edge_ids, risky)
     if sel.edge_ids.size:
@@ -267,8 +265,7 @@ def test_recolour_separates_all_risky_pairs():
     p = LemmaParams(4, slack=2.0)
     res = pipeline_state(g, p, seed=80)
     cs, _ = properize(g, res.state, p.b_unit)
-    risk = RiskParams(p, scale=2.0)
-    risky = compute_risky(g, res.state, p, risk)
+    risky = compute_risky(g, res.state, p)
     lists = risky_lists(g, risky)
     for v in range(5):
         assert lists[v] == [u for u in range(5) if u != v]
@@ -363,6 +360,16 @@ def test_construct_edgeless():
         assert list(col.vertex_colours) == [1] * g.n
         assert (rep.span == rep.pipeline_span == rep.attempts[0]["span"]
                 == col.span)
+
+
+def test_edgeless_attempt_records_the_slack_given_in_permissive_mode():
+    # an integer slack stays an integer, so its report prints 2, not 2.0
+    for slack in (2, 3.5):
+        _, rep = construct(Graph(3, []), ConstructConfig(slack=slack))
+        assert type(rep.attempts[0]["slack"]) is type(slack)
+        assert rep.attempts[0]["slack"] == slack
+    _, rep = construct(Graph(3, []), ConstructConfig(mode="strict", slack=2))
+    assert rep.attempts[0]["slack"] == 1.0
 
 
 def test_config_is_checked_before_the_edgeless_branch():

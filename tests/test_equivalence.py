@@ -16,7 +16,9 @@ the round limit run, and on K_{2,10001}, whose hubs pick from runs of
 10,001 edges. compute_risky
 returns an edge mask, read back into the reference's per-vertex lists;
 recolour_H on that mask is compared with the reference on those lists, also
-on drawn colourings whose many equal sums block many candidates.
+on drawn colourings whose many equal sums block many candidates. The risk
+window LemmaParams holds equals the frozen RiskParams's over a grid of max
+degree and slack.
 """
 
 import numpy as np
@@ -27,9 +29,9 @@ from hypothesis import strategies as st
 import reference_construct as ref
 from recount import risky_lists
 from reference_graph import ViewGraph
-from nsdcolour import (Graph, LemmaParams, LemmaState, RiskParams,
-                       TotalColouring, check_proper, complete_graph,
-                       compute_risky, greedy_nsd, properize, random_graph,
+from nsdcolour import (Graph, LemmaParams, LemmaState, TotalColouring,
+                       check_proper, complete_graph, compute_risky,
+                       greedy_nsd, properize, random_graph,
                        recolour_H, repair_small_degree, resample_until_valid,
                        select_H, stage_two)
 from test_acceptance import GRID
@@ -102,13 +104,25 @@ def assert_same_properize(g, state, width):
         assert_same_state(new, old)
 
 
-def assert_same_risky(g, state, p, scale):
-    """The mask, read back as per-vertex lists, is the reference's lists."""
-    risk = RiskParams(p, scale=scale)
-    mask = compute_risky(g, state, p, risk)
+def risk_params(delta, scale):
+    """LemmaParams(delta, slack=scale), whose risk window is the frozen
+    RiskParams's at that scale. A slack is at least 1, so scale 0, where
+    only equal scores are risky, is the slack-1 object with its threshold
+    set to that window's 0."""
+    p = LemmaParams(delta, slack=max(scale, 1.0))
+    if scale == 0:
+        p.risk_threshold = 0
+    return p
+
+
+def assert_same_risky(g, state, scale):
+    """The mask at window scale, read back as per-vertex lists, is the
+    reference's lists at that scale."""
+    p = risk_params(g.max_degree, scale)
+    mask = compute_risky(g, state, p)
     assert mask.dtype == bool and mask.shape == (g.m,)
     new = risky_lists(g, mask)
-    assert new == ref.compute_risky(g, state, p, risk)
+    assert new == ref.compute_risky(g, state, p, ref.RiskParams(p, scale))
     assert all(type(w) is int for row in new for w in row)
 
 
@@ -116,17 +130,19 @@ def assert_same_select(g, p, seed, max_rounds=100):
     new = select_H(g, p, seed, max_rounds)
     old = ref.select_H(ViewGraph(g), p, seed, max_rounds)
     assert same_array(new.edge_ids, old.edge_ids)
-    assert (new.rounds, new.valid, new.cap) == (old.rounds, old.valid, old.cap)
+    assert (new.rounds, new.valid, p.caps["dH"]) == \
+        (old.rounds, old.valid, old.cap)
     return new
 
 
-def assert_same_recolour(g, cs, h_ids, state, p, risk):
-    """recolour_H on compute_risky's mask gives what the reference gives on
-    the reference's risky lists."""
-    mask = compute_risky(g, state, p, risk)
+def assert_same_recolour(g, cs, h_ids, state, scale):
+    """recolour_H on compute_risky's mask at window scale gives what the
+    reference gives on the reference's risky lists at that scale."""
+    p = risk_params(g.max_degree, scale)
+    mask = compute_risky(g, state, p)
     new, new_info = recolour_H(g, cs, h_ids, mask)
-    old, old_info = ref.recolour_H(g, ref_state(cs), h_ids,
-                                   ref.compute_risky(g, state, p, risk))
+    risky = ref.compute_risky(g, state, p, ref.RiskParams(p, scale))
+    old, old_info = ref.recolour_H(g, ref_state(cs), h_ids, risky)
     assert (new_info.base, new_info.planned, new_info.used) == \
         (old_info.base, old_info.planned, old_info.used)
     assert not old_info.grew
@@ -232,7 +248,27 @@ def test_risky_matches_reference(g, seed, scale):
     rng = np.random.default_rng(seed)
     state = lemma_state(g, rng, 3)
     state.c1 = rng.integers(1, p.r1 + 1, size=g.n, dtype=np.int64)
-    assert_same_risky(g, state, p, scale)
+    assert_same_risky(g, state, scale)
+
+
+@pytest.mark.parametrize("delta", [0, 1, 2, 3, 5, 45, 49, 100, 4096, 10**6,
+                                   10**12, 10**100])
+def test_risk_window_matches_reference(delta):
+    # up to 1e305 the caps fit a float whenever the window does, so a
+    # refused slack is one whose frozen window overflows (at max degree 45,
+    # 1e305 is refused for its window alone)
+    for slack in (1.0, 1.5, 2.0, 3.0, 8.0, 2.0 ** 40, 1e100, 1e200, 1e305):
+        try:
+            p = LemmaParams(delta, slack=slack)
+        except ValueError as exc:
+            assert "out of range" in str(exc)
+            with pytest.raises(OverflowError):
+                ref.RiskParams(LemmaParams(delta), scale=slack)
+            continue
+        risk = ref.RiskParams(p, scale=slack)
+        assert (p.risk_threshold, p.risky_allowed) == \
+            (risk.threshold, risk.allowed_max), slack
+        assert type(p.risk_threshold) is int and type(p.risky_allowed) is int
 
 
 @settings(max_examples=150)
@@ -303,7 +339,7 @@ def test_grid_points_match_reference(n, mean):
     cs, _ = properize(g, r2.state, None)
     assert_same_repair(g, cs)
     for scale in (0.0, 1.0, 2.0):
-        assert_same_risky(g, r2.state, p, scale)
+        assert_same_risky(g, r2.state, scale)
     assert_same_select(g, p, seed=3)
 
 
@@ -317,9 +353,8 @@ def test_recolour_matches_reference(n, mean, scale):
     r1 = resample_until_valid(g, p, seed=1, max_rounds=200)
     r2 = stage_two(g, r1.state, p, seed=2, max_rounds=200)
     cs, _ = properize(g, r2.state, None)
-    risk = RiskParams(p, scale=scale)
     h_ids = select_H(g, p, seed=3).edge_ids
-    assert_same_recolour(g, cs, h_ids, r2.state, p, risk)
+    assert_same_recolour(g, cs, h_ids, r2.state, scale)
 
 
 @settings(max_examples=150)
@@ -336,7 +371,7 @@ def test_recolour_matches_reference_on_drawn_graphs(g, seed, top, share,
     state = lemma_state(g, rng, 3)
     state.c1 = rng.integers(1, p.r1 + 1, size=g.n, dtype=np.int64)
     h_ids = np.flatnonzero(rng.random(g.m) < share)
-    assert_same_recolour(g, cs, h_ids, state, p, RiskParams(p, scale=scale))
+    assert_same_recolour(g, cs, h_ids, state, scale)
 
 
 # ---------------------------------------------------------------------------

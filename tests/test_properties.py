@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsdcolour import (Graph, LemmaParams, RiskParams, TotalColouring,
+from nsdcolour import (Graph, LemmaParams, TotalColouring,
                        check_nsd, check_proper, compute_risky,
                        event_scope, properize, recolour_H,
                        repair_small_degree, resample_event,
@@ -184,7 +184,7 @@ def test_sum_shift_locality(g, seed):
     st1 = resample_until_valid(g, p, seed, 0).state
     res = stage_two(g, st1, p, seed + 1, 50)
     cs, _ = properize(g, res.state, None)
-    risky = compute_risky(g, res.state, p, RiskParams(p))
+    risky = compute_risky(g, res.state, params_for(g, slack=1.0))
     sel = select_H(g, p, seed + 2)
     before = vertex_sums(g, cs.vertex_colours, cs.edge_colours)
     cs2, _ = recolour_H(g, cs, sel.edge_ids, risky)
