@@ -241,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["permissive", "strict"],
                    default="permissive")
-    p.add_argument("--slack", type=float, default=2.0)
+    p.add_argument("--slack", type=float, default=2.0,
+                   help="permissive cap multiplier; strict mode ignores it")
     p.add_argument("--rounds", type=_at_least(0), default=200)
     p.add_argument("--retries", type=_at_least(0), default=3)
     p.add_argument("--span-cap", type=_at_least(0), default=None)

@@ -1,13 +1,16 @@
 """Exact minimum palette computation for sum-distinguishing total colourings.
 
 ``solve_exact`` runs a backtracking search per connected component with a
-BFS object ordering (each vertex immediately before its edges back to
-already-visited vertices), properness pruning, a sum prune once both
-endpoint sums are final, and a pin of each component root's colour to 1.
-The pin is a restriction, not a symmetry (permuting colours changes
-weighted degrees), and is not proved: tests/test_exact.py checks with a
-search without it that no connected graph with n <= 5, nor any of a seeded
-sample with n = 6, has a colouring one colour below the reported minimum.
+BFS object ordering from the component's smallest vertex of largest degree
+(each vertex immediately before its edges back to already-visited
+vertices), properness pruning, and a sum prune once both endpoint sums are
+final. The prunes drop only colours that no valid colouring can use there,
+and every level, the root's included, tries the whole palette, so a palette
+the search refutes has no valid colouring. The palette k rises from each
+component's ``_lower_bound`` (two proved bounds above max degree + 1), so
+each chi is proved: the bound, or the first palette after the search
+refuted every one from the bound up, with a witness. Each k is searched
+afresh; the bound and the root change only nodes_explored and the witness.
 
 The order is fixed, so each component gets a plan once, for every k: each
 vertex carries its neighbours placed before it, and each edge the sum
@@ -17,12 +20,7 @@ bans the one colour sums[w] - sums[x], and a level's free colours are a
 bitmask, taken lowest first. The search keeps its own stack, so no graph
 meets Python's recursion limit. nodes_explored counts the colours each
 level visit tries in ascending order, banned ones included, by arithmetic:
-a visit that ends holding colour c adds c, one that runs out adds k, or 1
-at the pinned root.
-
-The palette bound k rises from each component's ``_lower_bound``, which
-adds two proved bounds above max degree + 1; each k is searched afresh, so
-starting higher changes nodes_explored and nothing else.
+a visit that ends holding colour c adds c, and one that runs out adds k.
 
 ``solve_exact`` can share work between isomorphic graphs through a class
 table that the caller owns and passes in (``conjecture_sweep`` makes a fresh
@@ -45,6 +43,7 @@ from itertools import permutations
 
 import numpy as np
 
+from . import graph
 from .graph import Graph, connected_components
 from .colouring import TotalColouring, _check_shapes, check_nsd, check_proper
 
@@ -131,8 +130,7 @@ def _solve_component(plan: list[tuple], k: int, vc: list[int],
     full = (2 << k) - 2
     depth = len(plan)
     free_at, bit_at = [0] * depth, [0] * depth
-    nodes = i = 0
-    free = 2   # the component root is pinned to colour 1
+    free, nodes, i = full, 0, 0
     eid, u, v, extra, pair = plan[0]
     while True:
         if free:
@@ -167,7 +165,7 @@ def _solve_component(plan: list[tuple], k: int, vc: list[int],
                             banned |= 1 << d
             free = full & ~banned
         else:
-            nodes += k if i else 1
+            nodes += k
             i -= 1
             if i < 0:
                 return False, nodes
@@ -315,13 +313,14 @@ def _orbit(g: Graph) -> tuple[int, np.ndarray]:
     return int(canon[mask]), labelling[mask]
 
 
-def _invalid_witnesses(graphs: tuple[Graph, ...],
-                       ws: tuple[TotalColouring, ...]) -> set[int]:
-    """Indices of the witnesses ws that fail on their graphs: a colour out
+def _flag_invalid_witnesses(block: list[tuple]) -> None:
+    """Mark the row of each (row, graph, witness) in block whose witness
+    fails on its graph, then empty block. A witness fails with a colour out
     of 1..its own k, or a violation from one check_proper and one check_nsd
     on the disjoint union, coloured with each colour clamped into its own
     range (which moves only failing witnesses). Its edge ids are the graphs'
     in turn, as each graph's keys are sorted and shifts rise."""
+    rows, graphs, ws = zip(*block)
     ns, ms, ks = zip(*[(g.n, g.m, w.k) for g, w in zip(graphs, ws)])
     offsets = np.cumsum((0, *ns))
     shift = np.repeat(offsets[:-1], ms)
@@ -338,7 +337,9 @@ def _invalid_witnesses(graphs: tuple[Graph, ...],
     vertices = [x if isinstance(x, int) else x[0] for x in firsts]
     vertices += np.flatnonzero(colouring.vertex_colours != vc).tolist()
     vertices += union.edge_u[colouring.edge_colours != ec].tolist()
-    return set((np.searchsorted(offsets, vertices, side="right") - 1).tolist())
+    for i in (np.searchsorted(offsets, vertices, side="right") - 1).tolist():
+        rows[i]["verdict"] = "error:invalid-witness"
+    block.clear()
 
 
 def conjecture_sweep(graphs, k_max_extra: int = 5) -> list[dict]:
@@ -348,12 +349,17 @@ def conjecture_sweep(graphs, k_max_extra: int = 5) -> list[dict]:
     and the sweep continues. k_max per graph is max_degree + k_max_extra so a
     bound violation would still report the true value. Isomorphic graphs
     share one search through a class table that lives for this call only;
-    every witness is verified on its graph, all in one verifier pass.
+    every witness is verified on its graph, one verifier pass per block of
+    rows whose union fits in a Graph and in 2^16 vertices.
     """
     rows: list[dict] = []
     classes: dict = {}
-    solved: list[tuple[dict, Graph, TotalColouring]] = []
+    block: list[tuple[dict, Graph, TotalColouring]] = []
+    size, limit = 0, min(1 << 16, graph.MAX_VERTICES)   # 2^16 caps a pass's memory
     for gid, g in graphs:
+        if block and size + g.n > limit:
+            _flag_invalid_witnesses(block)
+            size = 0
         bound = g.max_degree + 3
         row = {
             "graph_id": gid,
@@ -374,12 +380,11 @@ def conjecture_sweep(graphs, k_max_extra: int = 5) -> list[dict]:
                 row["chi_sum_total"] = res.chi_sum_total
                 row["verdict"] = "pass" if res.chi_sum_total <= bound else "fail"
                 _check_shapes(g, res.witness)
-                solved.append((row, g, res.witness))
+                block.append((row, g, res.witness))
+                size += g.n
         except Exception as exc:  # keep sweeping; record the failure
             row["verdict"] = f"error:{type(exc).__name__}"
         rows.append(row)
-    if solved:
-        checked, graphs, witnesses = zip(*solved)
-        for i in _invalid_witnesses(graphs, witnesses):
-            checked[i]["verdict"] = "error:invalid-witness"
+    if block:
+        _flag_invalid_witnesses(block)
     return rows

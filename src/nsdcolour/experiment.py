@@ -68,7 +68,7 @@ def _parse_kv(kind: str, body: str, keys: tuple[str, ...]) -> list[str]:
     out = {}
     for part in body.split(","):
         if "=" not in part:
-            raise ValueError(f"expected key=value, got {part!r}")
+            raise ValueError(f"{kind} family spec expects key=value, got {part!r}")
         k, v = (x.strip() for x in part.split("=", 1))
         if k not in keys:
             raise ValueError(f"{kind} family spec has unknown key {k!r}")

@@ -10,7 +10,6 @@ list, each vertex's neighbours aligned with its incident edge ids.
 from __future__ import annotations
 
 import re
-from collections import deque
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -435,26 +434,23 @@ def generate(kind: str, *, n: int, p: float | None = None, d: int | None = None,
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists of the connected components, each BFS-ordered from its
-    smallest vertex; components sorted by smallest vertex."""
+    smallest vertex of largest degree; components sorted by smallest vertex."""
     far, _, ends = g.incidences()
     far, bounds = far.tolist(), [0, *ends.tolist()]
     seen = [False] * g.n
     comps: list[list[int]] = []
-    for root in range(g.n):
+    for root in np.argsort(-g.degrees, kind="stable").tolist():
         if seen[root]:
             continue
         order = [root]
         seen[root] = True
-        q = deque([root])
-        while q:
-            v = q.popleft()
+        for v in order:   # order grows as it is read: the BFS queue
             for u in far[bounds[v]:bounds[v + 1]]:
                 if not seen[u]:
                     seen[u] = True
                     order.append(u)
-                    q.append(u)
         comps.append(order)
-    return comps
+    return sorted(comps, key=min)
 
 
 def _connected_masks(n: int, pairs: list[tuple[int, int]]) -> Iterator[int]:

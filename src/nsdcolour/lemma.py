@@ -276,14 +276,11 @@ def _heavy(counts: np.ndarray, cap: int) -> list[tuple[int, int]]:
 def _alphas(g: Graph, st: LemmaState, p: LemmaParams, large: np.ndarray) -> np.ndarray:
     """Interval index per large vertex (0 elsewhere); exact integer arithmetic."""
     out = np.zeros(g.n, dtype=np.int64)
-    if p.interval_len <= 0:
-        return out
-    num, den = p.interval_len.numerator, p.interval_len.denominator
-    twice_num = 2 * num
-    s2 = p.score2_array(g.degrees, st.c1)
-    for v in np.nonzero(large & (g.degrees > 0))[0]:
-        scaled = int(s2[v]) * den
-        out[v] = (scaled + twice_num - 1) // twice_num
+    if p.interval_len > 0:
+        num, den = p.interval_len.numerator, p.interval_len.denominator
+        sel = large & (g.degrees > 0)   # big-int arithmetic only where needed
+        s2 = p.score2_array(g.degrees, st.c1)[sel].astype(object)   # no int64 wrap
+        out[sel] = (s2 * den + 2 * num - 1) // (2 * num)
     return out
 
 

@@ -3,8 +3,11 @@ the per-vertex-list rewrite.
 
 ``_component_objects``, ``_solve_component`` and ``solve_exact`` below are
 kept verbatim (only the imports differ) so that tests/test_exact.py can check
-that nsdcolour.exact.solve_exact explores the same number of nodes and
-returns the same witnesses. They are test oracles, not part of the package.
+that nsdcolour.exact.solve_exact returns the same optima and witnesses, and
+the same node counts on graphs where no palette from the lower bound up is
+refuted. This search still pins each component root to colour 1, which the
+package's search no longer does. They are test oracles, not part of the
+package.
 """
 
 from __future__ import annotations

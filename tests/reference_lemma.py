@@ -8,8 +8,9 @@ rebuilt on shared tally kernels and PropertyReport stopped storing verdicts.
 tests/test_lemma_equivalence.py can check that nsdcolour.lemma returns the
 same violators, verdicts, rounds and states. ``Stage2Result`` is the old
 definition, with the ten-property report that stage two built before the
-package stopped building it. They are test oracles, not part of the
-package.
+package stopped building it. ``_alphas`` is the per-vertex loop that
+computed the property VI interval indices before they became one
+object-array expression. They are test oracles, not part of the package.
 """
 
 from __future__ import annotations
@@ -20,8 +21,22 @@ import numpy as np
 
 from nsdcolour.graph import Graph
 from nsdcolour.lemma import (ALL_PROPERTIES, STAGE_ONE_PROPERTIES, LemmaParams,
-                             LemmaState, ResampleResult, _alphas,
-                             _sample_with_rng, _sum_colours, event_scope)
+                             LemmaState, ResampleResult, _sample_with_rng,
+                             _sum_colours, event_scope)
+
+
+def _alphas(g: Graph, st: LemmaState, p: LemmaParams, large: np.ndarray) -> np.ndarray:
+    """Interval index per large vertex (0 elsewhere); exact integer arithmetic."""
+    out = np.zeros(g.n, dtype=np.int64)
+    if p.interval_len <= 0:
+        return out
+    num, den = p.interval_len.numerator, p.interval_len.denominator
+    twice_num = 2 * num
+    s2 = p.score2_array(g.degrees, st.c1)
+    for v in np.nonzero(large & (g.degrees > 0))[0]:
+        scaled = int(s2[v]) * den
+        out[v] = (scaled + twice_num - 1) // twice_num
+    return out
 
 
 @dataclass

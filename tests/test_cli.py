@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -36,7 +38,7 @@ def test_gen_stdout_deterministic(capsys):
     assert first.startswith("p edge 12 ")
 
 
-def test_verify_valid_is_silent(tmp_path, capsys):
+def test_verify_valid_is_silent(tmp_path, capsys, monkeypatch):
     gpath = write_k3(tmp_path)
     g = complete_graph(3)
     col = greedy_nsd(g)
@@ -44,6 +46,10 @@ def test_verify_valid_is_silent(tmp_path, capsys):
     cpath.write_text(write_colouring(g, col))
     rc = main(["verify", gpath, str(cpath)])
     assert rc == 0
+    assert capsys.readouterr().out == ""
+    # "-" reads the colouring from stdin
+    monkeypatch.setattr(sys, "stdin", io.StringIO(write_colouring(g, col)))
+    assert main(["verify", gpath, "-"]) == 0
     assert capsys.readouterr().out == ""
 
 
@@ -551,6 +557,10 @@ def test_out_of_memory_is_usage_error():
 def test_gen_rejects_bad_combination(capsys):
     rc = main(["gen", "--kind", "random", "--n", "10"])
     assert rc == 2
+    rc = main(["gen", "--kind", "regular", "--n", "6", "--seed", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err.endswith(
+        "error: regular graphs need d and seed\n")
 
 
 def test_verify_rejects_wrong_shape_colouring(tmp_path, capsys):

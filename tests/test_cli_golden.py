@@ -15,10 +15,14 @@ neighbourhood was read through ``Graph.incidences``: ``exact --json
 rounds, so ``event_scope`` runs) and an exact-solver experiment over
 ``complete:2..5`` and ``cycle:3..7``. ``sweep`` over ``connected<=5`` has
 a digest recorded before the exact search became iterative. ``exact --json``
-on the 6-vertex graph (46 nodes) and on K5 (4,318 nodes) print the node
-count, so their digests were recorded again when the search began at each
-component's proved lower bound; the witness, the sweeps and the experiment
-kept theirs. The ``construct --report`` digest was recorded again when each
+on the 6-vertex graph and on K5 (4,318 nodes) print the node count, so their
+digests were recorded again when the search began at each component's
+proved lower bound; the witness, the sweeps and the experiment kept theirs.
+Both exact digests on the 6-vertex graph were recorded again when each
+component's search began to run from its smallest vertex of largest degree
+and stopped pinning that root's colour: it prints 44 nodes where it printed
+46, and its witness is the one found from vertex 2 (1-based, degree 4), not
+vertex 1. K5, the sweeps and the experiment kept theirs. The ``construct --report`` digest was recorded again when each
 attempt stopped reporting ``relifts`` and ``reserve_grew``, which were always
 0 and false; every other line of the report kept its bytes.
 
@@ -52,9 +56,9 @@ DIGESTS = {
     "greedy colouring": "3a952b667817b151589de61675a811985abe25e8798679aca0bec489757cc690",
     "construct --greedy stdout": "75ceda62b3df18ee9676104fe3aa2ed04b69c5a850030350fee99fd640a3c2f3",
     "exact --json stdout":
-        "c3370883a2cb7be18f84675413d41f619c0abbba1664f65ed021c7c958a52f80",
+        "9ca5909d5b4ed779750d6620501a4ab83a06e54687042912c901d6bccbba1e66",
     "exact witness":
-        "be38da3348ec9a5e407e708217164a988d9c1c7dbaa0699a8744ef36c998deb9",
+        "b32db266346602c127ac61850efdd2e5f85fa4fcc8bc588d5ecee7fad7a4ab33",
     "sweep connected<=4":
         "f0c92c8810c36e5a152bd0c37c1368130369189cc43ae3130748edcb64713e0e",
     "lemma stdout":

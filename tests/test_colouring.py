@@ -109,6 +109,19 @@ def test_non_integer_colours_refused(vc, ec, name):
     assert str(exc.value) == f"{name} colours must be integers"
 
 
+def test_colourings_of_the_wrong_shape_refused():
+    for vc, ec, name in (([[1, 2]], [], "vertex"), ([1, 2], [[3]], "edge")):
+        with pytest.raises(ColouringError) as exc:
+            TotalColouring(vc, ec, 3)
+        assert str(exc.value) == f"{name} colours must be one-dimensional"
+    k2 = colouring([1, 2], [3], 3)   # a colouring of another graph
+    for check in (check_proper, check_nsd, weighted_degrees):
+        with pytest.raises(ColouringError) as exc:
+            check(complete_graph(3), k2)
+        assert str(exc.value) == (
+            "colouring shape (2, 1) does not match graph (3, 3)")
+
+
 def test_integer_colours_of_any_width_are_kept():
     c = TotalColouring(np.array([1, 2], dtype=np.uint8), [3], 3)
     assert c == colouring([1, 2], [3], 3) and c.vertex_colours.dtype == "int64"

@@ -12,6 +12,7 @@ from brute import (EnumerationGuardError, brute_force_chi,
                    enumerate_labelled_graphs)
 from reference_graph import ViewGraph
 import nsdcolour.exact as exact
+import nsdcolour.graph as graphmod
 from nsdcolour import (Graph, TotalColouring, check_nsd, check_proper,
                        complete_graph, conjecture_sweep, connected_components,
                        cycle_graph, enumerate_connected_graphs, is_valid,
@@ -120,23 +121,28 @@ def test_solver_matches_reference_search():
     # every labelled graph with n <= 5 plus seeded 6-vertex graphs, with room
     # to spare (max degree + 8) and with a budget that often runs out (+1);
     # then K6, K5 + K3, and K5 with a pendant edge + K3, whose K3 is searched
-    # after the first component failed at k = 6. The frozen search is driven
-    # one palette at a time from max degree + 1, as its solve_exact drives
-    # it: it must find nothing below each component's _lower_bound, so the
-    # bound never exceeds chi on these graphs, and the solver's nodes must be
-    # its nodes from that bound on.
+    # after the first component failed at k = 6. The frozen search pins each
+    # component root to colour 1 and is driven one palette at a time from
+    # max degree + 1, as its solve_exact drives it: it must find nothing
+    # below each component's _lower_bound, and the solver must return its
+    # chi, witnesses and give-ups. The pin is a restriction, so every palette
+    # the frozen search refutes from the bound on must also have no colouring
+    # in the search without it, and node totals are compared only on graphs
+    # with no such palette: there both searches stop at the same first
+    # colouring, whose root has colour 1.
     graphs = [g for n in range(6) for g in enumerate_labelled_graphs(n)]
     graphs += seeded_graphs(6, 30, seed=5)
     graphs += [complete_graph(6),
                Graph(8, [*complete_graph(5).edges, (5, 6), (5, 7), (6, 7)]),
                Graph(9, [*complete_graph(5).edges, (4, 5), (6, 7), (6, 8),
                          (7, 8)])]
+    unpinned, compared = {}, 0
     for g in graphs:
         viewed = ViewGraph(g)
         nbrs = _neighbourhoods(g)[0]
         for k_max in (g.max_degree + 8, g.max_degree + 1):
-            chi, nodes, witness = 1, 0, (np.zeros(g.n, dtype=np.int64),
-                                         np.zeros(g.m, dtype=np.int64))
+            chi, nodes, refuted = 1, 0, False
+            witness = np.zeros(g.n, dtype=np.int64), np.zeros(g.m, dtype=np.int64)
             for comp in connected_components(g):
                 bound = _lower_bound(nbrs, comp)
                 delta = max(viewed.degree(v) for v in comp)
@@ -145,10 +151,16 @@ def test_solver_matches_reference_search():
                     found = ref._solve_component(viewed, comp, k, counter)
                     if k < bound:
                         assert found is None, (g.edges, k)
-                    else:
-                        nodes += counter[0]
+                        continue
+                    nodes += counter[0]
                     if found is not None:
                         break
+                    refuted = True
+                    sub = induced(g, comp)
+                    key = orbit_key(sub)[0], k
+                    if key not in unpinned:
+                        unpinned[key] = unpinned_colourable(sub, k)
+                    assert not unpinned[key], (g.edges, k)
                 if found is None:
                     chi = witness = None
                     break
@@ -157,9 +169,11 @@ def test_solver_matches_reference_search():
                     for i, c in placed.items():
                         colours[i] = c
             new = solve_exact(g, k_max)
-            assert (new.chi_sum_total, new.nodes_explored, new.exceeded_k_max,
-                    new.k_max) == (chi, nodes, chi is None,
-                                   k_max if chi is None else None), g.edges
+            assert (new.chi_sum_total, new.exceeded_k_max, new.k_max) == (
+                chi, chi is None, k_max if chi is None else None), g.edges
+            if not refuted:
+                compared += 1
+                assert new.nodes_explored == nodes, g.edges
             if witness is None:
                 assert new.witness is None
                 continue
@@ -167,6 +181,16 @@ def test_solver_matches_reference_search():
             for a, b in zip((new.witness.vertex_colours,
                              new.witness.edge_colours), witness):
                 assert a.dtype == b.dtype and np.array_equal(a, b), g.edges
+    assert (orbit_key(K5_PENDANT)[0], 6) in unpinned
+    assert compared > len(graphs)
+
+
+def induced(g, comp):
+    """The subgraph of g on the vertices comp, relabelled 0..len(comp)-1 in
+    ascending vertex order."""
+    index = {v: i for i, v in enumerate(sorted(comp))}
+    return Graph(len(comp), [(index[u], index[v]) for u, v in g.edges
+                             if u in index])
 
 
 K5_PENDANT = Graph(6, [*complete_graph(5).edges, (4, 5)])
@@ -208,7 +232,8 @@ def unpinned_colourable(g, k):
     Plain backtracking over the BFS object order of the solver, with only
     the two prunes that are sound by definition: a colour already on a
     neighbour or an incident object, and equal sums on adjacent vertices
-    whose edges are all coloured. No colour is pinned anywhere.
+    whose edges are all coloured. No colour is pinned anywhere, as in the
+    solver and unlike the frozen search of tests/reference_exact.py.
     """
     adj = [[] for _ in range(g.n)]
     for a, b in g.edges:    # lexicographic edges: each list comes out sorted
@@ -266,13 +291,14 @@ def canonical_form(g):
                for perm in itertools.permutations(range(g.n)))
 
 
-def test_root_pin_loses_no_colouring():
-    # solve_exact pins each component root to colour 1. That is a
-    # restriction, not a symmetry (permuting colours changes sums), so check
-    # it: wherever its chi exceeds the lower bound max degree + 1, a search
-    # without the pin must find no colouring at chi - 1 either (and, as a
-    # check on that search, one at chi). Its answer depends only on the
-    # isomorphism class, so it runs once per class and palette.
+def test_palettes_below_chi_have_no_colouring():
+    # each chi is a component's _lower_bound or a palette reached after the
+    # search refuted every palette from the bound up to it. Check it with a
+    # plain search that shares only the BFS order with the solver: wherever
+    # chi exceeds max degree + 1 it finds a colouring at chi and none at
+    # chi - 1, so none below (a colouring in {1..k} is one in {1..k + 1}).
+    # Its answer depends only on the isomorphism class, so it runs once per
+    # class and palette.
     graphs = [g for _, g in enumerate_connected_graphs(5)]
     graphs += seeded_graphs(6, 24, seed=6, connected=True)
     verdicts = {}
@@ -454,6 +480,45 @@ def test_sweep_flags_exactly_the_invalid_witnesses(monkeypatch):
             assert row == ref_row
 
 
+def test_sweep_verifies_in_blocks_that_each_fit_in_a_graph(monkeypatch):
+    # one union of every witness can hold more vertices than a Graph may
+    # (connected<=7 has 13,227,823): with the limit lowered to 50, the 772
+    # rows of connected<=5 are verified in blocks, come out as before, and a
+    # corrupted witness in the last block is still flagged
+    graphs = list(enumerate_connected_graphs(5))
+    clean = conjecture_sweep(graphs)
+    monkeypatch.setattr(graphmod, "MAX_VERTICES", 50)
+    assert conjecture_sweep(graphs) == clean
+    solve, last = exact.solve_exact, graphs[-1][1]
+
+    def corrupting(g, *args, **kwargs):
+        res = solve(g, *args, **kwargs)
+        if g is last:
+            res.witness = corrupted(g, res.witness, "sum-conflict")
+        return res
+
+    monkeypatch.setattr(exact, "solve_exact", corrupting)
+    rows = conjecture_sweep(graphs)
+    assert [i for i, r in enumerate(rows) if r != clean[i]] == [771]
+    assert rows[771]["verdict"] == "error:invalid-witness"
+
+
+def test_sweep_records_a_failing_solve_and_goes_on(monkeypatch):
+    graphs = list(enumerate_connected_graphs(4))
+    clean = conjecture_sweep(graphs)
+    solve = exact.solve_exact
+
+    def failing(g, *args, **kwargs):
+        if g is graphs[5][1]:
+            raise RuntimeError("boom")
+        return solve(g, *args, **kwargs)
+
+    monkeypatch.setattr(exact, "solve_exact", failing)
+    rows = conjecture_sweep(graphs)
+    assert rows[5] == {**clean[5], "chi_sum_total": None, "nodes": 0,
+                       "verdict": "error:RuntimeError"}
+    assert rows[:5] + rows[6:] == clean[:5] + clean[6:]
+
 
 def test_served_witness_is_read_only_and_owns_its_arrays():
     # a served witness skips TotalColouring's copy, so it must neither be
@@ -546,7 +611,7 @@ def test_connected_six_sweep():
     assert (len(rows), len(six)) == (27476, 26704)
     assert all(r["verdict"] == "pass" for r in rows)
     assert (len(searched), sum(r["n"] == 6 for r, _ in searched)) == (143, 112)
-    assert sum(r["nodes"] for r in rows) == 1223622
+    assert sum(r["nodes"] for r in rows) == 7094112
     short = [g for r, g in searched
              if r["chi_sum_total"] > component_bounds(g)[0]]
     assert [orbit_key(g)[0] for g in short] == [

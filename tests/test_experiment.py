@@ -51,6 +51,7 @@ def test_parse_family_rejects_malformed():
     ("regular:n=6,d=2,seeds=1,p=0.5", "regular family spec has unknown key 'p'"),
     ("random:n=5,p=0.3,seeds=1,n=6", "random family spec repeats key 'n'"),
     ("regular: d=2,n=6,d =2,seeds=1", "regular family spec repeats key 'd'"),
+    ("random:n=5,p", "random family spec expects key=value, got 'p'"),
 ])
 def test_parse_family_rejects_unknown_and_repeated_keys(spec, message):
     with pytest.raises(ValueError) as exc:
@@ -73,6 +74,8 @@ def test_spec_round_trip_and_validation():
     assert again == spec
     with pytest.raises(ValueError):
         ExperimentSpec.from_json(json.dumps({"families": []}))
+    with pytest.raises(ValueError, match="^spec lists no graph families$"):
+        ExperimentSpec.from_json(json.dumps({"name": "t"}))
     with pytest.raises(ValueError):
         ExperimentSpec.from_json(json.dumps(
             {"families": ["path:2"], "solver": "quantum"}))

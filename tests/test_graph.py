@@ -123,6 +123,11 @@ def test_generators_shapes():
     assert path_graph(1).m == 0
     with pytest.raises(GenerationError):
         cycle_graph(2)
+    for make in (lambda: path_graph(0), lambda: random_graph(-1, 0.5, 0),
+                 lambda: random_graph(5, 1.5, 0),
+                 lambda: regular_graph(-2, 2, 0)):
+        with pytest.raises(GenerationError):
+            make()
 
 
 def test_random_graph_deterministic():
@@ -170,6 +175,9 @@ def test_generate_dispatch():
         generate("hypercube", n=3)
     with pytest.raises(GenerationError):
         generate("random", n=10)  # p and seed required
+    assert generate("regular", n=6, d=3, seed=0).degrees.tolist() == [3] * 6
+    with pytest.raises(GenerationError):
+        generate("regular", n=6, seed=0)  # d and seed required
 
 
 def test_connectivity_helpers():

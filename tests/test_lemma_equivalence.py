@@ -20,7 +20,7 @@ import reference_lemma as ref
 from nsdcolour import (ALL_PROPERTIES, STAGE_ONE_PROPERTIES, LemmaParams,
                        check_properties, random_graph, resample_event,
                        resample_until_valid, stage_two)
-from nsdcolour.lemma import _first_violation
+from nsdcolour.lemma import _alphas, _first_violation
 from test_acceptance import GRID
 from test_equivalence import graphs, hub_graphs
 
@@ -197,3 +197,18 @@ def test_grid_points_match_reference(n, mean):
     p = LemmaParams(g.max_degree, slack=1.0)
     r1, _ = assert_same_pipeline(g, p, 2026, 200)
     assert r1.rounds > 0
+
+
+@pytest.mark.parametrize("delta", [0, 1, 2, 5, 100, 10**6, 10**12])
+def test_alphas_match_reference(delta):
+    # the parameters' Δ, not the graph's, sets the interval length, so one
+    # small graph reaches every Δ; past int64, score * den needs Python ints
+    g = random_graph(40, 0.3, seed=1)
+    rng = np.random.default_rng(delta)
+    for slack in (1.0, 2.0):
+        p = LemmaParams(delta, slack=slack)
+        state = ref.LemmaState(rng.integers(1, p.r1 + 1, size=g.n), None,
+                               None, None)
+        large = rng.random(g.n) < 0.7
+        new, old = _alphas(g, state, p, large), ref._alphas(g, state, p, large)
+        assert new.dtype == old.dtype and np.array_equal(new, old)
