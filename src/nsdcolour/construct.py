@@ -101,11 +101,11 @@ def _colour_class_edges(g: Graph, ids: np.ndarray, width_hint,
                 a = _lowest_free(mask)
                 b = _lowest_free(used[v])
                 # walk the a/b alternating path from v; flipping it frees a at
-                # v unless the path ends at u. The slots are proper, so the
-                # path never meets a vertex twice
+                # v unless the path ends at u. Proper slots make it a path of
+                # at most len(ids) edges: a longer walk is a cycle, so raise
                 path = []
                 x, want = v, a
-                while True:
+                for _ in range(len(ids) + 1):
                     far, out, _ = g.incidences([x])
                     for y, f in zip(far.tolist(), out.tolist()):
                         i = pos.get(f, top)
@@ -115,6 +115,8 @@ def _colour_class_edges(g: Graph, ids: np.ndarray, width_hint,
                         break       # x has no edge of slot want
                     path.append(i)
                     x, want = y, want ^ a ^ b
+                else:
+                    raise RuntimeError("slots not proper: the walk cycles")
                 # a path that ends at u keeps the overflow slot; a flipped
                 # path changes which of a and b its two ends hold, and no
                 # other vertex's slots

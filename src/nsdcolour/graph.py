@@ -109,8 +109,8 @@ class Graph:
     def endpoint_counts(self, edges) -> np.ndarray:
         """How many of the edges (an edge mask, edge ids or a slice) meet
         each vertex, as int64."""
-        ends = np.concatenate([self.edge_u[edges], self.edge_v[edges]])
-        return np.bincount(ends, minlength=self.n).astype(np.int64, copy=False)
+        return sum(np.bincount(ends[edges], minlength=self.n) for ends in
+                   (self.edge_u, self.edge_v)).astype(np.int64, copy=False)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:

@@ -38,10 +38,11 @@ Checked per vertex v (d = degree, "large" means 3d >= D):
   4°   the uniformly redrawn edges carry no colour more than
        2 D^{1/3} ln^{2/3} D times per vertex
 
-The checker runs on three kernels: a (vertex, value) tally and its list of
-over-cap cells (1°a, 2°, IV, VI, 3°, 4°); a spread test for I and II, on a
-tally r + 1 wide, since a colour seen zero times can stray too; and
-Graph.endpoint_counts, the per-vertex count of an edge mask (III, 1°b).
+Every count runs on one (vertex, value) tally over edge blocks, one endpoint
+side at a time. A count never passes a degree, so a cap (1°-4°, III, IV, VI)
+is tallied only at vertices of larger degree, and not at all when the max
+degree is at most the cap; I and II tally r + 1 wide at the large vertices,
+since a colour seen zero times can stray too.
 
 Resampling follows the usual algorithmic local-lemma discipline: sweep
 vertices in index order, find the first violated event, redraw exactly the
@@ -62,6 +63,7 @@ STAGE_ONE_PROPERTIES = ("I", "II", "VI", "1°", "2°")
 ALL_PROPERTIES = ("I", "II", "III", "IV", "V", "VI", "1°", "2°", "3°", "4°")
 # the property ids whose violators are reported under more than one key
 _PARTS = {"1°": ("1°a", "1°b")}
+_EDGE_BLOCK = 1 << 16   # edges per block of a tally
 
 
 class InfeasibleStrictError(ValueError):
@@ -244,33 +246,48 @@ class PropertyReport:
 # ---------------------------------------------------------------------------
 # tally kernels
 
-def _tally(n: int, centers: np.ndarray, values: np.ndarray,
-           width: int | None = None) -> np.ndarray:
-    """Count table of (centre, value) pairs: row v, column x-1 counts the
-    pairs (v, x) for x in 1..width-1; width defaults to the largest x + 1."""
-    if width is None:
-        width = int(values.max(initial=0)) + 1
-    return np.bincount(centers * width + values,
-                       minlength=n * width).reshape(n, width)[:, 1:]
+def _tally(g: Graph, rows: np.ndarray, vals: np.ndarray, far: bool,
+           width: int, ids=None) -> np.ndarray:
+    """Count table at the ascending vertices rows: row i, column x-1 counts
+    the edges at rows[i] of value x in 1..width-1, from vals per edge or, if
+    far, per vertex at the far end. The edges are ids (default all), read one
+    block and one endpoint side at a time."""
+    # each vertex's first cell; the row past rows collects every other vertex
+    base = np.full(g.n, rows.size * width, dtype=np.int64)
+    base[rows] = np.arange(0, rows.size * width, width)
+    table = np.zeros((rows.size + 1) * width, dtype=np.int64)
+    total = g.m if ids is None else len(ids)
+    step = max(_EDGE_BLOCK, table.size)   # every bincount spans the table
+    for lo in range(0 if rows.size else total, total, step):
+        e = slice(lo, lo + step) if ids is None else ids[lo:lo + step]
+        for near, other in ((g.edge_u, g.edge_v), (g.edge_v, g.edge_u)):
+            x = vals[other[e]] if far else vals[e]
+            table += np.bincount(base[near[e]] + x, minlength=table.size)
+    return table.reshape(rows.size + 1, width)[:-1, 1:]
 
 
-def _cells(bad: np.ndarray) -> list[tuple[int, int]]:
-    """The (vertex, value) cells set in a mask over a tally, row-major."""
-    rows, cols = np.nonzero(bad)
-    return list(zip(rows.tolist(), (cols + 1).tolist()))
+def _cells(rows: np.ndarray, bad: np.ndarray) -> list[tuple[int, int]]:
+    """The (vertex, value) cells set in a mask of a tally at rows, row-major."""
+    i, cols = np.nonzero(bad)
+    return list(zip(rows[i].tolist(), (cols + 1).tolist()))
 
 
-def _spread(n: int, centers, values, r: int, deg, large, cap: int):
-    """Large-vertex cells whose count strays from d/r, as |r*count - d| > cap,
-    over all r colours: a colour seen zero times strays too."""
-    off = np.abs(r * _tally(n, centers, values, r + 1) - deg[:, None]) > cap
-    return _cells(off & large[:, None])
+def _over_cap(g: Graph, cap: int, vals: np.ndarray, far: bool = False,
+              at=True, ids=None) -> list[tuple[int, int]]:
+    """Cells counted more than cap times, tallied only at the vertices in at
+    whose degree passes cap: a count never passes its vertex's degree."""
+    rows = np.flatnonzero(at & (g.degrees > cap))
+    if not rows.size:
+        return []
+    cnt = _tally(g, rows, vals, far, int(vals.max(initial=0)) + 1, ids)
+    return _cells(rows, cnt > cap)
 
 
-def _heavy(counts: np.ndarray, cap: int) -> list[tuple[int, int]]:
-    """(vertex, count) for every vertex whose count is over cap."""
-    over = np.flatnonzero(counts > cap)
-    return list(zip(over.tolist(), counts[over].tolist()))
+def _heavy(g: Graph, mask: np.ndarray, cap: int) -> list[tuple[int, int]]:
+    """(vertex, count) for every vertex with more than cap edges in mask."""
+    rows = np.flatnonzero(g.degrees > cap)
+    cnt = _tally(g, rows, mask, False, 2)[:, 0]
+    return [(v, c) for v, c in zip(rows.tolist(), cnt.tolist()) if c > cap]
 
 
 def _alphas(g: Graph, st: LemmaState, p: LemmaParams, large: np.ndarray) -> np.ndarray:
@@ -299,42 +316,38 @@ def check_properties(g: Graph, st: LemmaState, p: LemmaParams,
         if ("3°" in properties or "4°" in properties) and h3_edge_ids is None:
             raise ValueError("3°/4° need the redrawn edge set")
 
-    n, caps, deg = g.n, p.caps, g.degrees
-    large = 3 * deg >= p.delta
+    caps = p.caps
+    large = 3 * g.degrees >= p.delta
     eu, ev = g.edge_u, g.edge_v
-    # every edge twice, once seen from each end
-    centers = np.concatenate([eu, ev])
-    others = np.concatenate([ev, eu])
     svals = _sum_colours(g, st)
     viol: dict[str, list[tuple[int, int]]] = {}
 
     for q in properties:
         if q in ("I", "II"):
-            r, vals = ((p.r1, st.c1[others]) if q == "I"
-                       else (p.r2, np.tile(st.c2, 2)))
-            viol[q] = _spread(n, centers, vals, r, deg, large, caps[q])
+            r, vals, far = ((p.r1, st.c1, True) if q == "I"
+                            else (p.r2, st.c2, False))
+            # |r*count - d| over all r colours: a colour seen 0 times strays too
+            rows = np.flatnonzero(large)
+            off = r * _tally(g, rows, vals, far, r + 1) - g.degrees[rows, None]
+            viol[q] = _cells(rows, np.abs(off) > caps[q])
         elif q == "VI":
-            alpha = _alphas(g, st, p, large)
-            mask = large[centers] & large[others]
-            cnt = _tally(n, centers[mask], alpha[others[mask]])
-            viol[q] = _cells(cnt > caps[q])
+            viol[q] = (_over_cap(g, caps[q], _alphas(g, st, p, large), True,
+                                 large) if g.max_degree > caps[q] else [])
         elif q == "1°":
-            cnt = _tally(n, centers, np.tile(svals, 2))
-            viol["1°a"] = _cells(cnt > caps["1°a"])
+            viol["1°a"] = _over_cap(g, caps["1°a"], svals)
             hit = (svals == st.c3v[eu]) | (svals == st.c3v[ev])
-            viol["1°b"] = _heavy(g.endpoint_counts(hit), caps["1°b"])
+            viol["1°b"] = _heavy(g, hit, caps["1°b"])
         elif q == "2°":
-            viol[q] = _cells(_tally(n, centers, st.c3v[others]) > caps[q])
+            viol[q] = _over_cap(g, caps[q], st.c3v, True)
         elif q == "III":
-            viol[q] = _heavy(g.endpoint_counts(st.c3e != svals), caps[q])
+            viol[q] = _heavy(g, st.c3e != svals, caps[q])
         elif q in ("IV", "3°", "4°"):
-            sel = slice(None)
+            ids = None
             if q != "IV":
                 in_h3 = np.zeros(g.m, dtype=bool)
                 in_h3[np.asarray(h3_edge_ids, dtype=np.int64)] = True
-                sel = np.tile(in_h3 if q == "4°" else ~in_h3, 2)
-            cnt = _tally(n, centers[sel], np.tile(st.c3e, 2)[sel])
-            viol[q] = _cells(cnt > caps[q])
+                ids = np.flatnonzero(in_h3 == (q == "4°"))
+            viol[q] = _over_cap(g, caps[q], st.c3e, ids=ids)
         elif q == "V":
             u = eu[(st.c3v[eu] == st.c3v[ev]) & (st.c3e != st.c3v[eu])]
             viol[q] = list(zip(u.tolist(), st.c3v[u].tolist()))
@@ -460,18 +473,18 @@ def stage_two(g: Graph, st: LemmaState, p: LemmaParams, seed: int,
 
     cap4 = p.caps["4°"]
     h3_u, h3_v = g.edge_u[h3_ids], g.edge_v[h3_ids]
-    h3_ends = np.concatenate([h3_u, h3_v])
-    rounds = 0
-    valid = True
-    while h3_ids.size:
-        cnt = _tally(g.n, h3_ends, np.tile(c3e[h3_ids], 2), p.r3 + 1)
+    # only a vertex holding more than cap4 redrawn edges can fail 4°
+    rows = np.flatnonzero(g.endpoint_counts(h3_ids) > cap4)
+    rounds, valid = 0, True
+    while rows.size:
+        cnt = _tally(g, rows, c3e, False, p.r3 + 1, h3_ids)
         over = np.flatnonzero((cnt > cap4).any(axis=1))
         if over.size == 0:
             break
         if rounds >= max_rounds:
             valid = False
             break
-        v = int(over[0])
+        v = int(rows[over[0]])
         mine = h3_ids[(h3_u == v) | (h3_v == v)]
         c3e[mine] = rng.integers(1, p.r3 + 1, size=mine.size, dtype=np.int64)
         rounds += 1

@@ -6,8 +6,10 @@ kept verbatim (only the imports differ) so that tests/test_exact.py can check
 that nsdcolour.exact.solve_exact returns the same optima and witnesses, and
 the same node counts on graphs where no palette from the lower bound up is
 refuted. This search still pins each component root to colour 1, which the
-package's search no longer does. They are test oracles, not part of the
-package.
+package's search no longer does. ``connected_components`` is a frozen copy of
+the package's, reading the frozen graph's adjacency lists, so the BFS order
+the reference search walks does not follow the package. They are test
+oracles, not part of the package.
 """
 
 from __future__ import annotations
@@ -16,7 +18,27 @@ import numpy as np
 
 from nsdcolour.colouring import TotalColouring
 from nsdcolour.exact import SolveResult
-from nsdcolour.graph import Graph, connected_components
+from nsdcolour.graph import Graph
+
+
+def connected_components(g: Graph) -> list[list[int]]:
+    """Vertex lists of the connected components, each BFS-ordered from its
+    smallest vertex of largest degree over ascending neighbour lists;
+    components sorted by smallest vertex."""
+    seen = [False] * g.n
+    comps: list[list[int]] = []
+    for root in sorted(range(g.n), key=lambda v: -len(g.adjacency[v])):
+        if seen[root]:
+            continue
+        order = [root]
+        seen[root] = True
+        for v in order:   # order grows as it is read: the BFS queue
+            for u in g.adjacency[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    order.append(u)
+        comps.append(order)
+    return sorted(comps, key=min)
 
 
 def _component_objects(g: Graph, comp: list[int]):

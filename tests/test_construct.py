@@ -1,4 +1,5 @@
 import importlib
+import signal
 import tracemalloc
 
 import numpy as np
@@ -657,6 +658,26 @@ def test_edge_kernel_slots_are_proper_and_masks_exact(g, mode, seed):
             assert not want[x] >> s & 1   # proper at x, clear of x's seed
             want[x] |= 1 << s
     assert masks == want
+
+
+def test_edge_kernel_walk_fails_fast_on_a_cycle(monkeypatch):
+    # a lowest-free slot that lies (a = b = 0) sends the alternating-path
+    # walk back and forth over edge (0, 2), a cycle that proper slots never
+    # make; the walk's bound must raise at once, where an unbounded walk
+    # would spin until the alarm fires
+    def alarm(signum, frame):
+        raise TimeoutError("the alternating-path walk did not stop")
+
+    monkeypatch.setattr(construct_mod, "_lowest_free", lambda mask: 0)
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(RuntimeError, match="not proper"):
+            construct_mod._colour_class_edges(
+                Graph(3, [(0, 2), (1, 2)]), np.arange(2), 1)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_uncapped_report_has_no_fallback_reason():

@@ -143,7 +143,7 @@ def test_solver_matches_reference_search():
         for k_max in (g.max_degree + 8, g.max_degree + 1):
             chi, nodes, refuted = 1, 0, False
             witness = np.zeros(g.n, dtype=np.int64), np.zeros(g.m, dtype=np.int64)
-            for comp in connected_components(g):
+            for comp in ref.connected_components(viewed):
                 bound = _lower_bound(nbrs, comp)
                 delta = max(viewed.degree(v) for v in comp)
                 for k in range(delta + 1, k_max + 1):
