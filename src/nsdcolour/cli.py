@@ -72,6 +72,10 @@ def cmd_verify(args) -> int:
 def cmd_exact(args) -> int:
     g = _load_graph(args.graph)
     res = solve_exact(g, k_max=args.k_max)
+    if res.witness is not None and not is_valid(g, res.witness):
+        print("error: the exact solver's witness fails the verifier",
+              file=sys.stderr)
+        return 1
     if args.json:
         sys.stdout.write(json.dumps(res.to_dict(), indent=2, sort_keys=True) + "\n")
     elif res.exceeded_k_max:

@@ -106,15 +106,6 @@ def _check_shapes(g: Graph, c: TotalColouring) -> None:
         )
 
 
-def vertex_sums(g: Graph, vc: np.ndarray, ec: np.ndarray) -> np.ndarray:
-    """Each vertex's colour plus its incident edge colours, from raw arrays:
-    int64 sums, or exact Python-int sums when both arrays are object arrays."""
-    s = vc.astype(object if vc.dtype == object else np.int64)
-    np.add.at(s, g.edge_u, ec)
-    np.add.at(s, g.edge_v, ec)
-    return s
-
-
 def weighted_degrees(g: Graph, c: TotalColouring) -> np.ndarray:
     """Array of weighted degrees: own colour plus incident edge colours.
 
@@ -123,10 +114,12 @@ def weighted_degrees(g: Graph, c: TotalColouring) -> np.ndarray:
     object array; every other colouring takes the int64 path.
     """
     _check_shapes(g, c)
-    vc, ec = c.vertex_colours, c.edge_colours
-    if c.k * (g.max_degree + 1) >= 2 ** 63:
-        vc, ec = vc.astype(object), ec.astype(object)
-    return vertex_sums(g, vc, ec)
+    kind = object if c.k * (g.max_degree + 1) >= 2 ** 63 else np.int64
+    s = c.vertex_colours.astype(kind)
+    ec = c.edge_colours.astype(kind, copy=False)
+    np.add.at(s, g.edge_u, ec)
+    np.add.at(s, g.edge_v, ec)
+    return s
 
 
 def _edge_pairs(g: Graph, ids: np.ndarray) -> list[tuple[int, int]]:

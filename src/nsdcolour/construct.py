@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .colouring import (TotalColouring, check_nsd, check_proper, is_valid,
-                        vertex_sums)
+                        weighted_degrees)
 from .graph import Graph, sorted_unique
 from .lemma import LemmaParams, LemmaState, check_slack, resample_until_valid, stage_two
 
@@ -298,7 +298,7 @@ def recolour_H(g: Graph, state: TotalColouring, h_edge_ids,
     ec = state.edge_colours.copy()
     if not h_ids:
         return _spanned(state.vertex_colours, ec), ReserveInfo(base, 0, 0)
-    sums = vertex_sums(g, state.vertex_colours, state.edge_colours).tolist()
+    sums = weighted_degrees(g, state).tolist()
     us, vs = g.edge_u[h_ids].tolist(), g.edge_v[h_ids].tolist()
     rdeg = g.endpoint_counts(risky)
     planned = (int((rdeg[us] + rdeg[vs]).max())
@@ -345,7 +345,7 @@ def recolour_H(g: Graph, state: TotalColouring, h_edge_ids,
                                                            top_used)
 
 
-def _clear_sum_ties(g: Graph, vc, ec: np.ndarray,
+def _clear_sum_ties(g: Graph, state: TotalColouring,
                     keep: np.ndarray) -> tuple[TotalColouring, int]:
     """Recolour each vertex of the mask keep whose sum equals a neighbour's,
     in ascending order; returns the colouring and how many vertices moved.
@@ -356,16 +356,13 @@ def _clear_sum_ties(g: Graph, vc, ec: np.ndarray,
     tie at the start never gets one: only the endpoints of edges whose sums
     are equal at the start are scanned.
     """
-    vc = np.asarray(vc, dtype=np.int64)
-    sums = vertex_sums(g, vc, ec)
-    tie = sums[g.edge_u] == sums[g.edge_v]
-    tied = np.zeros(g.n, dtype=bool)
-    tied[g.edge_u[tie]] = True
-    tied[g.edge_v[tie]] = True
+    sums = weighted_degrees(g, state)
+    tied = g.endpoint_counts(sums[g.edge_u] == sums[g.edge_v]) > 0
     verts = np.flatnonzero(tied & keep)
     far, ids, ends = g.incidences(verts)
+    ec = state.edge_colours
     far, cols, sums = far.tolist(), ec[ids].tolist(), sums.tolist()
-    vc = vc.tolist()
+    vc = state.vertex_colours.tolist()
     moved = 0
     start = 0
     for v, end in zip(verts.tolist(), ends.tolist()):
@@ -396,8 +393,7 @@ def repair_small_degree(g: Graph,
     colours, and every neighbour's current sum. A vertex colour appears in
     no other vertex's sum, so a repair never creates a new clash elsewhere.
     """
-    return _clear_sum_ties(g, state.vertex_colours, state.edge_colours,
-                           3 * g.degrees < g.max_degree)
+    return _clear_sum_ties(g, state, 3 * g.degrees < g.max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +415,7 @@ def greedy_nsd(g: Graph) -> TotalColouring:
     vc = _first_fit(g, order[order < g.m], [1] * g.n)   # bit 0: colours from 1
     ec, _ = _colour_class_edges(g, np.arange(g.m), None,
                                 [1 | 1 << c for c in vc])
-    return _clear_sum_ties(g, vc, np.array(ec, dtype=np.int64),
+    return _clear_sum_ties(g, _spanned(vc, np.array(ec, dtype=np.int64)),
                            np.ones(g.n, dtype=bool))[0]
 
 

@@ -29,8 +29,8 @@ import numpy as np
 
 from .construct import ConstructConfig, construct, reference_span_bound
 from .exact import conjecture_sweep
-from .graph import (GenerationError, Graph, enumerate_connected_graphs,
-                    generate, random_graph, regular_graph)
+from .graph import (Graph, enumerate_connected_graphs, generate,
+                    random_graph, regular_graph)
 
 SCHEMA_VERSION = 1
 
@@ -251,27 +251,24 @@ def _solve_one(graph: Graph, graph_id: str, run_index: int,
         verdict=verdict, wall_time_s=time.perf_counter() - t0, report=report)
 
 
-def _solve_one_star(args) -> RunRecord:
-    return _solve_one(*args)
-
-
 def run_experiment(spec: ExperimentSpec, workers: int | None = None
                    ) -> tuple[list[RunRecord], dict]:
     """Run every (family graph, run) and aggregate. Output order follows run
     index regardless of worker count."""
     graphs = [pair for fam in spec.families for pair in parse_family(fam)]
-    jobs = [(graph, graph_id, idx, spec)
-            for idx, (graph_id, graph) in enumerate(graphs)]
+    # the job columns: graph, graph id, run index, spec
+    jobs = ([graph for _, graph in graphs], [gid for gid, _ in graphs],
+            range(len(graphs)), [spec] * len(graphs))
     # with fork, a pool starts all max_workers processes at the first submit
     nworkers = min(workers if workers is not None else spec.workers,
-                   len(jobs), os.cpu_count() or 1)
+                   len(graphs), os.cpu_count() or 1)
     if nworkers > 1:
         # imported only here, so importing the package loads no process pool
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            records = list(pool.map(_solve_one_star, jobs))
+            records = list(pool.map(_solve_one, *jobs))
     else:
-        records = [_solve_one_star(j) for j in jobs]
+        records = list(map(_solve_one, *jobs))
     summary = summarize(spec, records)
     return records, summary
 
@@ -338,10 +335,3 @@ def sweep_to_csv(rows) -> str:
         w.writerow([str(row[c]) for c in SWEEP_COLUMNS])
     return buf.getvalue()
 
-
-__all__ = [
-    "CSV_COLUMNS", "SWEEP_COLUMNS", "ExperimentSpec", "RunRecord",
-    "parse_family", "run_experiment", "run_sweep", "records_to_csv",
-    "summary_to_json", "summarize", "split_seed", "sweep_to_csv",
-    "GenerationError",
-]

@@ -61,6 +61,9 @@ def _ordered_ends(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = np.minimum(arr[:, 0], arr[:, 1]), np.maximum(arr[:, 0], arr[:, 1])
         if not lo.size or (lo.min() >= 0 and hi.max() < n and (lo < hi).all()):
             return lo, hi
+        # only the first bad pair words the message: no Python loop over m
+        first = int(np.argmax((lo < 0) | (hi >= n) | (lo == hi)))
+        edges = edges[first:first + 1]
     for u, v in edges:
         if not all(isinstance(x, (int, np.integer)) for x in (u, v)):
             break
@@ -272,18 +275,18 @@ def parse_graph(text: str) -> Graph:
     MAX_VERTICES vertices.
 
     A file in write_graph's layout, as int_rows checks it byte by byte, is
-    read at once. Any other text, and any range error or self-loop, goes
-    through the line-by-line parser, the one source of error messages.
+    read at once and handed to Graph. Any other text, and any layout file
+    that Graph refuses, goes through the line-by-line parser, the one
+    source of error messages.
     """
     layout = text if text.endswith("\n") else text + "\n"
     head = _GRAPH_HEADER.match(layout)
     ends = head and int_rows(layout, head.end(), len(layout), "e", 2)
     if ends is not None:
-        n = int(head[1])
-        if n <= MAX_VERTICES and (not ends.size or (
-                ends.min() >= 1 and ends.max() <= n
-                and not np.any(ends[:, 0] == ends[:, 1]))):
-            return Graph(n, ends - 1)
+        try:
+            return Graph(int(head[1]), ends - 1)
+        except GraphError:
+            pass
     return _parse_graph_lines(text)
 
 

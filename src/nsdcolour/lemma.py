@@ -456,7 +456,9 @@ def stage_two(g: Graph, st: LemmaState, p: LemmaParams, seed: int,
     rest of the uncoloured edges under the 4° cap with local resampling.
 
     Never touches c1, c2, or c3v. valid means 4° held within the round
-    budget: the loop exits on the same tally check_properties runs for 4°.
+    budget: the loop stops on the _over_cap call check_properties makes
+    for 4°, tallied only at the vertices holding more than cap4 redrawn
+    edges.
     """
     st2 = st.copy()
     svals = _sum_colours(g, st2)
@@ -474,17 +476,13 @@ def stage_two(g: Graph, st: LemmaState, p: LemmaParams, seed: int,
     cap4 = p.caps["4°"]
     h3_u, h3_v = g.edge_u[h3_ids], g.edge_v[h3_ids]
     # only a vertex holding more than cap4 redrawn edges can fail 4°
-    rows = np.flatnonzero(g.endpoint_counts(h3_ids) > cap4)
+    at = g.endpoint_counts(h3_ids) > cap4
     rounds, valid = 0, True
-    while rows.size:
-        cnt = _tally(g, rows, c3e, False, p.r3 + 1, h3_ids)
-        over = np.flatnonzero((cnt > cap4).any(axis=1))
-        if over.size == 0:
-            break
+    while over := _over_cap(g, cap4, c3e, at=at, ids=h3_ids):
         if rounds >= max_rounds:
             valid = False
             break
-        v = int(rows[over[0]])
+        v = over[0][0]
         mine = h3_ids[(h3_u == v) | (h3_v == v)]
         c3e[mine] = rng.integers(1, p.r3 + 1, size=mine.size, dtype=np.int64)
         rounds += 1

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nsdcolour.colouring import TotalColouring, vertex_sums
+from nsdcolour.colouring import TotalColouring
 from nsdcolour.graph import Graph
 from nsdcolour.lemma import LemmaParams, LemmaState
 
@@ -303,7 +303,7 @@ def recolour_H(g: Graph, state: ConstructionState, h_edge_ids,
     """
     st = state.copy()
     h_ids = sorted(int(e) for e in np.asarray(h_edge_ids, dtype=np.int64))
-    sums = vertex_sums(g, st.vertex_colours, st.edge_colours)
+    sums = _vertex_sums(g, st.vertex_colours, st.edge_colours)
     base = st.span
     if h_ids:
         dh = np.bincount(np.concatenate(

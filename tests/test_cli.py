@@ -4,11 +4,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nsdcolour import (Graph, GraphError, complete_graph, is_valid,
-                       parse_colouring, parse_graph, write_colouring,
-                       write_graph)
+from nsdcolour import (Graph, GraphError, TotalColouring, complete_graph,
+                       is_valid, parse_colouring, parse_graph,
+                       write_colouring, write_graph)
 from nsdcolour.graph import MAX_VERTICES
 from nsdcolour.cli import main
 from nsdcolour.construct import greedy_nsd
@@ -130,6 +131,28 @@ def test_exact_budget_give_up(tmp_path, capsys):
     rc = main(["exact", gpath, "--k-max", "4"])
     assert rc == 1
     assert "unsolved" in capsys.readouterr().out
+
+
+def test_exact_refuses_an_invalid_witness(tmp_path, capsys, monkeypatch):
+    import nsdcolour.cli as cli_mod
+    real = cli_mod.solve_exact
+
+    def corrupted(g, **kwargs):
+        res = real(g, **kwargs)
+        # every vertex and edge coloured 1: improper on any edge
+        res.witness = TotalColouring(np.ones(g.n, dtype=np.int64),
+                                     np.ones(g.m, dtype=np.int64),
+                                     res.witness.k)
+        return res
+
+    monkeypatch.setattr(cli_mod, "solve_exact", corrupted)
+    gpath = write_k3(tmp_path)
+    wpath = tmp_path / "k3.col"
+    rc = main(["exact", gpath, "--witness", str(wpath), "--json"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and not wpath.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sweep_csv(tmp_path, capsys):

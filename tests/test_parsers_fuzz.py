@@ -1,7 +1,8 @@
 """Hypothesis fuzzing of the two text parsers and of ``nsdcolour verify``.
 
-Any text either parses or raises the parser's own error, and ``verify``
-exits 0, 1 or 2 instead of escaping with an exception. Integer tokens reach
+Any text either parses or raises the parser's own error, with the same
+result or message as the line-by-line parser alone, and ``verify`` exits
+0, 1 or 2 instead of escaping with an exception. Integer tokens reach
 past the int64 range (to +-2**70). Problem lines declare at most MAX_N
 vertices, because ``Graph`` allocates per declared vertex.
 """
@@ -14,10 +15,12 @@ import tempfile
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from nsdcolour import (ColouringParseError, Graph, GraphParseError,
-                       TotalColouring, cycle_graph, parse_colouring,
-                       parse_graph)
+from nsdcolour import (ColouringError, ColouringParseError, Graph,
+                       GraphError, GraphParseError, TotalColouring,
+                       cycle_graph, parse_colouring, parse_graph)
 from nsdcolour.cli import main
+from nsdcolour.colouring import _parse_colouring_lines
+from nsdcolour.graph import _parse_graph_lines
 
 MAX_N = 50
 BIG = [2**31, 2**63 - 1, 2**63, -2**63, -2**63 - 1, 2**70, -2**70]
@@ -74,6 +77,14 @@ COLOURING_TEXTS = st.one_of(_mutated(C4_COLOURING, COLOURING_LINES),
                             _text(COLOURING_LINES))
 
 
+def outcome(parse, text, error):
+    """What parse(text) returns, or the message of the error it raises."""
+    try:
+        return parse(text)
+    except error as exc:
+        return str(exc)
+
+
 def declares_small_graph(text: str) -> bool:
     for raw in text.splitlines():
         parts = raw.split()
@@ -89,6 +100,9 @@ def declares_small_graph(text: str) -> bool:
 @given(GRAPH_TEXTS)
 def test_parse_graph_parses_or_raises_parse_error(text):
     assume(declares_small_graph(text))
+    # the layout path agrees with the line parser, the one source of errors
+    assert (outcome(parse_graph, text, GraphError)
+            == outcome(_parse_graph_lines, text, GraphError))
     try:
         g = parse_graph(text)
     except GraphParseError:
@@ -99,6 +113,12 @@ def test_parse_graph_parses_or_raises_parse_error(text):
 @given(COLOURING_TEXTS)
 @example(HUGE_COLOUR)
 def test_parse_colouring_parses_or_raises_parse_error(text):
+    def by_lines(text):
+        k, vc, ec = _parse_colouring_lines(text, C4)
+        return TotalColouring(vc, ec, k)
+
+    assert (outcome(lambda t: parse_colouring(t, C4), text, ColouringError)
+            == outcome(by_lines, text, ColouringError))
     try:
         c = parse_colouring(text, C4)
     except ColouringParseError:

@@ -17,7 +17,6 @@ from nsdcolour import (Graph, LemmaParams, TotalColouring,
                        repair_small_degree, resample_event,
                        resample_until_valid, select_H, stage_two,
                        weighted_degrees)
-from nsdcolour.colouring import vertex_sums
 from nsdcolour.construct import greedy_nsd
 from nsdcolour.lemma import STAGE_ONE_PROPERTIES
 
@@ -186,12 +185,12 @@ def test_sum_shift_locality(g, seed):
     cs, _ = properize(g, res.state, None)
     risky = compute_risky(g, res.state, params_for(g, slack=1.0))
     sel = select_H(g, p, seed + 2)
-    before = vertex_sums(g, cs.vertex_colours, cs.edge_colours)
+    before = weighted_degrees(g, cs)
     cs2, _ = recolour_H(g, cs, sel.edge_ids, risky)
     assert np.array_equal(cs2.vertex_colours, cs.vertex_colours)
     moved_edges = np.nonzero(cs2.edge_colours != cs.edge_colours)[0]
     assert set(moved_edges.tolist()) <= set(sel.edge_ids)
-    after = vertex_sums(g, cs2.vertex_colours, cs2.edge_colours)
+    after = weighted_degrees(g, cs2)
     touched = set()
     for i in moved_edges:
         u, v = g.edges[int(i)]
@@ -202,7 +201,7 @@ def test_sum_shift_locality(g, seed):
     # repair moves a vertex's own sum and nothing else
     cs3, _ = repair_small_degree(g, cs2)
     assert np.array_equal(cs3.edge_colours, cs2.edge_colours)
-    final = vertex_sums(g, cs3.vertex_colours, cs3.edge_colours)
+    final = weighted_degrees(g, cs3)
     delta_c = cs3.vertex_colours - cs2.vertex_colours
     assert np.array_equal(final - after, delta_c)
 
