@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphError, int_rows, sorted_unique, text_rows
+from .graph import Graph, int_rows, sorted_unique, text_rows
 
 
 class ColouringError(ValueError):
@@ -204,25 +204,15 @@ def write_colouring(g: Graph, c: TotalColouring) -> str:
             + text_rows("e", [g.edge_u + 1, g.edge_v + 1, c.edge_colours]))
 
 
-# A colouring file as write_colouring writes it: the k line, every vertex
-# line, then every edge line. At most 18 digits keeps each number in int64.
+# A colouring file as write_colouring writes it: the k line, the vertex lines
+# for 1..n, then the edge lines in edge id order. At most 18 digits keeps
+# each number in int64.
 _K_LINE = re.compile(r"k ([0-9]{1,18})\n")
-
-
-def _each_once(ids: np.ndarray, size: int) -> bool:
-    """Whether size ids name every one of 0..size-1, so none twice."""
-    if not size:
-        return True
-    if ids.min() < 0 or ids.max() >= size:
-        return False
-    seen = np.zeros(size, dtype=bool)
-    seen[ids] = True
-    return bool(seen.all())
 
 
 def _parse_colouring_layout(text: str, g: Graph):
     """(k, vertex colours, edge colours) of a file in write_colouring's
-    layout that names each vertex and each edge of g exactly once; None for
+    layout and order, vertices 1..n and then g's edges by (u, v); None for
     any other text."""
     text = text if text.endswith("\n") else text + "\n"
     head = _K_LINE.match(text)
@@ -233,25 +223,20 @@ def _parse_colouring_layout(text: str, g: Graph):
     vrows = int_rows(text, head.end(), edges_at, "v", 2)
     erows = int_rows(text, edges_at, len(text), "e", 3)
     if (vrows is None or erows is None
-            or len(vrows) != g.n or len(erows) != g.m):
+            or len(vrows) != g.n or len(erows) != g.m
+            or not np.array_equal(vrows[:, 0] - 1, np.arange(g.n))
+            or not np.array_equal(erows[:, 0] - 1, g.edge_u)
+            or not np.array_equal(erows[:, 1] - 1, g.edge_v)):
         return None
-    vids = vrows[:, 0] - 1
-    eids = g.find_edges(erows[:, 0] - 1, erows[:, 1] - 1)
-    if not (_each_once(vids, g.n) and _each_once(eids, g.m)):
-        return None
-    vc = np.zeros(g.n, dtype=np.int64)
-    ec = np.zeros(g.m, dtype=np.int64)
-    vc[vids] = vrows[:, 1]
-    ec[eids] = erows[:, 2]
-    return int(head[1]), vc, ec
+    return int(head[1]), vrows[:, 1], erows[:, 2]
 
 
 def parse_colouring(text: str, g: Graph) -> TotalColouring:
     """Parse ``k <bound>``, ``v <vertex> <colour>`` and ``e <u> <v> <colour>``
-    lines against g. A file in write_colouring's layout, as int_rows checks
-    it byte by byte, is read at once; any other text, and any unknown or
-    repeated vertex or edge, goes through the line-by-line parser, the one
-    source of error messages."""
+    lines against g. A file in write_colouring's layout and order, as
+    int_rows checks it byte by byte, is read at once; any other text, a
+    valid file with its lines in another order included, goes through the
+    line-by-line parser, the one source of error messages."""
     parsed = _parse_colouring_layout(text, g)
     k, vc, ec = parsed if parsed is not None else _parse_colouring_lines(text, g)
     try:
@@ -286,11 +271,10 @@ def _parse_colouring_lines(text: str, g: Graph):
                 vc[v] = col
             elif parts[0] == "e" and len(parts) == 4:
                 u, v, col = int(parts[1]) - 1, int(parts[2]) - 1, int(parts[3])
-                try:
-                    eid = g.edge_id(u, v)
-                except GraphError:
+                eid = g._edge_index(u, v)
+                if eid < 0:
                     raise ColouringParseError(
-                        f"line {lineno}: no edge ({u + 1}, {v + 1}) in graph") from None
+                        f"line {lineno}: no edge ({u + 1}, {v + 1}) in graph")
                 if e_seen[eid]:
                     raise ColouringParseError(f"line {lineno}: edge coloured twice")
                 e_seen[eid] = True

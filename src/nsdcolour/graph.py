@@ -153,21 +153,9 @@ class Graph:
     def degree(self, v: int) -> int:
         return int(self.degrees[v])
 
-    def find_edges(self, us, vs) -> np.ndarray:
-        """Edge ids of the pairs (us[i], vs[i]), -1 where there is no edge."""
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        n = self.n
-        real = (us >= 0) & (us < n) & (vs >= 0) & (vs < n) & (us != vs)
-        keys = np.where(real, np.minimum(us, vs) * n + np.maximum(us, vs), -1)
-        ids = np.searchsorted(self._keys, keys)
-        found = real & (ids < self.m)
-        found[found] = self._keys[ids[found]] == keys[found]
-        return np.where(found, ids, -1)
-
     def _edge_index(self, u: int, v: int) -> int:
-        # one scalar search: a tenth of the cost of find_edges on 1-element
-        # arrays, and the colouring line parser makes one per edge line
+        # the id of the edge {u, v}, -1 where there is none, from one scalar
+        # search; the colouring line parser makes one per edge line
         if not (0 <= u < self.n and 0 <= v < self.n):
             return -1
         key = min(u, v) * self.n + max(u, v)

@@ -111,7 +111,7 @@ def test_risky_symmetric_and_large_only():
         for u in risky[v]:
             assert v in risky[u]
             assert 3 * deg[u] >= p.delta and 3 * deg[v] >= p.delta
-            assert g.find_edges([u], [v])[0] >= 0
+            assert g._edge_index(u, v) >= 0
 
 
 def test_risky_respects_window():

@@ -338,6 +338,33 @@ def test_regular_files_take_the_tokenising_path(monkeypatch):
     assert parse_colouring(G30_COLOURING, g) == greedy_nsd(G30)
 
 
+def _reordered_colourings():
+    """G30_COLOURING with its edge lines reversed, and with one edge line's
+    endpoints swapped: valid files in an order write_colouring never writes."""
+    lines = G30_COLOURING.splitlines(keepends=True)
+    first_edge = 1 + G30.n
+    yield "".join(lines[:first_edge] + lines[first_edge:][::-1])
+    _, u, v, col = lines[first_edge].split()
+    yield "".join(lines[:first_edge] + [f"e {v} {u} {col}\n"] + lines[first_edge + 1:])
+
+
+@pytest.mark.parametrize("text", list(_reordered_colourings()),
+                         ids=["edges-reversed", "endpoints-swapped"])
+def test_reordered_files_take_the_line_parser(monkeypatch, text):
+    import nsdcolour.colouring as colouring_mod
+
+    calls = []
+    line_parser = colouring_mod._parse_colouring_lines
+
+    def spy(*args):
+        calls.append(args)
+        return line_parser(*args)
+    monkeypatch.setattr(colouring_mod, "_parse_colouring_lines", spy)
+    assert text != G30_COLOURING
+    assert parse_colouring(text, G30) == parse_colouring(G30_COLOURING, G30)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # layout check and row writer
 
