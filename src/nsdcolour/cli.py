@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a verified colouring")
     p.add_argument("graph")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--mode", choices=["permissive", "strict"],
                    default="permissive")
     p.add_argument("--slack", type=float, default=2.0,

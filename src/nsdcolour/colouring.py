@@ -6,8 +6,7 @@ The verifier is the single source of truth for validity in this package:
 differ, incident edges differ, an edge differs from both endpoints) and
 ``check_nsd`` enforces distinct weighted degrees across every edge, where
 the weighted degree of v is its own colour plus the colours of its
-incident edges. Colour 0 never appears in a TotalColouring; it is reserved
-as the internal "uncoloured" sentinel of intermediate pipeline states.
+incident edges. Colour 0 never appears in a TotalColouring.
 """
 
 from __future__ import annotations

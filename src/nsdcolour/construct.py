@@ -4,9 +4,9 @@ whose adjacent vertices get distinct weighted sums.
 Phases, in order:
 
   properize        map each engine target class onto its own band of width B
-                   and resolve clashes inside each band (greedy edge colouring
-                   with one alternating-path swap attempt per overflow, then
-                   vertex slots); B widens to the slots the classes need
+                   and resolve clashes inside each band (first-fit edge
+                   slots, then vertex slots); B widens to the slots the
+                   classes need
   compute_risky    a mask of the risky edges: those joining two large
                    vertices whose idealized scores sit within a drift window,
                    so only those pairs need active separation later
@@ -64,69 +64,25 @@ def _lowest_free(used: int) -> int:
     return ((used + 1) & ~used).bit_length() - 1
 
 
-def _colour_class_edges(g: Graph, ids: np.ndarray, width_hint,
+def _colour_class_edges(g: Graph, ids: np.ndarray,
                         used: list[int] | None = None) -> tuple[list, list]:
     """Proper slots for the edges ids, ascending, in their order; and each
     vertex's mask: its seed in used (0 without seeds) ORed with its slots.
 
-    Each edge takes the lowest slot free at both endpoints. When the pick
-    would land at or above width_hint, one alternating-path swap is
-    attempted to reuse a slot below it; a swap takes the masks to hold only
-    edge slots, so seeds go with width_hint=None. The ids run by smaller
-    endpoint u, whose mask stays in a local for its run: a swap never
-    changes it, as u lacks the swap slot a, so no path passes through u,
-    and one that ends at u is not flipped. The walk reads a vertex's
-    slotted edges from its run of g.incidences, through a map from edge id
-    to position in ids that the first swap builds; so no per-vertex edge
-    lists are kept, and no map while no swap runs.
+    Each edge takes the lowest slot free at both endpoints. The ids run by
+    smaller endpoint u, whose mask stays in a local for its run.
     """
     eu, edge_v = g.edge_u[ids], g.edge_v[ids].tolist()
     starts = np.flatnonzero(np.diff(eu, prepend=-1))
     used = [0] * g.n if used is None else used
-    # with no hint, a width no slot reaches: a slot is at most the number of
-    # bits set at its two endpoints
-    width = (2 * (g.max_degree + max(used, default=0).bit_length())
-             if width_hint is None else width_hint)
-    slots, pos = [], None
+    slots = []
     for u, start, end in zip(eu[starts].tolist(), starts.tolist(),
                              starts[1:].tolist() + [len(edge_v)]):
         mask = used[u]
         for v in edge_v[start:end]:
             taken = mask | used[v]
             bit = (taken + 1) & ~taken      # the lowest slot free at both ends
-            slot = bit.bit_length() - 1
-            if slot >= width:
-                pos = pos or dict(zip(ids.tolist(), range(len(ids))))
-                top = len(slots)    # the positions below top have their slots
-                a = _lowest_free(mask)
-                b = _lowest_free(used[v])
-                # walk the a/b alternating path from v; flipping it frees a at
-                # v unless the path ends at u. Proper slots make it a path of
-                # at most len(ids) edges: a longer walk is a cycle, so raise
-                path = []
-                x, want = v, a
-                for _ in range(len(ids) + 1):
-                    far, out, _ = g.incidences([x])
-                    for y, f in zip(far.tolist(), out.tolist()):
-                        i = pos.get(f, top)
-                        if i < top and slots[i] == want:
-                            break
-                    else:
-                        break       # x has no edge of slot want
-                    path.append(i)
-                    x, want = y, want ^ a ^ b
-                else:
-                    raise RuntimeError("slots not proper: the walk cycles")
-                # a path that ends at u keeps the overflow slot; a flipped
-                # path changes which of a and b its two ends hold, and no
-                # other vertex's slots
-                if x != u:
-                    for i in path:
-                        slots[i] ^= a ^ b
-                    used[v] ^= (1 << a) | (1 << b)
-                    used[x] ^= (1 << a) | (1 << b)
-                    slot, bit = a, 1 << a
-            slots.append(slot)
+            slots.append(bit.bit_length() - 1)
             mask |= bit
             used[v] |= bit
         used[u] = mask
@@ -156,20 +112,19 @@ def properize(g: Graph, st: LemmaState,
 
     Band for class beta covers colours {B*(beta-1)+1 .. B*beta}. Each class
     is coloured on its own, edges first; no slot depends on another class.
-    width is where the edge pass starts its alternating-path swaps, and B is
-    the larger of width and the slots the classes then need; with
-    width=None no swap runs and B is the needed width. Returns the colouring
+    B is the larger of width, the least band width, and the slots the
+    classes need; width=None gives the needed width. Returns the colouring
     and B. The classes are slotted one at a time, over a stable argsort of
     c3e; when a class ends, its masks at its own vertices are what the
     vertex pass must avoid besides lower same-class neighbours' slots.
     """
-    if g.m and int(st.c3e.min(initial=1)) < 1:
+    if int(st.c3e.min(initial=1)) < 1:
         raise ValueError("edge classes must be fully assigned before lifting")
     order = np.argsort(st.c3e, kind="stable")
     slots, forbid = [], [0] * g.n
     cuts = np.cumsum(np.bincount(st.c3e))[:-1]
     for beta, ids in enumerate(np.split(order, cuts)):
-        class_slots, used = _colour_class_edges(g, ids, width)
+        class_slots, used = _colour_class_edges(g, ids)
         slots += class_slots
         for v in np.flatnonzero(st.c3v == beta).tolist():
             forbid[v] = used[v]
@@ -405,16 +360,15 @@ def greedy_nsd(g: Graph) -> TotalColouring:
     (and exactly 3 on a single edge).
 
     _first_fit colours the vertices in ascending order. properize's edge
-    kernel, with no width, colours every edge in id order over masks seeded
-    with bit 0 and the vertex's colour, so each edge takes the lowest colour
-    free at both ends. _clear_sum_ties then sweeps every vertex.
+    kernel colours every edge in id order over masks seeded with bit 0 and
+    the vertex's colour, so each edge takes the lowest colour free at both
+    ends. _clear_sum_ties then sweeps every vertex.
     """
     # the entries of Graph._vertex_order below m, the edges (w, v), w < v, met
     # at v, are a stable argsort of edge_v: grouped by v with w ascending
     order = g._vertex_order
     vc = _first_fit(g, order[order < g.m], [1] * g.n)   # bit 0: colours from 1
-    ec, _ = _colour_class_edges(g, np.arange(g.m), None,
-                                [1 | 1 << c for c in vc])
+    ec, _ = _colour_class_edges(g, np.arange(g.m), [1 | 1 << c for c in vc])
     return _clear_sum_ties(g, _spanned(vc, np.array(ec, dtype=np.int64)),
                            np.ones(g.n, dtype=bool))[0]
 
@@ -456,7 +410,7 @@ class RunReport:
 
 
 def _phase_seeds(seed: int, attempt: int) -> list[int]:
-    ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFF, attempt])
+    ss = np.random.SeedSequence([int(seed), attempt])
     return [int(x) for x in ss.generate_state(3, dtype=np.uint64)]
 
 

@@ -151,7 +151,7 @@ class LemmaParams:
         self.caps: dict[str, int] = caps
 
         reasons = []
-        if delta < 3 or math.log(max(delta, 1)) < 1.0:
+        if delta < 3:   # ln 3 > 1, so this is ln(max degree) < 1
             reasons.append("ln(max degree) below 1")
         small = [k for k in ("I", "II", "VI", "1°a", "1°b", "2°", "3°", "4°")
                  if caps[k] < 1]
@@ -184,8 +184,7 @@ class LemmaState:
 
     c1: vertex attractor colours in {1..r1}; c2: edge auxiliary colours in
     {1..r2}; c3v: vertex target colours in {1..r2}; c3e: edge target colours,
-    equal to c1(u)+c1(v)+c2(uv) after stage one (so at most r3), 0 only as the
-    transient uncoloured sentinel inside stage two.
+    equal to c1(u)+c1(v)+c2(uv) after stage one (so at most r3).
     """
     c1: np.ndarray
     c2: np.ndarray
@@ -464,9 +463,7 @@ def stage_two(g: Graph, st: LemmaState, p: LemmaParams, seed: int,
     svals = _sum_colours(g, st2)
     e1 = (svals == st2.c3v[g.edge_u]) | (svals == st2.c3v[g.edge_v])
     e2 = st2.c3v[g.edge_u] == st2.c3v[g.edge_v]
-    c3e = svals.copy()
-    c3e[e1] = 0
-    c3e[e2] = st2.c3v[g.edge_u][e2]
+    c3e = np.where(e2, st2.c3v[g.edge_u], svals)
     h3_ids = np.flatnonzero(e1 & ~e2).astype(np.int64)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))

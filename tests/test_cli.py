@@ -452,6 +452,7 @@ def test_experiment_command(tmp_path, capsys):
      "--seed", 0, -1),
     (["lemma", "--delta", "3", "--graph", "GRAPH", "--seed", "-1"],
      "--seed", 0, -1),
+    (["construct", "GRAPH", "--seed", "-1"], "--seed", 0, -1),
 ])
 def test_integer_flag_below_its_least_is_usage_error_naming_it(
         tmp_path, capsys, argv, flag, least, value):

@@ -5,12 +5,11 @@ reference_construct.py return.
 Graphs come from hypothesis (n <= 40, plus edgeless graphs, K2 and complete
 graphs) and from the acceptance grid points: greedy_nsd on all ten, the
 pipeline phases on those with n <= 500. Class assignments for properize are
-drawn with few classes and narrow fixed widths, so the alternating-path swap
-runs and properize widens the bands where the reference raises
-ClassWidthError; also with gaps in the edge classes (1 and 3 only), vertex
-classes that no edge has, and isolated vertices. Fixed small cases pin a
-swap that moves a slot, one whose path ends at the other endpoint, and a
-flipped path whose inner vertices the reference's slot masks get wrong.
+drawn with few classes and narrow fixed widths, so properize widens the
+bands to the width the reference learns; also with gaps in the edge classes
+(1 and 3 only), vertex classes that no edge has, and isolated vertices.
+Fixed small cases pin first-fit slots where an alternating-path swap would
+have saved a slot, and the widths they need.
 select_H also runs under lowered pick-degree caps, so its redraw rounds and
 the round limit run, and on K_{2,10001}, whose hubs pick from runs of
 10,001 edges. compute_risky
@@ -63,12 +62,11 @@ def ref_state(c):
                                  None, None)
 
 
-def needed_width(c, state, width):
-    """The width the slots of c, lifted at width `width`, need."""
-    slots = [col - 1 - width * (cls - 1)
-             for col, cls in ((c.vertex_colours, state.c3v),
-                              (c.edge_colours, state.c3e))]
-    return 1 + max(int(s.max(initial=0)) for s in slots)
+def slots(c, state, width):
+    """The vertex and edge slots of c, lifted at width `width`."""
+    return [col - 1 - width * (cls - 1)
+            for col, cls in ((c.vertex_colours, state.c3v),
+                             (c.edge_colours, state.c3e))]
 
 
 def in_bands(c, state, width):
@@ -78,30 +76,17 @@ def in_bands(c, state, width):
                                 (c.edge_colours, state.c3e)))
 
 
-def ref_is_proper(g, old):
-    return not check_proper(g, TotalColouring(old.vertex_colours,
-                                              old.edge_colours, old.span))
-
-
 def assert_same_properize(g, state, width):
-    """A proper colouring inside its bands, at the width asked for or, where
-    its slots need more, at the width they need; and the reference's
-    colouring and width wherever the reference returns a proper colouring.
-
-    The reference's slot masks can lose a bit inside a flipped path (see
-    test_swap_keeps_the_slots_inside_a_flipped_path). It then returns an
-    improper colouring, or raises ClassWidthError with a need of its own
-    slots, so neither is compared."""
+    """A proper colouring inside its bands, whose slots are the reference's
+    first-fit slots, at the width asked for or, where those slots need
+    more, at the width the reference learns for them."""
     new, got = properize(g, state, width)
+    old = ref.properize(ViewGraph(g), state, None)
     assert check_proper(g, new) == [] and in_bands(new, state, got)
-    assert got == max(width or 0, needed_width(new, state, got))
-    try:
-        old = ref.properize(ViewGraph(g), state, width)
-    except ref.ClassWidthError:
-        return
-    if ref_is_proper(g, old):
-        assert got == old.width
-        assert_same_state(new, old)
+    assert got == max(width or 0, old.width)
+    for mine, theirs in zip(slots(new, state, got),
+                            slots(old, state, old.width)):
+        assert same_array(mine, theirs)
 
 
 def risk_params(delta, scale):
@@ -375,7 +360,8 @@ def test_recolour_matches_reference_on_drawn_graphs(g, seed, top, share,
 
 
 # ---------------------------------------------------------------------------
-# the alternating-path swap, pinned on small cases
+# first-fit edge slots, pinned on small cases where an alternating-path swap
+# would have saved a slot
 
 
 def one_class_edges(g, vertex_classes):
@@ -385,63 +371,48 @@ def one_class_edges(g, vertex_classes):
                       np.ones(g.m, dtype=np.int64))
 
 
-def test_swap_moves_a_slot():
-    # edges by id: (0,4) (1,2) (1,3) (3,4); greedy gives slots 0 0 1 and then
-    # 2 for (3,4). With width 2 the swap walks from 4 along slot 0 to vertex
-    # 0 and flips (0,4) to slot 1, so (3,4) takes slot 0. Every vertex has a
-    # class of its own, so only the edges decide the width.
+def assert_first_fit(g, state, width, edge_slots, needed):
+    """properize at width gives the class-1 edges the first-fit slots
+    edge_slots and widens the bands to their need."""
+    cs, got = properize(g, state, width)
+    assert got == max(width, needed)
+    assert (cs.edge_colours - 1).tolist() == edge_slots
+    assert_same_properize(g, state, width)
+
+
+def test_first_fit_keeps_the_slot_a_swap_would_move():
+    # edges by id: (0,4) (1,2) (1,3) (3,4) take slots 0 0 1 2. Flipping
+    # (0,4) to slot 1 would let (3,4) take slot 0, but first-fit makes no
+    # flip, so width 2 widens to 3. Every vertex has a class of its own, so
+    # only the edges decide the width.
     g = Graph(5, [(0, 4), (1, 2), (1, 3), (3, 4)])
-    state = one_class_edges(g, [2, 3, 4, 5, 6])
-    swapped = ref.properize(ViewGraph(g), state, 2)
-    greedy = ref.properize(ViewGraph(g), state, None)
-    assert greedy.width == 3
-    assert (swapped.edge_colours - 1).tolist() == [1, 0, 1, 0]
-    assert (greedy.edge_colours - 1).tolist() == [0, 0, 1, 2]
-    assert_same_properize(g, state, 2)
-    assert_same_state(properize(g, state, 2)[0], swapped)
+    assert_first_fit(g, one_class_edges(g, [2, 3, 4, 5, 6]), 2,
+                     [0, 0, 1, 2], 3)
 
 
-def test_swap_path_ending_at_u_keeps_the_overflow():
-    # triangle: (0,1) and (0,2) take slots 0 and 1, so (1,2) overflows to 2
-    # under width 2. The walk goes 2 -> 0 -> 1 and ends at u = 1, so no flip
-    # is made and the overflow slot stands: the bands widen to 3, as the
-    # reference's width error asks. Flipping the path anyway would leave
-    # every edge in slots 0 and 1.
+def test_first_fit_triangle_needs_three_slots():
+    # triangle: (0,1) and (0,2) take slots 0 and 1, so (1,2) takes slot 2
+    # and width 2 widens to 3
     g = Graph(3, [(0, 1), (0, 2), (1, 2)])
-    state = one_class_edges(g, [2, 3, 4])
-    with pytest.raises(ref.ClassWidthError) as old:
-        ref.properize(ViewGraph(g), state, 2)
-    assert old.value.needed == 3
-    assert_same_properize(g, state, 2)
-    cs, width = properize(g, state, 2)
-    assert width == 3 and (cs.edge_colours - 1).tolist() == [0, 1, 2]
+    assert_first_fit(g, one_class_edges(g, [2, 3, 4]), 2, [0, 1, 2], 3)
 
 
-def test_swap_keeps_the_slots_inside_a_flipped_path():
-    # edges by id: (0,3) (0,6) (1,3) (2,4) (2,6) (3,4). Under width 2, (2,6)
-    # overflows, and the swap flips the path 6 -> 0 -> 3 -> 1: (0,6) to slot
-    # 0, (0,3) to 1 and (1,3) to 0. Vertices 0 and 3 still hold slots 0 and
-    # 1, so (3,4) must take slot 2. The reference clears each flipped edge's
-    # old slot at both its ends, so vertex 3 loses slot 1 when (1,3) leaves
-    # it although (0,3) has just taken it, and (3,4) gets slot 1 too.
+def test_first_fit_flips_no_path():
+    # edges by id: (0,3) (0,6) (1,3) (2,4) (2,6) (3,4). (2,6) and (3,4)
+    # take slot 2, where flipping the path 6 -> 0 -> 3 -> 1 would have let
+    # (2,6) take slot 1; width 2 widens to 3
     g = Graph(7, [(0, 3), (0, 6), (1, 3), (2, 4), (2, 6), (3, 4)])
-    state = one_class_edges(g, range(2, 9))
-    old = ref.properize(ViewGraph(g), state, 2)
-    assert (old.edge_colours - 1).tolist() == [1, 0, 0, 0, 1, 1]
-    assert not ref_is_proper(g, old)
-    cs, width = properize(g, state, 2)
-    assert width == 3 and (cs.edge_colours - 1).tolist() == [1, 0, 0, 0, 1, 2]
-    assert_same_properize(g, state, 2)
+    assert_first_fit(g, one_class_edges(g, range(2, 9)), 2,
+                     [0, 1, 1, 0, 2, 2], 3)
 
 
-def test_swap_flip_then_path_ending_at_u():
-    # one class on a 7-vertex graph at width 5 = max degree: edge 10 flips a
-    # three-edge path and edge 11's path then ends at its u
+def test_first_fit_widens_past_the_max_degree():
+    # one class on a 7-vertex graph of max degree 5: at width 5 the edges
+    # take slots up to 5 and vertex 5 slot 6, so the bands widen to 7
     g = Graph(7, [(0, 1), (0, 4), (0, 5), (1, 3), (1, 5), (1, 6), (2, 3),
                   (2, 4), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)])
     state = one_class_edges(g, [1] * 7)
-    with pytest.raises(ref.ClassWidthError):
-        ref.properize(ViewGraph(g), state, 5)
-    assert_same_properize(g, state, 5)
+    assert_first_fit(g, state, 5,
+                     [0, 1, 2, 1, 3, 2, 0, 2, 3, 4, 5, 0, 4, 1], 7)
     for width in (6, 7, None):
         assert_same_properize(g, state, width)
